@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .calculus import (
     ALLOWED_SCALES,
@@ -29,6 +31,7 @@ from .evolution import dmf_run, spectral_heat_solve, transport_solve
 from .graph import Graph, VertexFunction, build_window, monge_cost, volume
 from .harmonic import dirichlet_minimize
 from .io import (
+    _parse_float,
     format_float,
     load_graph,
     parse_graph,
@@ -161,17 +164,16 @@ def _load_graph_arg(args, inputs: Inputs) -> Graph:
     return parse_graph(inputs.read("graph", args.graph))
 
 
+def _finite_float(text: str) -> float:
+    return _parse_float(text, "numeric option")
+
+
 def _static_potential(text: Optional[str], g: Graph, inputs: Inputs):
     if text is None or text == "none":
         return None
     if text.startswith("csv:"):
         return parse_vertex_function(inputs.read("potential", text[4:]), g)
-    try:
-        return float(text)
-    except ValueError as e:
-        raise ValidationError(
-            f"potential must be a number, 'none' or 'csv:PATH', got {text!r}"
-        ) from e
+    return _parse_float(text, "potential (a number, 'none' or 'csv:PATH')")
 
 
 def _time_potential(text: Optional[str], g: Graph, inputs: Inputs):
@@ -182,10 +184,10 @@ def _time_potential(text: Optional[str], g: Graph, inputs: Inputs):
         parts = text[len("linear:") :].split(",")
         if len(parts) != 2:
             raise ValidationError("linear potential needs 'linear:a,b'")
-        a, b = (float(p) for p in parts)
+        a, b = (_parse_float(p, "linear potential") for p in parts)
         return lambda t: a + b * t
     if text.startswith("sin:"):
-        amp = float(text[len("sin:") :])
+        amp = _parse_float(text[len("sin:") :], "sin potential")
         return lambda t: amp * math.sin(t)
     val = _static_potential(text, g, inputs)
     return 0.0 if val is None else val
@@ -224,14 +226,15 @@ def cmd_spectrum(args, inputs, cfg, argv):
     g = _load_graph_arg(args, inputs)
     spec = _spec_from_args(args, g, cfg, inputs)
     es = eigensystem(spec)
-    from .calculus import weighted_inner
-
     inner = spec.interior
+    # weighted Gram matrix Phi^T D Phi, one row at a time, upper triangle
+    vecs = es.vectors[: len(inner)]
+    dvecs = vecs * np.array([g.degree(x) for x in inner], dtype=float)[:, None]
     ortho = 0.0
-    for i, fi in enumerate(es.functions):
-        for j in range(i, len(es.functions)):
-            got = weighted_inner(fi, es.functions[j], inner)
-            ortho = max(ortho, abs(got - (1.0 if i == j else 0.0)))
+    for i in range(len(es)):
+        row = (dvecs * vecs[:, i : i + 1]).sum(axis=0)[i:]
+        row[0] -= 1.0
+        ortho = max(ortho, float(np.max(np.abs(row))))
     payload = {
         "manifest": build_manifest(argv, cfg.laplacian_scale, inputs),
         "bc": spec.bc,
@@ -342,7 +345,7 @@ def cmd_transport(args, inputs, cfg, argv):
         parts = args.profile[len("linear:") :].split(",")
         if len(parts) != 2:
             raise ValidationError("linear profile needs 'linear:a,b'")
-        a, b = (float(p) for p in parts)
+        a, b = (_parse_float(p, "linear profile") for p in parts)
         from .calculus import VectorField
 
         field = lambda t: VectorField(
@@ -491,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bc", choices=("dirichlet", "neumann", "none"), default="none")
     sp.add_argument("--interior", default=None)
     sp.add_argument("--potential", default=None)
-    sp.add_argument("--t-final", type=float, required=True, dest="t_final")
+    sp.add_argument("--t-final", type=_finite_float, required=True, dest="t_final")
     sp.add_argument("--steps", type=int, required=True)
     sp.set_defaults(func=cmd_heat)
 
@@ -510,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="const",
         help="time profile: const, sin, or linear:a,b (multiplies the field)",
     )
-    sp.add_argument("--t-final", type=float, required=True, dest="t_final")
-    sp.add_argument("--dt", type=float, required=True)
+    sp.add_argument("--t-final", type=_finite_float, required=True, dest="t_final")
+    sp.add_argument("--dt", type=_finite_float, required=True)
     sp.set_defaults(func=cmd_transport)
 
     sp = sub.add_parser("dmf", help="implicit stepping of u' = lap u + lambda u")
@@ -523,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="number, 'csv:PATH', 'linear:a,b' or 'sin:a'",
     )
-    sp.add_argument("--t-final", type=float, required=True, dest="t_final")
+    sp.add_argument("--t-final", type=_finite_float, required=True, dest="t_final")
     sp.add_argument("--steps", type=int, required=True)
     sp.set_defaults(func=cmd_dmf)
 
@@ -531,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--interior", required=True)
     sp.add_argument("--boundary", required=True, help="boundary sphere map CSV")
-    sp.add_argument("--tau", type=float, default=0.5)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tau", type=_finite_float, default=0.5)
+    sp.add_argument("--tol", type=_finite_float, default=1e-8)
     sp.add_argument("--max-steps", type=int, default=20000, dest="max_steps")
     sp.set_defaults(func=cmd_harmonic)
 
@@ -554,8 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write output file {out!r}: {e}") from e
 
 
 def main(argv: Optional[list[str]] = None) -> int:

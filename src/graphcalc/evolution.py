@@ -24,7 +24,14 @@ from .calculus import (
 )
 from .errors import IndefiniteStepError, NumericalError, ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction
-from .spectral import OperatorSpec, apply_operator, eigensystem, symmetric_matrix
+from .spectral import (
+    EigenSystem,
+    OperatorSpec,
+    _expand,
+    apply_operator,
+    eigensystem,
+    symmetric_matrix,
+)
 
 SOLVE_RESIDUAL_TOL = 1e-12
 IDENTITY_MAX_STEP = 1e-2
@@ -77,25 +84,12 @@ def spectral_heat_solve(
     """
     ts = _check_time_grid(times)
     es = eigensystem(spec)
-    inner = spec.interior
     if spec.bc == "dirichlet":
         for b in spec.boundary:
             if b in f and f.value(b) != 0.0:
                 raise ValidationError("dirichlet initial data must vanish on the boundary")
-    deg = np.array([spec.graph.degree(x) for x in inner], dtype=float)
-    fv = np.array([f.value(x) for x in inner])
-    phis = np.array([[phi.value(x) for x in inner] for phi in es.functions])
-    coeffs = phis @ (deg * fv)
     lam = np.array(es.values)
-    states = []
-    support = es.functions[0].domain
-    for t in ts:
-        weights = coeffs * np.exp(-lam * t)
-        vals = {}
-        for x in support:
-            col = np.array([phi.value(x) for phi in es.functions])
-            vals[x] = float(weights @ col)
-        states.append(VertexFunction(spec.graph, vals))
+    states = _expand(es, f, [np.exp(-lam * t) for t in ts])
     return Trajectory(ts, tuple(states), "spectral")
 
 
@@ -509,22 +503,20 @@ class ConvergenceReport:
     fitted_order: float
 
 
-def _run_error_vs_reference(
-    run: DMFRun, es_values, es_functions, phi: VertexFunction, w: SubgraphWindow
-) -> float:
-    g = w.graph
-    inner = list(w.interior)
-    deg = np.array([g.degree(x) for x in inner], dtype=float)
-    f0 = np.array([phi.value(x) for x in inner])
-    phis = np.array([[p.value(x) for x in inner] for p in es_functions])
-    coeffs = phis @ (deg * f0)
-    lam = np.array(es_values)
+def _max_weighted_gap(pairs, w: SubgraphWindow) -> float:
+    """Largest degree-weighted l2 distance on the interior over (u, v) pairs."""
+    deg = np.array([w.graph.degree(x) for x in w.interior], dtype=float)
     worst = 0.0
-    for t, u in zip(run.times, run.states):
-        ref = (coeffs * np.exp(-lam * t)) @ phis
-        diff = np.array([u.value(x) for x in inner]) - ref
+    for u, v in pairs:
+        diff = np.array([u.value(x) - v.value(x) for x in w.interior])
         worst = max(worst, math.sqrt(float((diff * diff) @ deg)))
     return worst
+
+
+def _run_error_vs_reference(run: DMFRun, es: EigenSystem, phi: VertexFunction) -> float:
+    lam = np.array(es.values)
+    refs = _expand(es, phi, [np.exp(-lam * t) for t in run.times])
+    return _max_weighted_gap(zip(run.states, refs), run.window)
 
 
 def dmf_convergence_study(
@@ -554,30 +546,19 @@ def dmf_convergence_study(
         else:
             q = -float(potential)
         es = eigensystem(OperatorSpec(w, "dirichlet", q, cfg))
-        errors = tuple(
-            _run_error_vs_reference(runs[n], es.values, es.functions, phi, w)
-            for n in ns
-        )
+        errors = tuple(_run_error_vs_reference(runs[n], es, phi) for n in ns)
         steps = tuple(t_final / n for n in ns)
         mode = "reference"
     else:
         for a, b in zip(ns, ns[1:]):
             if b != 2 * a:
                 raise ValidationError("self-convergence needs doubling step counts")
-        g = w.graph
-        inner = list(w.interior)
-        deg = np.array([g.degree(x) for x in inner], dtype=float)
-        errs = []
-        for a, b in zip(ns, ns[1:]):
-            coarse, fine = runs[a], runs[b]
-            worst = 0.0
-            for k in range(a + 1):
-                uc = coarse.states[k]
-                uf = fine.states[2 * k]
-                diff = np.array([uc.value(x) - uf.value(x) for x in inner])
-                worst = max(worst, math.sqrt(float((diff * diff) @ deg)))
-            errs.append(worst)
-        errors = tuple(errs)
+        errors = tuple(
+            _max_weighted_gap(
+                ((runs[a].states[k], runs[b].states[2 * k]) for k in range(a + 1)), w
+            )
+            for a, b in zip(ns, ns[1:])
+        )
         steps = tuple(t_final / n for n in ns[:-1])
         mode = "self"
     pairs = [(s, e) for s, e in zip(steps, errors) if e > 0]

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     DisconnectedInteriorError,
+    DomainError,
     NotAdjacentError,
     UnknownVertexError,
     ValidationError,
@@ -205,8 +206,6 @@ class VertexFunction:
         return x in self.values
 
     def value(self, x: str) -> float:
-        from .errors import DomainError
-
         self.graph.check_vertex(x)
         if x not in self.values:
             raise DomainError(f"function not defined at {x!r}")

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import AntipodalPointsError, ValidationError
+from .errors import AntipodalPointsError, DomainError, ValidationError
 from .graph import Graph, SubgraphWindow
 from .rng import Lcg64
 
@@ -108,8 +108,6 @@ class SphereMap:
         return x in self.points
 
     def point(self, x: str) -> SpherePoint:
-        from .errors import DomainError
-
         self.graph.check_vertex(x)
         if x not in self.points:
             raise DomainError(f"map not defined at {x!r}")

@@ -9,6 +9,7 @@ with floats at full round-trip precision.
 import csv
 import io as _io
 import json
+import math
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -89,10 +90,14 @@ def _csv_rows(text: str) -> list[list[str]]:
 
 
 def _parse_float(cell: str, where: str) -> float:
+    """A finite float; anything else is a ValidationError."""
     try:
-        return float(cell)
+        val = float(cell)
     except ValueError as e:
         raise ValidationError(f"{where}: cannot parse {cell!r} as a number") from e
+    if not math.isfinite(val):
+        raise ValidationError(f"{where}: {cell!r} is not a finite number")
+    return val
 
 
 def parse_vertex_function(text: str, g: Graph) -> VertexFunction:

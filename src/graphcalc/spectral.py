@@ -17,18 +17,13 @@ whose first meaningful component is positive.  Eigenvalue indices are
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian, weighted_inner
-from .errors import (
-    DomainError,
-    NonpositiveSpectrumError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import DomainError, NonpositiveSpectrumError, ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction
 from .jacobi import sorted_eigh
 from .rng import Lcg64
@@ -70,6 +65,10 @@ class OperatorSpec:
     @property
     def boundary(self) -> tuple[str, ...]:
         return () if isinstance(self.region, Graph) else self.region.boundary
+
+    @property
+    def closure(self) -> tuple[str, ...]:
+        return self.interior + self.boundary
 
     def potential_at(self, x: str) -> float:
         if self.potential is None:
@@ -119,50 +118,62 @@ def symmetric_matrix(spec: OperatorSpec) -> np.ndarray:
     return M
 
 
+def _extend_to_closure(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
+    """Interior rows (one per interior vertex) stacked over boundary rows.
+
+    A boundary row is zero for dirichlet and the mean of the rows of its
+    interior neighbors for neumann, summed in neighbor order from zero.
+    rows must be 2-D: numpy sums a 2-D array down its first axis in order,
+    but a 1-D array pairwise.
+    """
+    g = spec.graph
+    pos = {v: i for i, v in enumerate(spec.interior)}
+    out = [rows]
+    for b in spec.boundary:
+        inb = [pos[z] for z in g.neighbors(b) if z in pos]
+        if spec.bc == "neumann" and inb:
+            out.append(rows[inb].sum(axis=0, keepdims=True) / len(inb))
+        else:
+            out.append(np.zeros((1,) + rows.shape[1:]))
+    return np.concatenate(out)
+
+
 def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
     """Evaluate Lf on the interior.
 
     Dirichlet data must actually vanish on the boundary; Neumann data is
     extended by the reflection relation; bc 'none' needs f on all vertices.
     """
-    g = spec.graph
-    values = dict(f.values)
     if spec.bc == "dirichlet":
         for b in spec.boundary:
-            if b in values:
-                if values[b] != 0.0:
-                    raise ValidationError(
-                        f"dirichlet data must vanish on the boundary, f({b}) = {values[b]}"
-                    )
-            else:
-                values[b] = 0.0
-    elif spec.bc == "neumann":
-        inner = set(spec.interior)
-        for b in spec.boundary:
-            inb = [z for z in g.neighbors(b) if z in inner]
-            if not inb:
-                values.setdefault(b, 0.0)
-                continue
-            values[b] = sum(f.value(z) for z in inb) / len(inb)
-    extended = VertexFunction(g, values)
+            if b in f and f.value(b) != 0.0:
+                raise ValidationError(
+                    f"dirichlet data must vanish on the boundary, f({b}) = {f.value(b)}"
+                )
+    inner = np.array([[f.value(x)] for x in spec.interior])
+    ext = _extend_to_closure(spec, inner)[:, 0]
+    extended = VertexFunction(spec.graph, dict(zip(spec.closure, ext.tolist())))
     out = {}
-    for x in spec.interior:
-        out[x] = -laplacian(extended, x, spec.config) + spec.potential_at(x) * f.value(x)
-    return VertexFunction(g, out)
+    for x, fx in zip(spec.interior, inner[:, 0].tolist()):
+        out[x] = -laplacian(extended, x, spec.config) + spec.potential_at(x) * fx
+    return VertexFunction(spec.graph, out)
 
 
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues with weighted-orthonormal eigenfunctions.
 
-    functions[j] is defined on the closure: zero on the boundary for
-    dirichlet, reflection-extended for neumann, whole graph for none.
+    vectors is a read-only array with one row per closure vertex (interior
+    first, then boundary, as in spec.closure) and one column per
+    eigenfunction: zero on the boundary for dirichlet, reflection-extended
+    for neumann, whole graph for none.  functions[j] holds column j.
     Indices are 1-based in all reports: values[0] is eigenvalue 1.
     """
 
     spec: OperatorSpec
     values: tuple[float, ...]
     functions: tuple[VertexFunction, ...]
+    vectors: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -170,26 +181,39 @@ class EigenSystem:
 
 def eigensystem(spec: OperatorSpec) -> EigenSystem:
     g = spec.graph
-    interior = spec.interior
     M = symmetric_matrix(spec)
     vals, vecs = sorted_eigh(M)
-    sqrt_deg = np.array([math.sqrt(g.degree(v)) for v in interior])
-    inner = set(interior)
-    funcs = []
-    for k in range(len(interior)):
-        phi = vecs[:, k] / sqrt_deg
-        values = {v: float(phi[i]) for i, v in enumerate(interior)}
-        if spec.bc == "dirichlet":
-            for b in spec.boundary:
-                values[b] = 0.0
-        elif spec.bc == "neumann":
-            for b in spec.boundary:
-                inb = [z for z in g.neighbors(b) if z in inner]
-                values[b] = (
-                    sum(values[z] for z in inb) / len(inb) if inb else 0.0
-                )
-        funcs.append(VertexFunction(g, values))
-    return EigenSystem(spec, tuple(float(v) for v in vals), tuple(funcs))
+    sqrt_deg = np.array([math.sqrt(g.degree(v)) for v in spec.interior])
+    vectors = _extend_to_closure(spec, vecs / sqrt_deg[:, None])
+    vectors.flags.writeable = False
+    funcs = tuple(
+        VertexFunction(g, dict(zip(spec.closure, col))) for col in vectors.T.tolist()
+    )
+    return EigenSystem(spec, tuple(float(v) for v in vals), funcs, vectors)
+
+
+def _expand(
+    es: EigenSystem, f: VertexFunction, factors, weighted: bool = True
+) -> list[VertexFunction]:
+    """sum_j m_j c_j phi_j on the closure, one function per factor row m.
+
+    c = Phi^T (w f) over the interior with w the degree, or 1 when not
+    weighted; a factor row is phi(lambda), such as exp(-lambda t) or
+    1/lambda.  Only elementwise products and np.sum, never BLAS, so the
+    bits do not depend on the BLAS thread count.
+    """
+    spec = es.spec
+    g = spec.graph
+    data = np.array([f.value(x) for x in spec.interior])
+    if weighted:
+        data = data * np.array([g.degree(x) for x in spec.interior], dtype=float)
+    coeffs = (es.vectors[: len(data)] * data[:, None]).sum(axis=0)
+    return [
+        VertexFunction(
+            g, dict(zip(spec.closure, (es.vectors * (coeffs * m)).sum(axis=1).tolist()))
+        )
+        for m in factors
+    ]
 
 
 def rayleigh_quotient(f: VertexFunction, spec: OperatorSpec) -> float:
@@ -320,12 +344,8 @@ class HeatKernel:
         self.es = es
         self.interior = es.spec.interior
         self._pos = {v: i for i, v in enumerate(self.interior)}
-        self._phi = np.array(
-            [[f.value(v) for v in self.interior] for f in es.functions]
-        )  # rows indexed by eigenfunction
+        self._phi = es.vectors[: len(self.interior)].T  # rows indexed by eigenfunction
         self._vals = np.array(es.values)
-        g = es.spec.graph
-        self._deg = np.array([g.degree(v) for v in self.interior], dtype=float)
 
     def matrix(self, t: float) -> np.ndarray:
         if t < 0:
@@ -339,20 +359,15 @@ class HeatKernel:
         return float(self.matrix(t)[self._pos[x], self._pos[y]])
 
     def apply(self, t: float, f: VertexFunction, weighted: bool = True) -> VertexFunction:
-        """Propagate data f to time t.
+        """Propagate data f to time t; boundary values follow the spec's bc.
 
         weighted=True uses the degree-weighted reconstruction (the measure
         the eigenfunctions are orthonormal against), which reproduces f at
         t = 0.  weighted=False exposes the plain unweighted sum.
         """
-        vec = np.array([f.value(v) for v in self.interior])
-        if weighted:
-            vec = vec * self._deg
-        out = self.matrix(t) @ vec
-        values = {v: float(out[i]) for i, v in enumerate(self.interior)}
-        for b in self.es.spec.boundary:
-            values[b] = 0.0
-        return VertexFunction(self.es.spec.graph, values)
+        if t < 0:
+            raise ValidationError("heat kernel needs t >= 0")
+        return _expand(self.es, f, [np.exp(-self._vals * t)], weighted)[0]
 
 
 def heat_kernel(es: EigenSystem) -> HeatKernel:
@@ -373,11 +388,10 @@ class GreenFunction:
         self.es = es
         self.interior = es.spec.interior
         self._pos = {v: i for i, v in enumerate(self.interior)}
-        phi = np.array([[f.value(v) for v in self.interior] for f in es.functions])
+        phi = es.vectors[: len(self.interior)].T
         vals = np.array(es.values)
         self._G = phi.T @ (phi / vals[:, None])
-        g = es.spec.graph
-        self._deg = np.array([g.degree(v) for v in self.interior], dtype=float)
+        self._inv = 1.0 / vals
 
     def value(self, x: str, y: str) -> float:
         if x not in self._pos or y not in self._pos:
@@ -385,14 +399,8 @@ class GreenFunction:
         return float(self._G[self._pos[x], self._pos[y]])
 
     def apply(self, f: VertexFunction, weighted: bool = True) -> VertexFunction:
-        vec = np.array([f.value(v) for v in self.interior])
-        if weighted:
-            vec = vec * self._deg
-        out = self._G @ vec
-        values = {v: float(out[i]) for i, v in enumerate(self.interior)}
-        for b in self.es.spec.boundary:
-            values[b] = 0.0
-        return VertexFunction(self.es.spec.graph, values)
+        """Solve Lu = f (weighted=True); boundary values follow the spec's bc."""
+        return _expand(self.es, f, [self._inv], weighted)[0]
 
 
 def green_function(es: EigenSystem) -> GreenFunction:

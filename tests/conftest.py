@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import graphcalc as gc
+
+# the CLI tests start `python -m graphcalc.cli` subprocesses; let them import
+# this checkout's package without an install
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def make_p3() -> gc.Graph:

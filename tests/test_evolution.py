@@ -45,16 +45,62 @@ def test_spectral_heat_rejects_nonzero_dirichlet_boundary(p3):
 
 
 def test_spectral_heat_matches_heat_kernel(p5):
+    # one expansion serves both: equal bit for bit on the whole closure
     w = gc.build_window(p5, ["b", "c", "d"])
-    spec = gc.OperatorSpec(w, "dirichlet")
     f = gc.VertexFunction(p5, {"b": 1.0, "c": -2.0, "d": 0.5})
-    times = [0.0, 0.3, 1.1]
-    traj = gc.spectral_heat_solve(spec, f, times)
-    hk = gc.heat_kernel(gc.eigensystem(spec))
-    for t, u in zip(times, traj.states):
-        want = hk.apply(t, f)
-        for v in w.interior:
-            assert u.value(v) == pytest.approx(want.value(v), abs=1e-13)
+    times = [0.0, 0.3, 0.5, 1.1]
+    for bc in ("dirichlet", "neumann"):
+        spec = gc.OperatorSpec(w, bc)
+        traj = gc.spectral_heat_solve(spec, f, times)
+        hk = gc.heat_kernel(gc.eigensystem(spec))
+        for t, u in zip(times, traj.states):
+            want = hk.apply(t, f)
+            assert u.domain == want.domain == p5.vertices
+            for v in w.closure:
+                assert u.value(v).hex() == want.value(v).hex(), (bc, t, v)
+
+
+def _expm_heat(spec, f, t):
+    """exp(-tL) f on the closure, L = I - D^-1 A assembled here from the edges."""
+    from scipy.linalg import expm
+
+    g = spec.graph
+    inner = list(spec.interior)
+    pos = {v: i for i, v in enumerate(inner)}
+
+    def inner_nbrs(b):
+        return [pos[z] for z in g.neighbors(b) if z in pos]
+
+    L = np.eye(len(inner))
+    for x in inner:
+        d = g.degree(x)
+        for y in g.neighbors(x):
+            if y in pos:
+                L[pos[x], pos[y]] -= 1.0 / d
+            elif spec.bc == "neumann":
+                for j in inner_nbrs(y):
+                    L[pos[x], j] -= 1.0 / (d * len(inner_nbrs(y)))
+    u = expm(-t * L) @ np.array([f.value(x) for x in inner])
+    out = dict(zip(inner, u))
+    for b in spec.boundary:
+        out[b] = np.mean(u[inner_nbrs(b)]) if spec.bc == "neumann" else 0.0
+    return out
+
+
+def test_spectral_heat_matches_expm(grid4):
+    # boundary r2c2 has two interior neighbors, so neumann takes a real mean
+    w = gc.build_window(grid4, ["r1c1", "r1c2", "r2c1", "r1c0"])
+    rng = gc.Lcg64(41)
+    f = gc.VertexFunction(grid4, {v: rng.uniform(-1.0, 1.0) for v in w.interior})
+    times = [0.0, 0.25, 1.0, 3.0]
+    for bc in ("dirichlet", "neumann"):
+        spec = gc.OperatorSpec(w, bc)
+        traj = gc.spectral_heat_solve(spec, f, times)
+        for t, u in zip(times, traj.states):
+            want = _expm_heat(spec, f, t)
+            assert set(u.domain) == set(w.closure)
+            for v in w.closure:
+                assert abs(u.value(v) - want[v]) <= 1e-12, (bc, t, v)
 
 
 def test_heat_identities_dirichlet(p5):

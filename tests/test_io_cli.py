@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import graphcalc as gc
@@ -57,6 +58,9 @@ def test_parse_vertex_function(p3):
         gc.parse_vertex_function("# nothing\n", p3)
     with pytest.raises(gc.ValidationError):
         gc.parse_vertex_function("a,oops\n", p3)
+    for cell in ("nan", "inf", "-Infinity"):
+        with pytest.raises(gc.ValidationError):
+            gc.parse_vertex_function(f"a,{cell}\n", p3)
     with pytest.raises(gc.ValidationError):
         gc.parse_vertex_function("a,1,2\n", p3)
 
@@ -456,6 +460,89 @@ def test_cli_error_paths(tmp_path, capsys):
     rc, out = run_cli(capsys, ["graph", str(bad)])
     assert rc == 1
     assert json.loads(out)["error"]["type"] == "SelfLoopError"
+
+
+def assert_one_json_validation_error(rc, out):
+    assert rc == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "ValidationError"
+    assert doc["error"]["exit_code"] == 1
+
+
+@pytest.mark.parametrize("potential", ["linear:x,1", "sin:zz", "nan", "linear:1,inf"])
+def test_cli_dmf_bad_potential_is_json_error(tmp_path, capsys, potential):
+    path = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("b,1\n")
+    argv = ["dmf", path, str(fn), "--interior", "b", "--potential", potential,
+            "--t-final", "1", "--steps", "4"]
+    assert_one_json_validation_error(*run_cli(capsys, argv))
+
+
+def test_cli_transport_bad_profile_is_json_error(tmp_path, capsys):
+    path = write_graph_file(tmp_path, make_k2())
+    fn = tmp_path / "f.csv"
+    fn.write_text("a,0\nb,1\n")
+    field = tmp_path / "w.csv"
+    field.write_text("a,b,1\n")
+    argv = ["transport", path, str(fn), "--field", str(field), "--profile", "linear:x,1",
+            "--t-final", "1", "--dt", "0.5"]
+    assert_one_json_validation_error(*run_cli(capsys, argv))
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("transport", ["--t-final", "1", "--dt", "nan"]),
+        ("transport", ["--t-final", "inf", "--dt", "0.5"]),
+        ("dmf", ["--interior", "b", "--t-final", "nan", "--steps", "2"]),
+    ],
+)
+def test_cli_non_finite_option_is_json_error(tmp_path, capsys, command, options):
+    path = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("a,0\nb,1\nc,0\n")
+    field = tmp_path / "w.csv"
+    field.write_text("a,b,1\n")
+    extra = ["--field", str(field)] if command == "transport" else []
+    argv = [command, path, str(fn), *extra, *options]
+    assert_one_json_validation_error(*run_cli(capsys, argv))
+
+
+def test_cli_unwritable_out_is_json_error(tmp_path, capsys):
+    path = write_graph_file(tmp_path, make_c4())
+    target = tmp_path / "missing" / "g.json"
+    assert_one_json_validation_error(*run_cli(capsys, ["graph", path, "--out", str(target)]))
+    assert not target.parent.exists()
+
+
+def test_cli_nan_csv_cell_is_json_error(tmp_path, capsys):
+    path = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("b,nan\n")
+    argv = ["heat", path, str(fn), "--bc", "dirichlet", "--interior", "b",
+            "--t-final", "1", "--steps", "2"]
+    assert_one_json_validation_error(*run_cli(capsys, argv))
+
+
+def test_cli_orthonormality_residual_matches_numpy(tmp_path, capsys):
+    cases = [
+        (make_c4(), []),
+        (make_octahedron(), []),
+        (make_p5(), ["--bc", "neumann", "--interior", "b,c,d"]),
+        (make_p5(), ["--bc", "dirichlet", "--interior", "b,c,d", "--potential", "0.3"]),
+    ]
+    for g, extra in cases:
+        path = write_graph_file(tmp_path, g)
+        rc, out = run_cli(capsys, ["spectrum", path, "--functions", *extra])
+        assert rc == 0
+        doc = json.loads(out)
+        inner = doc["interior"]
+        phi = np.array([[doc["functions"][k][x] for k in doc["functions"]] for x in inner])
+        deg = np.diag([float(g.degree(x)) for x in inner])
+        want = float(np.max(np.abs(phi.T @ deg @ phi - np.eye(len(inner)))))
+        assert abs(doc["orthonormality_residual"] - want) <= 1e-14, extra
 
 
 def test_cli_version_exit_zero(capsys):

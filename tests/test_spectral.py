@@ -117,6 +117,24 @@ def test_neumann_extension_is_interior_neighbor_mean(p5):
         assert f.value("e") == pytest.approx(f.value("d"), abs=1e-14)
 
 
+def test_eigensystem_vectors_read_only_and_match_functions():
+    rng = gc.Lcg64(43)
+    for name, make in FIXTURES.items():
+        g = make()
+        for q in _potentials(g, rng):
+            for spec in _specs_for(g, gc.DEFAULT_CONFIG, q):
+                es = gc.eigensystem(spec)
+                closure = spec.interior + spec.boundary
+                assert es.vectors.shape == (len(closure), len(es))
+                assert not es.vectors.flags.writeable
+                with pytest.raises(ValueError):
+                    es.vectors[0, 0] = 1.0
+                for k, phi in enumerate(es.functions):
+                    assert set(phi.domain) == set(closure)
+                    got = np.array([phi.values[x] for x in closure])
+                    assert got.tobytes() == es.vectors[:, k].tobytes(), (name, spec.bc, k)
+
+
 def test_rayleigh_quotient(c4):
     spec = gc.OperatorSpec(c4, "none")
     f = gc.VertexFunction(c4, {"v0": 1.0, "v1": 0.0, "v2": -1.0, "v3": 0.0})
@@ -273,6 +291,18 @@ def test_green_function_frozen_and_inverse(p3, p5):
         back = gc.apply_operator(spec, u)
         for v in w.interior:
             assert back.value(v) == pytest.approx(f.value(v), abs=1e-12)
+
+    # neumann: the solution extends to the boundary by the reflection rule
+    spec = gc.OperatorSpec(w, "neumann", 0.2)
+    gf = gc.green_function(gc.eigensystem(spec))
+    for _ in range(5):
+        f = gc.VertexFunction(p5, {v: rng.uniform(-1.0, 1.0) for v in w.interior})
+        u = gf.apply(f)
+        back = gc.apply_operator(spec, u)
+        for v in w.interior:
+            assert back.value(v) == pytest.approx(f.value(v), abs=1e-12)
+        assert u.value("a") == pytest.approx(u.value("b"), abs=1e-14)
+        assert u.value("e") == pytest.approx(u.value("d"), abs=1e-14)
 
 
 def test_green_function_rejects_nonpositive_spectrum(c4):
