@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AntipodalPointsError,
-    ConvergenceError,
     DanglingEndpointError,
     DisconnectedInteriorError,
     DomainError,
@@ -94,6 +93,7 @@ from .spectral import (
 from .constants import (
     ENUMERATION_VERTEX_CAP,
     CutReport,
+    cheeger_constants,
     cheeger_functional,
     cheeger_g,
     cheeger_h,

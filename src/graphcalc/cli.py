@@ -25,7 +25,7 @@ from .calculus import (
     CalculusConfig,
     run_identity_suite,
 )
-from .constants import cheeger_functional, cheeger_g, cheeger_h
+from .constants import cheeger_constants, cheeger_functional
 from .errors import GraphCalcError, NumericalError, ValidationError
 from .evolution import dmf_run, spectral_heat_solve, transport_solve
 from .graph import Graph, VertexFunction, build_window, monge_cost, volume
@@ -253,8 +253,7 @@ def cmd_spectrum(args, inputs, cfg, argv):
 
 def cmd_cheeger(args, inputs, cfg, argv):
     g = _load_graph_arg(args, inputs)
-    h, hrep = cheeger_h(g)
-    gv, grep = cheeger_g(g)
+    h, hrep, gv, grep = cheeger_constants(g)
 
     def report(r):
         return {

@@ -3,6 +3,9 @@
 Cheeger constants come from exhaustive subset enumeration (exact small-
 integer arithmetic; float comparisons of cut/volume ratios are faithful
 because correctly rounded quotients of integers this small cannot collide).
+One pass over the 2^(n-1) complement pairs serves both h and g
+(`cheeger_constants`); subsets and neighbourhoods are bitmasks counted with
+`np.bitwise_count`, which needs numpy 2.0 or later.
 Poincare constants come from the spectral module: the closed-window energy
 sum over ordered adjacent pairs equals twice the scale-1 quadratic form of
 the negative laplacian, so the sharp constant against the degree-weighted
@@ -61,39 +64,43 @@ def cut_report(g: Graph, subset) -> CutReport:
 
 
 def _enumerate_cuts(g: Graph):
-    """Yield (masks, h, g_of_S, g_of_comp, vol, volc) per chunk.
+    """Yield (masks, h, g_of_S, g_of_comp) per chunk of subset bitmasks.
 
     Masks always contain vertex 0, one representative per complement pair;
     both orientations' vertex-boundary counts are produced so the g constant
-    sees every subset.
+    sees every subset.  Each vertex's neighbourhood is a bitmask, so for a
+    vertex v the neighbours inside S and outside S are popcounts of
+    nbr[v] & S and nbr[v] & ~S; volumes come from one degree-sum table per
+    mask byte.
     """
     n = len(g)
     deg = np.array([g.degree(v) for v in g.vertices], dtype=np.int64)
     total = int(deg.sum())
-    edge_idx = [(g.index[x], g.index[y]) for x, y in g.edges()]
-    nbr_idx = [np.array([g.index[w] for w in g.neighbors(v)]) for v in g.vertices]
+    nbr = np.array([sum(1 << g.index[w] for w in g.neighbors(v)) for v in g.vertices], np.uint32)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    vol_tables = [(byte_bits[:, : d.size] * d).sum(axis=1) for d in np.split(deg, range(8, n, 8))]
+    full = (1 << n) - 1
     count = 1 << (n - 1)  # odd masks 1, 3, ..., 2^n - 1
     for start in range(0, count, _CHUNK):
         stop = min(start + _CHUNK, count)
-        masks = 1 + 2 * np.arange(start, stop, dtype=np.int64)
-        masks = masks[masks != (1 << n) - 1]
+        masks = 1 + 2 * np.arange(start, stop, dtype=np.uint32)
+        masks = masks[masks != full]
         if masks.size == 0:
             continue
-        bits = ((masks[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.int64)
-        vol = bits @ deg
-        volc = total - vol
-        cut = np.zeros(masks.size, dtype=np.int64)
-        for i, j in edge_idx:
-            cut += bits[:, i] ^ bits[:, j]
-        bdry_out = np.zeros(masks.size, dtype=np.int64)  # |delta S|
-        bdry_in = np.zeros(masks.size, dtype=np.int64)  # |delta (S complement)|
+        vol = sum(t[(masks >> (8 * b)) & 0xFF] for b, t in enumerate(vol_tables))
+        comp = ~masks
+        cut = np.zeros(masks.size, dtype=np.int32)
+        bdry_out = np.zeros(masks.size, dtype=np.int32)  # |delta S|
+        bdry_in = np.zeros(masks.size, dtype=np.int32)  # |delta (S complement)|
         for v in range(n):
-            inside_nbrs = bits[:, nbr_idx[v]].sum(axis=1)
-            d_v = len(nbr_idx[v])
-            bdry_out += (bits[:, v] == 0) & (inside_nbrs > 0)
-            bdry_in += (bits[:, v] == 1) & (inside_nbrs < d_v)
-        m = np.minimum(vol, volc).astype(np.float64)
-        yield masks, cut / m, bdry_out / m, bdry_in / m, vol, volc
+            inside = (masks & (1 << v)).astype(bool)
+            nbrs_in = np.bitwise_count(masks & nbr[v])
+            nbrs_out = np.bitwise_count(comp & nbr[v])
+            cut += nbrs_out * inside  # edges leaving S at v
+            bdry_out += (nbrs_in > 0) & ~inside  # v outside S, next to S
+            bdry_in += (nbrs_out > 0) & inside  # v in S, next to the complement
+        m = np.minimum(vol, total - vol)
+        yield masks, cut / m, bdry_out / m, bdry_in / m
 
 
 def _mask_key(mask: int, g: Graph) -> tuple[int, ...]:
@@ -115,42 +122,56 @@ def _check_enumerable(g: Graph) -> None:
         raise ValidationError("cheeger constants need a graph without isolated vertices")
 
 
+class _RunningMin:
+    """Smallest ratio seen so far and every mask that attains it."""
+
+    def __init__(self):
+        self.best: Optional[float] = None
+        self.candidates: list[int] = []
+
+    def update(self, *pairs) -> None:
+        """Take one chunk as (ratios, masks) pairs of equal length."""
+        lo = min(float(ratios.min()) for ratios, _ in pairs)
+        if self.best is None or lo < self.best:
+            self.best = lo
+            self.candidates = []
+        if lo <= self.best:
+            for ratios, masks in pairs:
+                self.candidates.extend(int(m) for m in masks[ratios == self.best])
+
+    def witness(self, g: Graph) -> CutReport:
+        assert self.best is not None and self.candidates
+        winner = min(self.candidates, key=lambda m: _mask_key(m, g))
+        return cut_report(g, _mask_vertices(winner, g))
+
+
+def cheeger_constants(g: Graph) -> tuple[float, CutReport, float, CutReport]:
+    """(h, h witness, g, g witness) from one enumeration of the subsets.
+
+    Each witness is the lexicographically smallest optimal subset in the
+    vertex-index order.  For h, h(S) = h(complement), so an optimal subset
+    containing vertex 0 exists and beats any witness without it; for g both
+    orientations of every complement pair compete.
+    """
+    _check_enumerable(g)
+    full = (1 << len(g)) - 1
+    h_min, g_min = _RunningMin(), _RunningMin()
+    for masks, h, gs, gc in _enumerate_cuts(g):
+        h_min.update((h, masks))
+        g_min.update((gs, masks), (gc, full ^ masks))
+    return h_min.best, h_min.witness(g), g_min.best, g_min.witness(g)
+
+
 def cheeger_h(g: Graph) -> tuple[float, CutReport]:
     """Edge Cheeger constant with its lexicographically smallest witness."""
-    _check_enumerable(g)
-    best: Optional[float] = None
-    candidates: list[int] = []
-    for masks, h, _, _, _, _ in _enumerate_cuts(g):
-        lo = float(h.min())
-        if best is None or lo < best:
-            best = lo
-            candidates = []
-        if lo <= best:
-            candidates.extend(int(m) for m in masks[h == best])
-    assert best is not None and candidates
-    # h(S) = h(complement), so an optimal subset containing vertex 0 exists
-    # and beats any witness without it in the index-tuple order
-    winner = min(candidates, key=lambda m: _mask_key(m, g))
-    return best, cut_report(g, _mask_vertices(winner, g))
+    h, h_report, _, _ = cheeger_constants(g)
+    return h, h_report
 
 
 def cheeger_g(g: Graph) -> tuple[float, CutReport]:
     """Vertex-boundary variant; both orientations of every pair compete."""
-    _check_enumerable(g)
-    full = (1 << len(g)) - 1
-    best: Optional[float] = None
-    candidates: list[int] = []
-    for masks, _, gs, gc, _, _ in _enumerate_cuts(g):
-        lo = float(min(gs.min(), gc.min()))
-        if best is None or lo < best:
-            best = lo
-            candidates = []
-        if lo <= best:
-            candidates.extend(int(m) for m in masks[gs == best])
-            candidates.extend(full ^ int(m) for m in masks[gc == best])
-    assert best is not None and candidates
-    winner = min(candidates, key=lambda m: _mask_key(m, g))
-    return best, cut_report(g, _mask_vertices(winner, g))
+    _, _, g_value, g_report = cheeger_constants(g)
+    return g_value, g_report
 
 
 def weighted_median(g: Graph, f: VertexFunction) -> float:

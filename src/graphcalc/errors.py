@@ -72,7 +72,3 @@ class IndefiniteStepError(NumericalError):
 
 class AntipodalPointsError(NumericalError):
     """Sphere logarithm requested between antipodal points."""
-
-
-class ConvergenceError(NumericalError):
-    """Iteration hit its step cap before meeting the tolerance."""

@@ -39,9 +39,6 @@ class Lcg64:
             if u < limit:
                 return u % n
 
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(i + 1)

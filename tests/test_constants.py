@@ -2,11 +2,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphcalc as gc
+from graphcalc import constants
 
 from conftest import FIXTURES, make_c4, make_k2, make_k4, make_p3, make_star4
-from helpers import brute_cheeger
+from helpers import brute_cheeger, random_connected_graph
 
 SMALL = {
     "p3": make_p3,
@@ -50,13 +53,43 @@ def test_cheeger_matches_brute_force(name, kind):
     assert got_ratio == value
 
 
-def test_cheeger_matches_brute_force_larger(grid4, octahedron):
-    for g in (grid4, octahedron):
-        for kind in ("h", "g"):
-            value, rep = (gc.cheeger_h if kind == "h" else gc.cheeger_g)(g)
-            want, witness_key = brute_cheeger(g, kind)
-            assert value == float(want)
-            assert tuple(g.index[v] for v in rep.subset) == witness_key
+def _assert_matches_brute_force(g, want=None):
+    want = want or {kind: brute_cheeger(g, kind) for kind in ("h", "g")}
+    h, hrep, gv, grep = gc.cheeger_constants(g)
+    assert gc.cheeger_h(g) == (h, hrep)
+    assert gc.cheeger_g(g) == (gv, grep)
+    for kind, value, rep in (("h", h, hrep), ("g", gv, grep)):
+        value_want, witness_key = want[kind]
+        assert value == float(value_want), (g.vertices, kind)
+        assert tuple(g.index[v] for v in rep.subset) == witness_key, (g.vertices, kind)
+
+
+def test_cheeger_matches_brute_force_larger(monkeypatch, grid4, octahedron):
+    # with chunks of 8 masks later chunks beat the running minimum and reset
+    # the candidate lists, a path no graph within one real chunk takes
+    rng = gc.Lcg64(53)
+    graphs = [grid4, octahedron] + [random_connected_graph(rng, 6, 11) for _ in range(4)]
+    for g in graphs:
+        want = {kind: brute_cheeger(g, kind) for kind in ("h", "g")}
+        for chunk in (constants._CHUNK, 8):
+            monkeypatch.setattr(constants, "_CHUNK", chunk)
+            _assert_matches_brute_force(g, want)
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(2, 9))
+    names = [f"v{i}" for i in range(n)]
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return gc.Graph(names, [(names[i], names[j]) for i, j in sorted(edges)])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(connected_graphs())
+def test_cheeger_constants_property(g):
+    _assert_matches_brute_force(g)
 
 
 def test_cheeger_frozen_values(c4, k4, k2, star4):
