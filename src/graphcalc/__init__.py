@@ -53,7 +53,6 @@ from .calculus import (
     divergence,
     divergence_theorem_residual,
     edge_difference,
-    field_norm_sq,
     gradient,
     gradient_field,
     gradient_norm_sq,
@@ -150,8 +149,6 @@ from .harmonic import (
 from .io import (
     format_float,
     load_graph,
-    load_sphere_map,
-    load_vector_field,
     load_vertex_function,
     parse_graph,
     parse_sphere_map,

@@ -52,10 +52,6 @@ def _interior_of(region: Region) -> tuple[str, ...]:
     return region.vertices if isinstance(region, Graph) else region.interior
 
 
-def _boundary_of(region: Region) -> tuple[str, ...]:
-    return () if isinstance(region, Graph) else region.boundary
-
-
 class VectorField:
     """Real values on ordered adjacent pairs of a graph.
 
@@ -78,11 +74,12 @@ class VectorField:
             raise DomainError(f"field not defined on ordered pair ({x}, {y})")
         return self.entries[(x, y)]
 
-    def get(self, x: str, y: str, default: float = 0.0) -> float:
-        return self.entries.get((x, y), default)
-
-    def defined_at(self, x: str) -> bool:
-        return all((x, y) in self.entries for y in self.graph.neighbors(x))
+    def scaled(self, c: float) -> "VectorField":
+        """The field c * w on the same pairs, without checking them again."""
+        out = object.__new__(type(self))
+        out.graph = self.graph
+        out.entries = {k: c * v for k, v in self.entries.items()}
+        return out
 
     def is_antisymmetric(self, tol: float = 1e-12) -> bool:
         for (x, y), w in self.entries.items():
@@ -90,35 +87,6 @@ class VectorField:
             if back is None or abs(w + back) > tol * max(1.0, abs(w)):
                 return False
         return True
-
-    @classmethod
-    def antisymmetrized(
-        cls, graph: Graph, entries: Mapping[tuple[str, str], float]
-    ) -> "VectorField":
-        """Antisymmetric part (w(xy) - w(yx))/2 over the closed pair set."""
-        pairs = set()
-        for x, y in entries:
-            graph.check_edge(x, y)
-            pairs.add((x, y))
-            pairs.add((y, x))
-        out = {}
-        for x, y in pairs:
-            out[(x, y)] = (entries.get((x, y), 0.0) - entries.get((y, x), 0.0)) / 2.0
-        return cls(graph, out)
-
-    @classmethod
-    def symmetrized(
-        cls, graph: Graph, entries: Mapping[tuple[str, str], float]
-    ) -> "VectorField":
-        pairs = set()
-        for x, y in entries:
-            graph.check_edge(x, y)
-            pairs.add((x, y))
-            pairs.add((y, x))
-        out = {}
-        for x, y in pairs:
-            out[(x, y)] = (entries.get((x, y), 0.0) + entries.get((y, x), 0.0)) / 2.0
-        return cls(graph, out)
 
 
 def edge_difference(f: VertexFunction, x: str, y: str) -> float:
@@ -170,10 +138,6 @@ def scalar_product(W: VectorField, U: VectorField, x: str) -> float:
     if not nbrs:
         raise ValidationError(f"vertex {x!r} is isolated")
     return sum(W.value(x, y) * U.value(x, y) for y in nbrs) / len(nbrs)
-
-
-def field_norm_sq(W: VectorField, x: str) -> float:
-    return scalar_product(W, W, x)
 
 
 def directional_derivative(W: VectorField, f: VertexFunction, x: str) -> float:

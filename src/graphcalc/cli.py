@@ -28,12 +28,11 @@ from .calculus import (
 from .constants import cheeger_constants, cheeger_functional
 from .errors import GraphCalcError, NumericalError, ValidationError
 from .evolution import dmf_run, spectral_heat_solve, transport_solve
-from .graph import Graph, VertexFunction, build_window, monge_cost, volume
+from .graph import Graph, build_window, monge_cost, volume
 from .harmonic import dirichlet_minimize
 from .io import (
     _parse_float,
     format_float,
-    load_graph,
     parse_graph,
     parse_sphere_map,
     parse_vector_field,
@@ -47,17 +46,29 @@ from .spectral import OperatorSpec, eigensystem
 SCALE_ENV = "GRAPHCALC_SCALE"
 
 
-def render_json(obj, level: int = 0) -> str:
-    """Deterministic JSON: insertion order, floats at .17g."""
+def _render_scalar(obj) -> str:
     import json as _json
 
+    if isinstance(obj, bool) or obj is None:
+        return _json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            return _json.dumps(str(obj))
+        return format_float(obj)
+    return _json.dumps(obj)
+
+
+def render_json(obj, level: int = 0) -> str:
+    """Deterministic JSON: insertion order, floats at .17g."""
     pad = "  " * level
     inner = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{_json.dumps(str(k))}: {render_json(v, level + 1)}"
+            f"{inner}{_render_scalar(str(k))}: {render_json(v, level + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
@@ -66,36 +77,18 @@ def render_json(obj, level: int = 0) -> str:
             return "[]"
         parts = [f"{inner}{render_json(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return _json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return _json.dumps(str(obj))
-        return format_float(obj)
-    return _json.dumps(obj)
+    return _render_scalar(obj)
 
 
 def render_json_line(obj) -> str:
     """Single-line variant for CSV manifest comments."""
-    import json as _json
-
     if isinstance(obj, dict):
         return "{" + ", ".join(
-            f"{_json.dumps(str(k))}: {render_json_line(v)}" for k, v in obj.items()
+            f"{_render_scalar(str(k))}: {render_json_line(v)}" for k, v in obj.items()
         ) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(render_json_line(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return _json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return _json.dumps(str(obj))
-        return format_float(obj)
-    return _json.dumps(obj)
+    return _render_scalar(obj)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,21 +328,13 @@ def cmd_transport(args, inputs, cfg, argv):
     if args.profile == "const":
         field = base
     elif args.profile == "sin":
-        from .calculus import VectorField
-
-        field = lambda t: VectorField(
-            g, {k: math.sin(t) * v for k, v in base.entries.items()}
-        )
+        field = lambda t: base.scaled(math.sin(t))
     elif args.profile.startswith("linear:"):
         parts = args.profile[len("linear:") :].split(",")
         if len(parts) != 2:
             raise ValidationError("linear profile needs 'linear:a,b'")
         a, b = (_parse_float(p, "linear profile") for p in parts)
-        from .calculus import VectorField
-
-        field = lambda t: VectorField(
-            g, {k: (a + b * t) * v for k, v in base.entries.items()}
-        )
+        field = lambda t: base.scaled(a + b * t)
     else:
         raise ValidationError(f"unknown profile {args.profile!r}")
     traj = transport_solve(g, field, f, args.t_final, args.dt)

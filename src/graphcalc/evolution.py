@@ -22,7 +22,7 @@ from .calculus import (
     weighted_inner,
     weighted_norm_sq,
 )
-from .errors import IndefiniteStepError, NumericalError, ValidationError
+from .errors import DomainError, IndefiniteStepError, NumericalError, ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction
 from .spectral import (
     EigenSystem,
@@ -191,17 +191,26 @@ def heat_identities_report(traj: Trajectory, spec: OperatorSpec) -> HeatIdentiti
 FieldProvider = Union[VectorField, Callable[[float], VectorField]]
 
 
-def _transport_matrix(g: Graph, w: VectorField) -> np.ndarray:
-    n = len(g)
-    m = np.zeros((n, n))
-    for x in g.vertices:
-        i = g.index[x]
-        d = g.degree(x)
-        for y in g.neighbors(x):
-            val = w.value(x, y)
-            m[i, g.index[y]] += val / d
-            m[i, i] -= val / d
-    return m
+class _PairRates:
+    """Rates w(x, y) / d_x on g.pair_arrays; rhs sums over pairs by bincount, not BLAS."""
+
+    def __init__(self, g: Graph):
+        self.src, self.dst = g.pair_arrays
+        names = g.vertices
+        self.keys = [(names[i], names[j]) for i, j in zip(self.src.tolist(), self.dst.tolist())]
+        self.deg = np.bincount(self.src, minlength=len(g)).astype(float)
+
+    def rates(self, w: VectorField) -> np.ndarray:
+        try:
+            vals = np.fromiter(map(w.entries.__getitem__, self.keys), float, len(self.keys))
+        except KeyError as e:
+            x, y = e.args[0]
+            raise DomainError(f"field not defined on ordered pair ({x}, {y})") from None
+        return vals / self.deg[self.src]
+
+    def rhs(self, rates: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        change = rates * (vec[self.dst] - vec[self.src])
+        return np.bincount(self.src, weights=change, minlength=len(self.deg))
 
 
 def transport_solve(
@@ -217,27 +226,26 @@ def transport_solve(
     n_steps = round(t_final / dt)
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValidationError("t_final must be an integer multiple of dt")
+    pairs = _PairRates(g)
     if isinstance(field, VectorField):
-        fixed = _transport_matrix(g, field)
-        matrix_at = lambda t: fixed
+        fixed = pairs.rates(field)
+        rates_at = lambda t: fixed
     else:
-        matrix_at = lambda t: _transport_matrix(g, field(t))
+        rates_at = lambda t: pairs.rates(field(t))
 
     vec = np.array([f0.value(x) for x in g.vertices])
     times = [0.0]
-    states = [VertexFunction(g, dict(zip(g.vertices, map(float, vec))))]
+    states = [VertexFunction(g, dict(zip(g.vertices, vec.tolist())))]
     for k in range(n_steps):
         t = k * dt
-        m1 = matrix_at(t)
-        m2 = matrix_at(t + dt / 2)
-        m4 = matrix_at(t + dt)
-        k1 = m1 @ vec
-        k2 = m2 @ (vec + dt / 2 * k1)
-        k3 = m2 @ (vec + dt / 2 * k2)
-        k4 = m4 @ (vec + dt * k3)
+        r1, r2, r4 = rates_at(t), rates_at(t + dt / 2), rates_at(t + dt)
+        k1 = pairs.rhs(r1, vec)
+        k2 = pairs.rhs(r2, vec + dt / 2 * k1)
+        k3 = pairs.rhs(r2, vec + dt / 2 * k2)
+        k4 = pairs.rhs(r4, vec + dt * k3)
         vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         times.append((k + 1) * dt)
-        states.append(VertexFunction(g, dict(zip(g.vertices, map(float, vec)))))
+        states.append(VertexFunction(g, dict(zip(g.vertices, vec.tolist()))))
     return Trajectory(tuple(times), tuple(states), "rk4")
 
 
@@ -248,10 +256,9 @@ def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[fl
     degree measure, the second integrates the directional derivative; the
     equation makes them equal by construction.
     """
-    m = _transport_matrix(g, w)
+    pairs = _PairRates(g)
     vec = np.array([f.value(x) for x in g.vertices])
-    deg = np.array([g.degree(x) for x in g.vertices], dtype=float)
-    lhs = float(deg @ (m @ vec))
+    lhs = float(np.sum(pairs.deg * pairs.rhs(pairs.rates(w), vec)))
     rhs = sum(g.degree(x) * directional_derivative(w, f, x) for x in g.vertices)
     return lhs, rhs
 

@@ -12,7 +12,10 @@ take a window; operators on the whole graph take the graph itself.
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DisconnectedInteriorError,
@@ -93,6 +96,15 @@ class Graph:
         """Undirected edges, each once, endpoints in file order."""
         return self._edges
 
+    @cached_property
+    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only index arrays (src, dst) of the ordered adjacent pairs,
+        sources in file order, targets in neighbor order.  Built on first use."""
+        src = np.repeat(np.arange(len(self)), [len(self._nbrs[x]) for x in self.vertices])
+        dst = np.array([self.index[y] for x in self.vertices for y in self._nbrs[x]], dtype=np.intp)
+        src.flags.writeable = dst.flags.writeable = False
+        return src, dst
+
     def is_connected(self, within: Optional[Iterable[str]] = None) -> bool:
         verts = list(self.vertices) if within is None else [self.check_vertex(v) for v in within]
         if not verts:
@@ -147,13 +159,6 @@ class SubgraphWindow:
     @property
     def closure(self) -> tuple[str, ...]:
         return self.interior + self.boundary
-
-    def is_interior(self, x: str) -> bool:
-        return x in self._interior_set
-
-    @property
-    def _interior_set(self) -> frozenset:
-        return frozenset(self.interior)
 
 
 def build_window(g: Graph, interior: Iterable[str]) -> SubgraphWindow:

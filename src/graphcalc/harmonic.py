@@ -54,6 +54,13 @@ class SpherePoint:
     def from_array(cls, v) -> "SpherePoint":
         return cls(float(v[0]), float(v[1]), float(v[2]))
 
+    @classmethod
+    def _unit(cls, xyz: tuple[float, float, float]) -> "SpherePoint":
+        """Wrap coordinates that __init__ has already normalized once."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "xyz", xyz)
+        return p
+
 
 def sphere_distance(p: SpherePoint, q: SpherePoint) -> float:
     dot = max(-1.0, min(1.0, float(np.dot(p.array, q.array))))
@@ -207,6 +214,22 @@ class FlowResult:
     history: tuple[tuple[int, float, float, float], ...]  # (step, tau, energy, residual)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (r, 3) arrays, summed left to right."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _pair_geometry(pts: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """Cosine and geodesic angle between the two points of each pair."""
+    dots = _row_dots(pts[src], pts[dst])
+    return dots, np.arccos(np.clip(dots, -1.0, 1.0))
+
+
+def _pair_energy(theta: np.ndarray) -> float:
+    """Half the sum of squared pair angles: map_energy on the pair arrays."""
+    return 0.5 * float(np.sum(theta * theta))
+
+
 def harmonic_heat_flow(
     u0: SphereMap,
     w: SubgraphWindow,
@@ -219,32 +242,61 @@ def harmonic_heat_flow(
     All interior vertices move simultaneously; boundary values stay frozen.
     A step that raises the energy is rejected and tau halves.  tau below
     1e-14 means the flow cannot make progress and the result says so.
+
+    Each step evaluates first_variation, sphere_exp and map_energy on the
+    closure as an array, interior rows first, with no BLAS reduction.
     """
     if tau <= 0 or tol <= 0 or max_steps < 1:
         raise ValidationError("tau, tol and max_steps must be positive")
     if not u0.defined_on(w.closure):
         raise ValidationError("initial map must be defined on the window closure")
-    check_no_antipodal_edges(u0, w)
-    u = u0
-    energy = map_energy(u, w)
-    initial = energy
-    accepted = 0
-    rejected = 0
+    g, closure, k = w.graph, w.closure, len(w.interior)
+    deg = np.array([g.degree(x) for x in w.interior], dtype=float)[:, None]
+    if not deg.all():
+        raise ValidationError(f"vertex {w.interior[int(deg.argmin())]!r} is isolated")
+    row = np.full(len(g), -1)
+    row[[g.index[x] for x in closure]] = np.arange(len(closure))
+    src, dst = g.pair_arrays
+    keep = (row[src] >= 0) & (row[dst] >= 0)
+    order = np.argsort(row[src[keep]], kind="stable")  # closure order, then file order
+    src, dst = row[src[keep]][order], row[dst[keep]][order]
+    inner = int(np.searchsorted(src, k))  # pairs leaving an interior vertex
+    slots = (3 * src[:inner, None] + np.arange(3)).ravel()
+    pts = np.array([u0.point(x).xyz for x in closure])
+    dots, theta = _pair_geometry(pts, src, dst)
+    energy = initial = _pair_energy(theta)
+    accepted = rejected = 0
     history: list[tuple[int, float, float, float]] = []
     status = "step_cap"
     residual = math.inf
     for step in range(1, max_steps + 1):
-        fv = {x: first_variation(u, x, w) for x in w.interior}
-        residual = max((float(np.linalg.norm(v)) for v in fv.values()), default=0.0)
+        far = theta > math.pi - ANTIPODAL_MARGIN
+        if far.any():
+            i = int(far.argmax())  # the first such pair
+            x, y = closure[src[i]], closure[dst[i]]
+            raise AntipodalPointsError(f"adjacent vertices {x!r}, {y!r} map to antipodal points")
+        # log maps along the pairs leaving the interior, as in sphere_log
+        p, t = pts[src[:inner]], theta[:inner]
+        v = pts[dst[:inner]] - dots[:inner, None] * p
+        ratio = np.divide(t, np.sqrt(_row_dots(v, v)), out=np.zeros_like(t), where=t >= 1e-15)
+        logs = (ratio[:, None] * v).ravel()
+        fv = -np.bincount(slots, weights=logs, minlength=3 * k).reshape(k, 3) / deg
+        residual = float(np.sqrt(_row_dots(fv, fv)).max(initial=0.0))
         if residual <= tol:
             status = "converged"
             break
-        trial = u.updated(
-            {x: sphere_exp(u.point(x), -tau * v) for x, v in fv.items()}
-        )
-        e_trial = map_energy(trial, w)
+        # sphere_exp of every interior row, then SpherePoint's normalization
+        base, va = pts[:k], -tau * fv
+        va -= _row_dots(va, base)[:, None] * base
+        n = np.sqrt(_row_dots(va, va))[:, None]
+        move = n >= 1e-15
+        ahead = np.cos(n) * base + np.sin(n) * (va / np.where(move, n, 1.0))
+        ahead /= np.sqrt(_row_dots(ahead, ahead))[:, None]
+        trial = np.concatenate([np.where(move, ahead, base), pts[k:]])
+        trial_dots, trial_theta = _pair_geometry(trial, src, dst)
+        e_trial = _pair_energy(trial_theta)
         if e_trial <= energy + 1e-15 * max(1.0, energy):
-            u = trial
+            pts, dots, theta = trial, trial_dots, trial_theta
             energy = e_trial
             accepted += 1
             history.append((step, tau, energy, residual))
@@ -254,8 +306,9 @@ def harmonic_heat_flow(
             if tau < 1e-14:
                 status = "stalled"
                 break
+    moved = {x: SpherePoint._unit(tuple(r)) for x, r in zip(w.interior, pts[:k].tolist())}
     return FlowResult(
-        map=u,
+        map=u0.updated(moved),
         status=status,
         steps_accepted=accepted,
         steps_rejected=rejected,
@@ -268,11 +321,8 @@ def harmonic_heat_flow(
 
 
 def _normalized_sum(vectors) -> SpherePoint:
-    acc = np.zeros(3)
-    for v in vectors:
-        acc += v
-    n = float(np.linalg.norm(acc))
-    if n < 1e-12:
+    acc = sum(vectors, np.zeros(3))
+    if float(np.linalg.norm(acc)) < 1e-12:
         return SpherePoint(*FALLBACK_POINT)
     return SpherePoint.from_array(acc)
 

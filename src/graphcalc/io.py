@@ -164,10 +164,6 @@ def parse_vector_field(text: str, g: Graph, mode: str = "exact") -> VectorField:
     return VectorField(g, entries)
 
 
-def load_vector_field(path: Union[str, Path], g: Graph, mode: str = "exact") -> VectorField:
-    return parse_vector_field(Path(path).read_text(), g, mode)
-
-
 def parse_sphere_map(text: str, g: Graph) -> SphereMap:
     """CSV with rows vertex,x,y,z; header optional.  Rows are normalized."""
     rows = _csv_rows(text)
@@ -187,10 +183,6 @@ def parse_sphere_map(text: str, g: Graph) -> SphereMap:
     if not pts:
         raise ValidationError("no map rows found")
     return SphereMap(g, pts)
-
-
-def load_sphere_map(path: Union[str, Path], g: Graph) -> SphereMap:
-    return parse_sphere_map(Path(path).read_text(), g)
 
 
 def _with_comments(body: str, comments: Sequence[str]) -> str:

@@ -10,6 +10,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 import graphcalc as gc
 
@@ -115,3 +116,14 @@ def random_connected_graph(rng: gc.Lcg64, n_min: int = 4, n_max: int = 10) -> gc
         a, b = (names[min(i, j)], names[max(i, j)])
         edges.add((a, b))
     return gc.Graph(names, sorted(edges))
+
+
+@st.composite
+def connected_graphs(draw):
+    """Hypothesis strategy: a random spanning tree plus up to n extra edges."""
+    n = draw(st.integers(2, 9))
+    names = [f"v{i}" for i in range(n)]
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return gc.Graph(names, [(names[i], names[j]) for i, j in sorted(edges)])

@@ -3,13 +3,12 @@ import math
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import graphcalc as gc
 from graphcalc import constants
 
 from conftest import FIXTURES, make_c4, make_k2, make_k4, make_p3, make_star4
-from helpers import brute_cheeger, random_connected_graph
+from helpers import brute_cheeger, connected_graphs, random_connected_graph
 
 SMALL = {
     "p3": make_p3,
@@ -74,16 +73,6 @@ def test_cheeger_matches_brute_force_larger(monkeypatch, grid4, octahedron):
         for chunk in (constants._CHUNK, 8):
             monkeypatch.setattr(constants, "_CHUNK", chunk)
             _assert_matches_brute_force(g, want)
-
-
-@st.composite
-def connected_graphs(draw):
-    n = draw(st.integers(2, 9))
-    names = [f"v{i}" for i in range(n)]
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
-    return gc.Graph(names, [(names[i], names[j]) for i, j in sorted(edges)])
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

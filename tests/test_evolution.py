@@ -6,6 +6,7 @@ import pytest
 import graphcalc as gc
 
 from conftest import FIXTURES
+from helpers import random_connected_graph
 
 
 def grid(t_final, n):
@@ -232,6 +233,85 @@ def test_transport_rk4_self_convergence_order(c4):
     e2 = float(np.max(np.abs(finals[1] - finals[2])))
     order = math.log2(e1 / e2)
     assert order >= 3.8, order
+
+
+def _dense_rk4(g, field_at, f0, t_final, dt):
+    """RK4 on the assembled n x n transport matrix, the reference solver."""
+    n, idx = len(g), g.index
+
+    def matrix(w):
+        m = np.zeros((n, n))
+        for x in g.vertices:
+            d = g.degree(x)
+            for y in g.neighbors(x):
+                m[idx[x], idx[y]] += w.value(x, y) / d
+                m[idx[x], idx[x]] -= w.value(x, y) / d
+        return m
+
+    vec = np.array([f0.value(x) for x in g.vertices])
+    states = [vec]
+    for k in range(round(t_final / dt)):
+        t = k * dt
+        m1, m2, m4 = matrix(field_at(t)), matrix(field_at(t + dt / 2)), matrix(field_at(t + dt))
+        k1 = m1 @ vec
+        k2 = m2 @ (vec + dt / 2 * k1)
+        k3 = m2 @ (vec + dt / 2 * k2)
+        k4 = m4 @ (vec + dt * k3)
+        vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(vec)
+    return states
+
+
+def test_transport_matches_dense_rk4():
+    rng = gc.Lcg64(103)
+    graphs = [make() for make in FIXTURES.values()] + [random_connected_graph(rng, 6, 12)]
+    for g in graphs:
+        w1 = gc.random_antisymmetric_field(g, rng)
+        w2 = gc.random_antisymmetric_field(g, rng)
+        moving = lambda t: gc.VectorField(
+            g, {k: math.cos(3.0 * t) * v + t * w2.entries[k] for k, v in w1.entries.items()}
+        )
+        f0 = gc.random_function(g, rng)
+        for field, field_at in ((w1, lambda t: w1), (moving, moving)):
+            traj = gc.transport_solve(g, field, f0, 0.5, 0.05)
+            want = _dense_rk4(g, field_at, f0, 0.5, 0.05)
+            assert len(traj.states) == len(want) == 11
+            for state, vec in zip(traj.states, want):
+                got = np.array([state.value(x) for x in g.vertices])
+                assert np.max(np.abs(got - vec)) <= 1e-13, g.vertices
+
+
+def test_transport_isolated_vertex_stays_constant():
+    g = gc.Graph(["a", "b", "c", "z"], [("a", "b"), ("b", "c")])
+    w = gc.random_antisymmetric_field(g, gc.Lcg64(107))
+    f0 = gc.VertexFunction(g, {"a": 0.0, "b": 1.0, "c": -0.5, "z": 0.7})
+    traj = gc.transport_solve(g, w, f0, 1.0, 0.1)
+    assert all(state.value("z") == 0.7 for state in traj.states)
+    assert traj.states[-1].value("a") != 0.0
+
+
+def test_transport_missing_pair_is_domain_error(k2):
+    one_way = gc.VectorField(k2, {("a", "b"): 1.0})
+    f0 = gc.VertexFunction(k2, {"a": 0.0, "b": 1.0})
+    for field in (one_way, lambda t: one_way):
+        with pytest.raises(gc.DomainError, match=r"\(b, a\)"):
+            gc.transport_solve(k2, field, f0, 1.0, 0.5)
+    with pytest.raises(gc.DomainError, match=r"\(b, a\)"):
+        gc.transport_mass_rate(k2, one_way, f0)
+
+
+def test_vector_field_scaled_matches_revalidated_field():
+    rng = gc.Lcg64(109)
+    for g in (make() for make in FIXTURES.values()):
+        w = gc.random_antisymmetric_field(g, rng)
+        for c in (math.sin(0.37), -2.5, 0.0, 1.0 / 3.0):
+            got = w.scaled(c)
+            want = gc.VectorField(g, {k: c * v for k, v in w.entries.items()})
+            assert got.graph is g
+            assert list(got.entries) == list(want.entries)
+            assert all(type(v) is float for v in got.entries.values())
+            got_bits = np.array(list(got.entries.values())).tobytes()
+            assert got_bits == np.array(list(want.entries.values())).tobytes()
 
 
 def test_transport_validation(k2):

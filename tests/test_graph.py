@@ -17,6 +17,20 @@ def test_edges_listed_once_in_file_order(c4):
     assert c4.edges() == (("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v0", "v3"))
 
 
+def test_pair_arrays_follow_neighbor_order_and_are_built_lazily():
+    for make in list(FIXTURES.values()) + [lambda: gc.Graph(["a", "b", "z"], [("a", "b")])]:
+        g = make()
+        assert "pair_arrays" not in vars(g)
+        src, dst = g.pair_arrays
+        want = [(g.index[x], g.index[y]) for x in g.vertices for y in g.neighbors(x)]
+        assert list(zip(src.tolist(), dst.tolist())) == want
+        assert g.pair_arrays[0] is src
+        with pytest.raises(ValueError):
+            src[0] = 0
+        with pytest.raises(ValueError):
+            dst[0] = 0
+
+
 def test_unknown_vertex_rejected(c4):
     with pytest.raises(gc.UnknownVertexError):
         c4.neighbors("nope")

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import graphcalc as gc
 
-from conftest import make_c4, make_octahedron, make_p3, make_p5
+from conftest import FIXTURES, make_c4, make_octahedron, make_p3, make_p5
+from helpers import connected_graphs
 
 EX = gc.SpherePoint(1.0, 0.0, 0.0)
 EY = gc.SpherePoint(0.0, 1.0, 0.0)
@@ -141,7 +144,7 @@ def test_check_no_antipodal_edges(p3):
     bad = gc.SphereMap(p3, {"a": EX, "b": gc.SpherePoint(-1.0, 0.0, 0.0), "c": EY})
     with pytest.raises(gc.AntipodalPointsError):
         gc.check_no_antipodal_edges(bad, w)
-    with pytest.raises(gc.AntipodalPointsError):
+    with pytest.raises(gc.AntipodalPointsError, match="'[ab]', '[ab]'"):
         gc.harmonic_heat_flow(bad, w)
     gc.check_no_antipodal_edges(quarter_arc_map(p3), w)
 
@@ -183,11 +186,11 @@ def test_flow_stalled_when_every_step_rejected(p3, monkeypatch):
     # force the energy to look worse after every trial step
     calls = {"n": 0}
 
-    def rising(u, w):
+    def rising(theta):
         calls["n"] += 1
         return float(calls["n"])
 
-    monkeypatch.setattr("graphcalc.harmonic.map_energy", rising)
+    monkeypatch.setattr("graphcalc.harmonic._pair_energy", rising)
     w = gc.build_window(p3, ["b"])
     u0 = gc.SphereMap(p3, {"a": EX, "b": EZ, "c": EY})
     res = gc.harmonic_heat_flow(u0, w, tol=1e-14)
@@ -209,6 +212,15 @@ def test_flow_validation(p3):
         gc.harmonic_heat_flow(u0, w, max_steps=0)
     with pytest.raises(gc.ValidationError):
         gc.harmonic_heat_flow(partial, w)
+    lone = gc.Graph(["a", "b", "z"], [("a", "b")])
+    with pytest.raises(gc.ValidationError, match="isolated"):
+        gc.harmonic_heat_flow(
+            gc.SphereMap(lone, {"a": EX, "b": EY, "z": EZ}), gc.build_window(lone, ["z"])
+        )
+    # a hand-built window may leave an interior vertex with no closure pair:
+    # its first variation is zero, as in the pointwise sum
+    res = gc.harmonic_heat_flow(u0, gc.SubgraphWindow(p3, ("b",), ()))
+    assert res.status == "converged" and res.residual == 0.0
 
 
 def test_dirichlet_minimize_p3(p3):
@@ -288,3 +300,118 @@ def test_ambient_tension_antipodal_raises(p3):
     u = gc.SphereMap(p3, {"a": gc.SpherePoint(-1, 0, 0), "b": EX, "c": EY})
     with pytest.raises(gc.AntipodalPointsError):
         gc.ambient_tension_report(u, "b")
+
+
+# --- the array flow against the pointwise API ------------------------------
+
+
+def _assert_first_step_matches_pointwise(u0, w, tau):
+    res = gc.harmonic_heat_flow(u0, w, tau=tau, tol=1e-300, max_steps=1)
+    want_energy = gc.map_energy(u0, w)
+    assert res.initial_energy == pytest.approx(want_energy, rel=1e-14, abs=1e-300)
+    fvs = {x: gc.first_variation(u0, x, w) for x in w.interior}
+    want_residual = max(float(np.linalg.norm(v)) for v in fvs.values())
+    assert res.residual == pytest.approx(want_residual, rel=1e-14, abs=1e-300)
+    for b in w.boundary:
+        assert res.map.point(b) is u0.point(b)
+    if res.status == "converged":
+        assert want_residual == 0.0
+        return res
+    for x in w.interior:
+        got = res.map.point(x).array
+        if res.steps_accepted:
+            want = gc.sphere_exp(u0.point(x), -tau * fvs[x]).array
+        else:
+            want = u0.point(x).array
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15), x
+    return res
+
+
+def test_flow_first_step_matches_pointwise_on_fixtures():
+    rng = gc.Lcg64(101)
+    accepted = 0
+    for make in FIXTURES.values():
+        g = make()
+        interiors = [[g.vertices[1]], list(g.vertices[: len(g) // 2 + 1])]
+        for interior in interiors:
+            if not g.is_connected(within=interior):
+                continue
+            w = gc.build_window(g, interior)
+            for tau in (0.5, 2.0):
+                res = _assert_first_step_matches_pointwise(random_sphere_map(g, rng), w, tau)
+                accepted += res.steps_accepted
+    assert accepted > 0
+
+
+# (status, accepted, rejected) of the per-vertex flow at tol 1e-11; the array
+# flow must take exactly the same steps, rejections included
+FROZEN_STEP_COUNTS = {
+    ("p3", 0.5): ("converged", 52, 0),
+    ("p3", 8.0): ("converged", 46, 2),
+    ("octahedron", 0.5): ("converged", 72, 0),
+    ("octahedron", 8.0): ("converged", 29, 3),
+    ("octahedron-83", 0.5): ("converged", 84, 0),
+    ("octahedron-83", 8.0): ("converged", 35, 3),
+}
+
+
+def test_flow_step_counts_frozen(p3, octahedron):
+    rng = gc.Lcg64(83)
+    flows = {
+        "p3": (gc.SphereMap(p3, {"a": EX, "b": EZ, "c": EY}), gc.build_window(p3, ["b"])),
+        "octahedron": (
+            gc.SphereMap(
+                octahedron,
+                {
+                    "p1": gc.SpherePoint(1.0, 0.2, -0.3),
+                    "m1": gc.SpherePoint(-0.2, 1.0, 0.4),
+                    "p2": gc.SpherePoint(0.1, -0.4, 1.0),
+                    "m2": gc.SpherePoint(0.0, 1.0, 0.0),
+                    "p3": gc.SpherePoint(0.0, 0.0, 1.0),
+                    "m3": gc.SpherePoint(1.0, 1.0, 1.0),
+                },
+            ),
+            gc.build_window(octahedron, ["p1", "m1", "p2"]),
+        ),
+        "octahedron-83": (
+            random_sphere_map(octahedron, rng),
+            gc.build_window(octahedron, ["p1", "m1", "p2"]),
+        ),
+    }
+    for (name, tau), want in FROZEN_STEP_COUNTS.items():
+        u0, w = flows[name]
+        res = gc.harmonic_heat_flow(u0, w, tau=tau, tol=1e-11, max_steps=2000)
+        assert (res.status, res.steps_accepted, res.steps_rejected) == want, (name, tau)
+
+
+@st.composite
+def windowed_maps(draw):
+    g = draw(connected_graphs())
+    interior = [draw(st.sampled_from(g.vertices))]
+    for _ in range(draw(st.integers(0, len(g) - 1))):
+        reach = sorted(
+            {y for x in interior for y in g.neighbors(x)} - set(interior), key=g.index.get
+        )
+        if reach:
+            interior.append(draw(st.sampled_from(reach)))
+    coords = st.floats(-1.0, 1.0, allow_nan=False)
+    points = {}
+    for v in g.vertices:
+        xyz = draw(st.tuples(coords, coords, coords))
+        assume(math.fsum(c * c for c in xyz) > 1e-6)
+        points[v] = gc.SpherePoint(*xyz)
+    tau = draw(st.sampled_from((0.1, 0.5, 2.0)))
+    return gc.SphereMap(g, points), gc.build_window(g, interior), tau
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(windowed_maps())
+def test_flow_first_step_property(case):
+    u0, w, tau = case
+    try:
+        gc.check_no_antipodal_edges(u0, w)
+    except gc.AntipodalPointsError:
+        with pytest.raises(gc.AntipodalPointsError):
+            gc.harmonic_heat_flow(u0, w, tau=tau)
+        return
+    _assert_first_step_matches_pointwise(u0, w, tau)

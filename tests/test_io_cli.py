@@ -491,6 +491,23 @@ def test_cli_transport_bad_profile_is_json_error(tmp_path, capsys):
     assert_one_json_validation_error(*run_cli(capsys, argv))
 
 
+def test_cli_transport_exact_field_missing_pair_is_json_error(tmp_path, capsys):
+    path = write_graph_file(tmp_path, make_k2())
+    fn = tmp_path / "f.csv"
+    fn.write_text("a,0\nb,1\n")
+    field = tmp_path / "w.csv"
+    field.write_text("a,b,1\n")
+    argv = ["transport", path, str(fn), "--field", str(field), "--field-mode", "exact",
+            "--t-final", "1", "--dt", "0.5"]
+    rc, out = run_cli(capsys, argv)
+    assert rc == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "DomainError"
+    assert doc["error"]["exit_code"] == 1
+    assert "(b, a)" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize(
     "command, options",
     [
