@@ -20,6 +20,7 @@ import numpy as np
 from .calculus import DEFAULT_CONFIG, CalculusConfig
 from .errors import ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction, volume
+from .linalg import eigvalsh
 
 ENUMERATION_VERTEX_CAP = 24
 _CHUNK = 1 << 18
@@ -217,10 +218,10 @@ def poincare_dirichlet_constant(
     scale-1 quadratic form, so c = 2 mu_1 and the first Dirichlet
     eigenfunction attains equality.
     """
-    from .spectral import OperatorSpec, eigensystem
+    from .spectral import OperatorSpec, symmetric_matrix
 
-    es = eigensystem(OperatorSpec(w, "dirichlet", None, cfg))
-    return 2.0 * es.values[0] / cfg.laplacian_scale
+    mu = eigvalsh(symmetric_matrix(OperatorSpec(w, "dirichlet", None, cfg)))
+    return 2.0 * float(mu[0]) / cfg.laplacian_scale
 
 
 def poincare_neumann_constant(g: Graph, cfg: CalculusConfig = DEFAULT_CONFIG) -> float:
@@ -229,11 +230,11 @@ def poincare_neumann_constant(g: Graph, cfg: CalculusConfig = DEFAULT_CONFIG) ->
     The mean is degree-weighted, so the constant is twice the smallest
     nonzero eigenvalue of the negative laplacian.  Needs a connected graph.
     """
-    from .spectral import OperatorSpec, eigensystem
+    from .spectral import OperatorSpec, symmetric_matrix
 
     if not g.is_connected():
         raise ValidationError("neumann poincare constant needs a connected graph")
     if len(g) < 2:
         raise ValidationError("neumann poincare constant needs at least 2 vertices")
-    es = eigensystem(OperatorSpec(g, "none", None, cfg))
-    return 2.0 * es.values[1] / cfg.laplacian_scale
+    mu = eigvalsh(symmetric_matrix(OperatorSpec(g, "none", None, cfg)))
+    return 2.0 * float(mu[1]) / cfg.laplacian_scale

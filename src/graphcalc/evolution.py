@@ -24,6 +24,7 @@ from .calculus import (
 )
 from .errors import DomainError, IndefiniteStepError, NumericalError, ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction
+from .linalg import cholesky, cholesky_solve, eigvalsh
 from .spectral import (
     EigenSystem,
     OperatorSpec,
@@ -310,6 +311,11 @@ class DMFStepReport:
     warnings: tuple[str, ...]
 
 
+def _mu_first(w: SubgraphWindow, cfg: CalculusConfig) -> float:
+    """First Dirichlet eigenvalue of -laplacian on the window."""
+    return float(eigvalsh(symmetric_matrix(OperatorSpec(w, "dirichlet", None, cfg)))[0])
+
+
 def dmf_step(
     u_prev: VertexFunction,
     h: float,
@@ -332,7 +338,7 @@ def dmf_step(
     lam_vals = _lambda_values(lam, w.interior)
     lam_max = max(lam_vals.values())
     if mu_first is None:
-        mu_first = eigensystem(OperatorSpec(w, "dirichlet", None, cfg)).values[0]
+        mu_first = _mu_first(w, cfg)
     margin = 1.0 / h + mu_first - lam_max
     if margin <= 0:
         raise IndefiniteStepError(
@@ -353,9 +359,14 @@ def dmf_step(
     m = symmetric_matrix(OperatorSpec(w, "dirichlet", None, cfg))
     a = m + np.diag(1.0 / h - np.array([lam_vals[x] for x in inner]))
     b = sqd * np.array([u0.value(x) for x in inner]) / h
-    y = np.linalg.solve(a, b)
-    bn = float(np.linalg.norm(b))
-    solve_res = float(np.linalg.norm(a @ y - b)) / max(bn, 1e-300)
+    try:
+        factor = cholesky(a)
+    except NumericalError as exc:
+        raise IndefiniteStepError(f"step operator not positive definite: {exc}") from None
+    y = cholesky_solve(factor, b)
+    resid = np.sum(a * y, axis=1) - b
+    bn = math.sqrt(float(np.sum(b * b)))
+    solve_res = math.sqrt(float(np.sum(resid * resid))) / max(bn, 1e-300)
     if bn == 0.0:
         y = np.zeros_like(y)
         solve_res = 0.0
@@ -463,7 +474,7 @@ def dmf_run(
     if n_steps < 1:
         raise ValidationError("need at least one step")
     h = t_final / n_steps
-    mu_first = eigensystem(OperatorSpec(w, "dirichlet", None, cfg)).values[0]
+    mu_first = _mu_first(w, cfg)
     u = _zero_extended(phi, w)
     times = [0.0]
     states = [u]

@@ -1,110 +1,7 @@
-"""Deterministic dense symmetric eigensolver.
+"""Former home of the eigensolver, kept as two aliases into linalg.
 
-Cyclic Jacobi sweeps in fixed row-major pair order, rotating until the
-off-diagonal Frobenius norm falls below 1e-14 relative to the matrix norm.
-The rotation schedule contains no pivot search and no randomness, so the
-computed eigenpairs are reproducible bit for bit on a given platform.
+perfbench/layertrace.py finds the eigensolve layer through these names;
+ROADMAP item 4 moves it to linalg and removes this module.
 """
 
-import math
-
-import numpy as np
-
-from .errors import NumericalError
-
-OFF_NORM_THRESHOLD = 1e-14
-MAX_SWEEPS = 100
-
-
-def _off_norm(A: np.ndarray) -> float:
-    off = A - np.diag(np.diag(A))
-    return float(np.linalg.norm(off))
-
-
-def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of a symmetric matrix.
-
-    Returns (values, vectors) with vectors in columns, unsorted; callers
-    apply their own ordering conventions.
-    """
-    A = np.array(matrix, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n > 0 and float(np.max(np.abs(A - A.T))) > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
-        raise ValueError("matrix must be symmetric")
-    V = np.eye(n)
-    if n <= 1:
-        return np.diag(A).copy(), V
-
-    tol = OFF_NORM_THRESHOLD * max(1.0, float(np.linalg.norm(A)))
-    # rotations with |a_pq| below this leave the off norm under tol even if
-    # every skipped entry survives a sweep
-    skip = tol / n
-    idx = np.arange(n)
-
-    for _ in range(MAX_SWEEPS):
-        if _off_norm(A) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-
-                App, Aqq = A[p, p], A[q, q]
-                A[p, p] = App - t * apq
-                A[q, q] = Aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                mask = (idx != p) & (idx != q)
-                aip = A[mask, p].copy()
-                aiq = A[mask, q].copy()
-                new_p = c * aip - s * aiq
-                new_q = s * aip + c * aiq
-                A[mask, p] = new_p
-                A[p, mask] = new_p
-                A[mask, q] = new_q
-                A[q, mask] = new_q
-
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        if _off_norm(A) > tol:
-            raise NumericalError(
-                f"jacobi sweeps did not converge: off norm {_off_norm(A):.3e} > {tol:.3e}"
-            )
-    return np.diag(A).copy(), V
-
-
-def sign_normalize(vec: np.ndarray) -> np.ndarray:
-    """Flip sign so the first meaningfully nonzero component is positive."""
-    peak = float(np.max(np.abs(vec))) if vec.size else 0.0
-    if peak == 0.0:
-        return vec
-    cut = 1e-12 * peak
-    for v in vec:
-        if abs(v) > cut:
-            return -vec if v < 0 else vec
-    return vec
-
-
-def sorted_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """jacobi_eigh plus the package ordering: ascending eigenvalue, ties
-    resolved by lexicographic comparison of sign-normalized eigenvectors."""
-    vals, vecs = jacobi_eigh(matrix)
-    cols = [sign_normalize(vecs[:, k].copy()) for k in range(vecs.shape[1])]
-    order = sorted(range(len(vals)), key=lambda k: (vals[k], tuple(cols[k])))
-    out_vals = np.array([vals[k] for k in order])
-    out_vecs = (
-        np.column_stack([cols[k] for k in order]) if order else np.zeros((0, 0))
-    )
-    return out_vals, out_vecs
+from .linalg import eigh as sorted_eigh, eigh_unsorted as jacobi_eigh  # noqa: F401

@@ -11,9 +11,9 @@ The operator acts on interior vertices.  Three boundary treatments:
 
 L is self-adjoint in the degree-weighted inner product; eigensystems are
 computed from the degree-conjugated symmetric matrix with the deterministic
-Jacobi solver, returned ascending with weighted-orthonormal eigenfunctions
-whose first meaningful component is positive.  Eigenvalue indices are
-1-based in reports: values[0] is the first eigenvalue.
+solver of linalg, returned ascending with weighted-orthonormal
+eigenfunctions in its canonical basis of each eigenspace.  Eigenvalue
+indices are 1-based in reports: values[0] is the first eigenvalue.
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian, weighted_inner
 from .errors import DomainError, NonpositiveSpectrumError, ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction
-from .jacobi import sorted_eigh
+from .linalg import eigh, eigvalsh
 from .rng import Lcg64
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "none")
@@ -182,7 +182,7 @@ class EigenSystem:
 def eigensystem(spec: OperatorSpec) -> EigenSystem:
     g = spec.graph
     M = symmetric_matrix(spec)
-    vals, vecs = sorted_eigh(M)
+    vals, vecs = eigh(M)
     sqrt_deg = np.array([math.sqrt(g.degree(v)) for v in spec.interior])
     vectors = _extend_to_closure(spec, vecs / sqrt_deg[:, None])
     vectors.flags.writeable = False
@@ -289,8 +289,7 @@ def courant_fischer_check(
             continue
         small = Qmat.T @ M @ Qmat
         small = 0.5 * (small + small.T)
-        svals, _ = sorted_eigh(small)
-        worst = min(worst, float(svals[-1]) - lam_j)
+        worst = min(worst, float(eigvalsh(small)[-1]) - lam_j)
     return CourantFischerReport(
         j=j,
         lambda_j=lam_j,

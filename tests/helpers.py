@@ -3,7 +3,7 @@
 Everything here recomputes results from first principles with none of the
 package's algorithmic shortcuts: Fractions instead of floats, exhaustive
 enumeration instead of heaps or bitmask chunking, numpy's LAPACK eigensolver
-instead of the package Jacobi.
+instead of the package's QL solver.
 """
 
 import itertools
@@ -96,6 +96,19 @@ def brute_monge(g: gc.Graph, sources, targets):
 
 def eig_oracle(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(matrix)
+
+
+def grid_graph(k: int) -> gc.Graph:
+    """k x k grid with vertices r{i}c{j} in row-major order."""
+    names = [f"r{i}c{j}" for i in range(k) for j in range(k)]
+    edges = [(f"r{i}c{j}", f"r{i}c{j + 1}") for i in range(k) for j in range(k - 1)]
+    edges += [(f"r{i}c{j}", f"r{i + 1}c{j}") for i in range(k - 1) for j in range(k)]
+    return gc.Graph(names, edges)
+
+
+def grid_interior(k: int) -> list[str]:
+    """Every vertex of the k x k grid off its outer ring."""
+    return [f"r{i}c{j}" for i in range(1, k - 1) for j in range(1, k - 1)]
 
 
 def random_connected_graph(rng: gc.Lcg64, n_min: int = 4, n_max: int = 10) -> gc.Graph:

@@ -30,7 +30,13 @@ from conftest import (
     make_p3,
     make_p5,
 )
-from helpers import brute_bottleneck, brute_cheeger, random_connected_graph
+from helpers import (
+    brute_bottleneck,
+    brute_cheeger,
+    grid_graph,
+    grid_interior,
+    random_connected_graph,
+)
 
 IDENTITY_KEYS = (
     "divergence_theorem",
@@ -404,18 +410,11 @@ def test_a11_cli_bytes_stable_across_runs_and_thread_counts(tmp_path):
         assert _run_cli(args, 4) == first, args[0]
 
 
-def _grid_graph(k):
-    names = [f"r{i}c{j}" for i in range(k) for j in range(k)]
-    edges = [(f"r{i}c{j}", f"r{i}c{j + 1}") for i in range(k) for j in range(k - 1)]
-    edges += [(f"r{i}c{j}", f"r{i + 1}c{j}") for i in range(k - 1) for j in range(k)]
-    return gc.Graph(names, edges)
-
-
 def test_flows_bytes_stable_across_thread_counts_on_larger_grids(tmp_path):
     # a guard beside a11 at sizes where BLAS matvecs do change bits between
     # thread counts: transport and the harmonic flow must not depend on them
     rng = gc.Lcg64(113)
-    g15 = _grid_graph(15)
+    g15 = grid_graph(15)
     (tmp_path / "g15.json").write_text(gc.write_graph(g15))
     (tmp_path / "f15.csv").write_text(
         "".join(f"{v},{rng.uniform(-1.0, 1.0)!r}\n" for v in g15.vertices)
@@ -423,9 +422,9 @@ def test_flows_bytes_stable_across_thread_counts_on_larger_grids(tmp_path):
     (tmp_path / "w15.csv").write_text(
         "".join(f"{x},{y},{rng.uniform(-1.0, 1.0)!r}\n" for x, y in g15.edges())
     )
-    g12 = _grid_graph(12)
+    g12 = grid_graph(12)
     (tmp_path / "g12.json").write_text(gc.write_graph(g12))
-    interior = [f"r{i}c{j}" for i in range(1, 11) for j in range(1, 11)]
+    interior = grid_interior(12)
     rows = []
     for v in gc.build_window(g12, interior).boundary:
         i, j = (int(t) for t in v[1:].split("c"))
@@ -438,6 +437,28 @@ def test_flows_bytes_stable_across_thread_counts_on_larger_grids(tmp_path):
          "--t-final", "1", "--dt", "0.01"],
         ["harmonic", str(tmp_path / "g12.json"), "--interior", ",".join(interior),
          "--boundary", str(tmp_path / "b12.csv")],
+    ]
+    for args in battery:
+        assert _run_cli(args, 2) == _run_cli(args, 1), args[0]
+
+
+def test_eigensolve_and_dmf_bytes_stable_across_thread_counts(tmp_path):
+    # a guard beside a11 at n = 196, where LAPACK solves and eigensolves
+    # change bits between BLAS thread counts: the dmf step solve and the
+    # eigensolve behind spectrum --functions must not depend on them
+    rng = gc.Lcg64(127)
+    g16 = grid_graph(16)
+    inner = grid_interior(16)
+    (tmp_path / "g16.json").write_text(gc.write_graph(g16))
+    (tmp_path / "f16.csv").write_text(
+        "".join(f"{v},{rng.uniform(-1.0, 1.0)!r}\n" for v in inner)
+    )
+    (tmp_path / "g14.json").write_text(gc.write_graph(grid_graph(14)))
+    battery = [
+        ["dmf", str(tmp_path / "g16.json"), str(tmp_path / "f16.csv"),
+         "--interior", ",".join(inner), "--potential", "0.5",
+         "--t-final", "1", "--steps", "8"],
+        ["spectrum", str(tmp_path / "g14.json"), "--bc", "none", "--functions"],
     ]
     for args in battery:
         assert _run_cli(args, 2) == _run_cli(args, 1), args[0]

@@ -351,6 +351,9 @@ def test_dmf_step_indefinite_raises(p3):
     u0 = gc.VertexFunction(p3, {"b": 1.0})
     with pytest.raises(gc.IndefiniteStepError):
         gc.dmf_step(u0, 1.0, 5.0, w)
+    # an overstated mu_1 passes the margin check; the Cholesky pivot catches it
+    with pytest.raises(gc.IndefiniteStepError, match="pivot 1"):
+        gc.dmf_step(u0, 1.0, 5.0, w, mu_first=10.0)
 
 
 def test_dmf_step_saddle_warning(p3):

@@ -313,12 +313,15 @@ def test_green_function_rejects_nonpositive_spectrum(c4):
     assert exc.value.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_jacobi_agrees_with_lapack():
+def test_eigh_agrees_with_lapack():
     rng = gc.Lcg64(37)
-    for n in (2, 3, 5, 8):
-        A = np.array([[rng.normal() for _ in range(n)] for _ in range(n)])
+    for n in (0, 1, 2, 3, 8, 50):
+        A = np.array([[rng.normal() for _ in range(n)] for _ in range(n)]).reshape(n, n)
         A = 0.5 * (A + A.T)
-        vals, vecs = gc.sorted_eigh(A)
+        vals, vecs = gc.eigh(A)
+        assert vals.shape == (n,) and vecs.shape == (n, n)
+        assert np.array_equal(gc.eigvalsh(A), vals)
+        assert np.all(np.diff(vals) >= 0.0)
         assert np.allclose(vals, eig_oracle(A), atol=1e-10)
         assert np.allclose(A @ vecs, vecs @ np.diag(vals), atol=1e-10)
         assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-10)
