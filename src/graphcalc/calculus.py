@@ -17,10 +17,10 @@ it ran with.
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .errors import DomainError, NotAdjacentError, ValidationError
-from .graph import Graph, SubgraphWindow, VertexFunction
+from .graph import Graph, Region, SubgraphWindow, VertexFunction
 from .rng import Lcg64
 
 ALLOWED_SCALES = (1.0, 2.0 / 3.0)
@@ -40,16 +40,6 @@ class CalculusConfig:
 
 
 DEFAULT_CONFIG = CalculusConfig()
-
-Region = Union[Graph, SubgraphWindow]
-
-
-def _graph_of(region: Region) -> Graph:
-    return region if isinstance(region, Graph) else region.graph
-
-
-def _interior_of(region: Region) -> tuple[str, ...]:
-    return region.vertices if isinstance(region, Graph) else region.interior
 
 
 class VectorField:
@@ -102,10 +92,7 @@ def gradient(f: VertexFunction, x: str) -> tuple[float, ...]:
 
 def gradient_norm_sq(f: VertexFunction, x: str) -> float:
     """|grad f(x)|^2 = (1/d_x) sum_y (f(y) - f(x))^2."""
-    g = f.graph
-    d = g.degree(x)
-    if d == 0:
-        raise ValidationError(f"vertex {x!r} is isolated")
+    d = len(f.graph.stencil(x))
     return sum(t * t for t in gradient(f, x)) / d
 
 
@@ -124,19 +111,13 @@ def gradient_field(f: VertexFunction, region: Optional[Iterable[str]] = None) ->
 
 def divergence(W: VectorField, x: str) -> float:
     """(div W)(x) = (1/d_x) sum over neighbors of w(xy)."""
-    g = W.graph
-    nbrs = g.neighbors(x)
-    if not nbrs:
-        raise ValidationError(f"vertex {x!r} is isolated")
+    nbrs = W.graph.stencil(x)
     return sum(W.value(x, y) for y in nbrs) / len(nbrs)
 
 
 def scalar_product(W: VectorField, U: VectorField, x: str) -> float:
     """(W . U)(x) with the 1/d_x normalization."""
-    g = W.graph
-    nbrs = g.neighbors(x)
-    if not nbrs:
-        raise ValidationError(f"vertex {x!r} is isolated")
+    nbrs = W.graph.stencil(x)
     return sum(W.value(x, y) * U.value(x, y) for y in nbrs) / len(nbrs)
 
 
@@ -146,19 +127,13 @@ def directional_derivative(W: VectorField, f: VertexFunction, x: str) -> float:
     Single 1/d_x normalization; identical to the pointwise product of W with
     the gradient field of f.
     """
-    g = W.graph
-    nbrs = g.neighbors(x)
-    if not nbrs:
-        raise ValidationError(f"vertex {x!r} is isolated")
+    nbrs = W.graph.stencil(x)
     return sum(W.value(x, y) * (f.value(y) - f.value(x)) for y in nbrs) / len(nbrs)
 
 
 def laplacian(f: VertexFunction, x: str, cfg: CalculusConfig = DEFAULT_CONFIG) -> float:
     """Random-walk laplacian: scale * (1/d_x) sum_y (f(y) - f(x))."""
-    g = f.graph
-    nbrs = g.neighbors(x)
-    if not nbrs:
-        raise ValidationError(f"vertex {x!r} is isolated")
+    nbrs = f.graph.stencil(x)
     return cfg.laplacian_scale * sum(f.value(y) - f.value(x) for y in nbrs) / len(nbrs)
 
 
@@ -188,10 +163,7 @@ class HessianMatrix:
 
 def hessian(f: VertexFunction, x: str) -> HessianMatrix:
     """Hessian of f at x; its trace equals d_x times the scale-1 laplacian."""
-    g = f.graph
-    nbrs = g.neighbors(x)
-    if not nbrs:
-        raise ValidationError(f"vertex {x!r} is isolated")
+    nbrs = f.graph.stencil(x)
     fx = f.value(x)
     rows = tuple(
         tuple(0.5 * (f.value(y) + f.value(z) - 2.0 * fx) for z in nbrs) for y in nbrs
@@ -221,9 +193,9 @@ def dirichlet_energy(f: VertexFunction, region: Region) -> float:
     Each interior-incident ordered pair counts once: interior-interior edges
     twice (both directions), interior-boundary edges once.
     """
-    g = _graph_of(region)
+    g = region.graph
     total = 0.0
-    for x in _interior_of(region):
+    for x in region.interior:
         fx = f.value(x)
         for y in g.neighbors(x):
             t = f.value(y) - fx
@@ -237,10 +209,8 @@ def closure_energy(f: VertexFunction, region: Region) -> float:
     This is the closed-window energy; with zero boundary data it equals
     twice the scale-1 quadratic form of the negative laplacian.
     """
-    g = _graph_of(region)
-    closure = (
-        region.vertices if isinstance(region, Graph) else region.closure
-    )
+    g = region.graph
+    closure = region.closure
     inside = set(closure)
     total = 0.0
     for x in closure:

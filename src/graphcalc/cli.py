@@ -130,7 +130,10 @@ class Inputs:
             "path": path,
             "sha256": hashlib.sha256(data).hexdigest(),
         }
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{label} file {path!r} is not UTF-8: {e}") from e
 
 
 def build_manifest(argv: list[str], scale: float, inputs: Inputs, seed: Optional[int] = None) -> dict:

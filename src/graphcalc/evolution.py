@@ -16,7 +16,6 @@ from .calculus import (
     CalculusConfig,
     VectorField,
     closure_energy,
-    dirichlet_energy,
     directional_derivative,
     laplacian,
     weighted_inner,
@@ -29,8 +28,12 @@ from .spectral import (
     EigenSystem,
     OperatorSpec,
     _expand,
+    _on_closure,
     apply_operator,
+    check_dirichlet_data,
     eigensystem,
+    extend_to_boundary,
+    potential_value,
     symmetric_matrix,
 )
 
@@ -84,11 +87,8 @@ def spectral_heat_solve(
     eigenfunctions themselves extend.
     """
     ts = _check_time_grid(times)
+    check_dirichlet_data(spec, f)
     es = eigensystem(spec)
-    if spec.bc == "dirichlet":
-        for b in spec.boundary:
-            if b in f and f.value(b) != 0.0:
-                raise ValidationError("dirichlet initial data must vanish on the boundary")
     lam = np.array(es.values)
     states = _expand(es, f, [np.exp(-lam * t) for t in ts])
     return Trajectory(ts, tuple(states), "spectral")
@@ -145,10 +145,7 @@ def heat_identities_report(traj: Trajectory, spec: OperatorSpec) -> HeatIdentiti
         masses.append(weighted_norm_sq(u, inner))
         forms.append(weighted_inner(u, lu, inner))
         grad_sq.append(weighted_norm_sq(lu, inner))
-        if isinstance(spec.region, SubgraphWindow):
-            pair_energy = closure_energy(u, spec.region)
-        else:
-            pair_energy = dirichlet_energy(u, spec.region)
+        pair_energy = closure_energy(u, spec.region)
         qterm = sum(
             spec.potential_at(x) * u.value(x) ** 2 * g.degree(x) for x in inner
         )
@@ -268,23 +265,6 @@ def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[fl
 # discrete Morse-type flow
 
 
-def _lambda_values(lam, interior) -> dict[str, float]:
-    if isinstance(lam, VertexFunction):
-        return {x: lam.value(x) for x in interior}
-    return {x: float(lam) for x in interior}
-
-
-def _zero_extended(u: VertexFunction, w: SubgraphWindow) -> VertexFunction:
-    vals = {}
-    for x in w.interior:
-        vals[x] = u.value(x)
-    for b in w.boundary:
-        if b in u and u.value(b) != 0.0:
-            raise ValidationError("flow states must vanish on the window boundary")
-        vals[b] = 0.0
-    return VertexFunction(w.graph, vals)
-
-
 def _j_value(
     u: VertexFunction, lam: dict[str, float], w: SubgraphWindow, cfg: CalculusConfig
 ) -> float:
@@ -311,9 +291,9 @@ class DMFStepReport:
     warnings: tuple[str, ...]
 
 
-def _mu_first(w: SubgraphWindow, cfg: CalculusConfig) -> float:
+def _mu_first(spec: OperatorSpec) -> float:
     """First Dirichlet eigenvalue of -laplacian on the window."""
-    return float(eigvalsh(symmetric_matrix(OperatorSpec(w, "dirichlet", None, cfg)))[0])
+    return float(eigvalsh(symmetric_matrix(spec))[0])
 
 
 def dmf_step(
@@ -335,10 +315,11 @@ def dmf_step(
     """
     if h <= 0:
         raise ValidationError("step size must be positive")
-    lam_vals = _lambda_values(lam, w.interior)
+    spec = OperatorSpec(w, "dirichlet", None, cfg)
+    lam_vals = {x: potential_value(lam, x) for x in w.interior}
     lam_max = max(lam_vals.values())
     if mu_first is None:
-        mu_first = _mu_first(w, cfg)
+        mu_first = _mu_first(spec)
     margin = 1.0 / h + mu_first - lam_max
     if margin <= 0:
         raise IndefiniteStepError(
@@ -351,12 +332,12 @@ def dmf_step(
             "is not coercive and the flow tracks a saddle of J"
         )
 
-    u0 = _zero_extended(u_prev, w)
+    u0 = extend_to_boundary(spec, u_prev)
     g = w.graph
     inner = list(w.interior)
     deg = np.array([g.degree(x) for x in inner], dtype=float)
     sqd = np.sqrt(deg)
-    m = symmetric_matrix(OperatorSpec(w, "dirichlet", None, cfg))
+    m = symmetric_matrix(spec)
     a = m + np.diag(1.0 / h - np.array([lam_vals[x] for x in inner]))
     b = sqd * np.array([u0.value(x) for x in inner]) / h
     try:
@@ -373,10 +354,7 @@ def dmf_step(
     if solve_res > SOLVE_RESIDUAL_TOL:
         raise NumericalError(f"linear solve residual {solve_res} above {SOLVE_RESIDUAL_TOL}")
 
-    vals = {x: float(v) for x, v in zip(inner, y / sqd)}
-    for bdry in w.boundary:
-        vals[bdry] = 0.0
-    u1 = VertexFunction(g, vals)
+    u1 = _on_closure(spec, y / sqd)
 
     el_sq = 0.0
     for x in inner:
@@ -454,10 +432,12 @@ class DMFRun:
         return self.states[n]
 
 
+def _is_time_dependent(v: Potential) -> bool:
+    return callable(v) and not isinstance(v, VertexFunction)
+
+
 def _potential_at(v: Potential, t: float):
-    if callable(v) and not isinstance(v, VertexFunction):
-        return v(t)
-    return v
+    return v(t) if _is_time_dependent(v) else v
 
 
 def dmf_run(
@@ -474,8 +454,9 @@ def dmf_run(
     if n_steps < 1:
         raise ValidationError("need at least one step")
     h = t_final / n_steps
-    mu_first = _mu_first(w, cfg)
-    u = _zero_extended(phi, w)
+    spec = OperatorSpec(w, "dirichlet", None, cfg)
+    mu_first = _mu_first(spec)
+    u = extend_to_boundary(spec, phi)
     times = [0.0]
     states = [u]
     reports: list[DMFStepReport] = []
@@ -554,15 +535,9 @@ def dmf_convergence_study(
     ns = tuple(int(n) for n in ns)
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValidationError("need at least two increasing step counts")
-    static = not (callable(potential) and not isinstance(potential, VertexFunction))
     runs = {n: dmf_run(phi, potential, t_final, n, w, cfg) for n in ns}
-    if static:
-        if isinstance(potential, VertexFunction):
-            q = VertexFunction(
-                w.graph, {x: -potential.value(x) for x in w.interior}
-            )
-        else:
-            q = -float(potential)
+    if not _is_time_dependent(potential):
+        q = VertexFunction(w.graph, {x: -potential_value(potential, x) for x in w.interior})
         es = eigensystem(OperatorSpec(w, "dirichlet", q, cfg))
         errors = tuple(_run_error_vs_reference(runs[n], es, phi) for n in ns)
         steps = tuple(t_final / n for n in ns)

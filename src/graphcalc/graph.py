@@ -6,14 +6,15 @@ given; every deterministic tie-break in the package (neighbor order, witness
 order, lexicographic path order) refers to that order, not to string sorting.
 
 A window is a connected interior vertex set S together with its vertex
-boundary (outside neighbors) and closure.  Operators that need boundary data
-take a window; operators on the whole graph take the graph itself.
+boundary (outside neighbors) and closure.  A graph is also a region: the
+window whose interior and closure are all of its vertices and whose boundary
+is empty, so every operator takes either one as its region.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +65,22 @@ class Graph:
             (x, y) if self.index[x] < self.index[y] else (y, x) for x, y in edge_list
         )
 
+    # the region interface of SubgraphWindow: the whole graph is the window
+    # over all of its vertices, with an empty boundary
+    boundary: tuple[str, ...] = ()
+
+    @property
+    def graph(self) -> "Graph":
+        return self
+
+    @property
+    def interior(self) -> tuple[str, ...]:
+        return self.vertices
+
+    @property
+    def closure(self) -> tuple[str, ...]:
+        return self.vertices
+
     def __contains__(self, x: str) -> bool:
         return x in self.index
 
@@ -79,6 +96,14 @@ class Graph:
         """Neighbors of x in file order."""
         self.check_vertex(x)
         return self._nbrs[x]
+
+    def stencil(self, x: str) -> tuple[str, ...]:
+        """Neighbors of x in file order; x must have at least one."""
+        nbrs = self._nbrs.get(x)
+        if not nbrs:
+            self.check_vertex(x)
+            raise ValidationError(f"vertex {x!r} is isolated")
+        return nbrs
 
     def degree(self, x: str) -> int:
         return len(self.neighbors(x))
@@ -159,6 +184,9 @@ class SubgraphWindow:
     @property
     def closure(self) -> tuple[str, ...]:
         return self.interior + self.boundary
+
+
+Region = Union[Graph, SubgraphWindow]
 
 
 def build_window(g: Graph, interior: Iterable[str]) -> SubgraphWindow:

@@ -9,18 +9,16 @@ discrete harmonic map with frozen boundary values.
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .errors import AntipodalPointsError, DomainError, ValidationError
-from .graph import Graph, SubgraphWindow
+from .graph import Graph, Region, SubgraphWindow
 from .rng import Lcg64
 
 ANTIPODAL_MARGIN = 1e-6
 FALLBACK_POINT = (1.0, 0.0, 0.0)
-
-Region = Union[Graph, SubgraphWindow]
 
 
 class SpherePoint:
@@ -129,16 +127,19 @@ class SphereMap:
         return SphereMap(self.graph, merged)
 
 
-def _closure_of(region: Region) -> tuple[str, ...]:
-    if isinstance(region, SubgraphWindow):
-        return region.closure
-    return region.vertices
+def _closure_stencil(
+    u: SphereMap, x: str, region: Optional[Region]
+) -> tuple[list[str], int]:
+    """Neighbors of x inside the region's closure (u's whole graph when
+    region is None), and the ambient degree of x."""
+    nbrs = u.graph.stencil(x)
+    closure = set((u.graph if region is None else region).closure)
+    return [y for y in nbrs if y in closure], len(nbrs)
 
 
 def check_no_antipodal_edges(u: SphereMap, region: Region) -> None:
-    g = u.graph if isinstance(region, SubgraphWindow) else region
-    closure = set(_closure_of(region))
-    for x, y in g.edges():
+    closure = set(region.closure)
+    for x, y in region.graph.edges():
         if x in closure and y in closure and x in u and y in u:
             if sphere_distance(u.point(x), u.point(y)) > math.pi - ANTIPODAL_MARGIN:
                 raise AntipodalPointsError(
@@ -150,22 +151,17 @@ def energy_density(u: SphereMap, x: str, region: Optional[Region] = None) -> flo
     """e(u)(x) = (1/(2 d_x)) sum over closure neighbors of d(u(x), u(y))^2.
 
     d_x is the ambient degree even when the neighbor sum is restricted."""
-    g = u.graph
-    closure = set(_closure_of(region)) if region is not None else set(g.vertices)
-    d = g.degree(x)
-    if d == 0:
-        raise ValidationError(f"vertex {x!r} is isolated")
+    nbrs, d = _closure_stencil(u, x, region)
     acc = 0.0
-    for y in g.neighbors(x):
-        if y in closure:
-            acc += sphere_distance(u.point(x), u.point(y)) ** 2
+    for y in nbrs:
+        acc += sphere_distance(u.point(x), u.point(y)) ** 2
     return acc / (2.0 * d)
 
 
 def map_energy(u: SphereMap, region: Region) -> float:
     """Half the sum of squared distances over ordered closure pairs."""
-    g = u.graph if isinstance(region, SubgraphWindow) else region
-    closure = _closure_of(region)
+    g = region.graph
+    closure = region.closure
     inside = set(closure)
     acc = 0.0
     for x in closure:
@@ -182,16 +178,11 @@ def first_variation(u: SphereMap, x: str, region: Optional[Region] = None) -> np
         d/deps E(u with x moved along eta) = 2 d_x <first_variation, eta>;
     the flow therefore descends along its negative.
     """
-    g = u.graph
-    closure = set(_closure_of(region)) if region is not None else set(g.vertices)
-    d = g.degree(x)
-    if d == 0:
-        raise ValidationError(f"vertex {x!r} is isolated")
+    nbrs, d = _closure_stencil(u, x, region)
     p = u.point(x)
     acc = np.zeros(3)
-    for y in g.neighbors(x):
-        if y in closure:
-            acc += sphere_log(p, u.point(y))
+    for y in nbrs:
+        acc += sphere_log(p, u.point(y))
     return -acc / d
 
 
@@ -397,17 +388,11 @@ class AmbientTensionReport:
 def ambient_tension_report(
     u: SphereMap, x: str, region: Optional[Region] = None
 ) -> AmbientTensionReport:
-    g = u.graph
-    closure = set(_closure_of(region)) if region is not None else set(g.vertices)
-    d = g.degree(x)
-    if d == 0:
-        raise ValidationError(f"vertex {x!r} is isolated")
+    nbrs, d = _closure_stencil(u, x, region)
     p = u.point(x).array
     div = np.zeros(3)
     corr = np.zeros(3)
-    for y in g.neighbors(x):
-        if y not in closure:
-            continue
+    for y in nbrs:
         q = u.point(y).array
         theta = sphere_distance(u.point(x), u.point(y))
         if theta > math.pi - ANTIPODAL_MARGIN:

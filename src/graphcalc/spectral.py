@@ -24,58 +24,60 @@ import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian, weighted_inner
 from .errors import DomainError, NonpositiveSpectrumError, ValidationError
-from .graph import Graph, SubgraphWindow, VertexFunction
+from .graph import Graph, Region, VertexFunction
 from .linalg import eigh, eigvalsh
 from .rng import Lcg64
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "none")
 
-Domain = Union[Graph, SubgraphWindow]
+StaticPotential = Union[None, float, VertexFunction]
+
+
+def potential_value(potential: StaticPotential, x: str) -> float:
+    """A static potential at x: None is zero, a number is the same everywhere."""
+    if potential is None:
+        return 0.0
+    if isinstance(potential, VertexFunction):
+        return potential.value(x)
+    return float(potential)
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """L = -laplacian + Q on a region with a boundary condition."""
 
-    region: Domain
+    region: Region
     bc: str = "none"
-    potential: Union[None, float, VertexFunction] = None
+    potential: StaticPotential = None
     config: CalculusConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         if self.bc not in BOUNDARY_CONDITIONS:
             raise ValidationError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {self.bc!r}")
-        if self.bc == "none" and isinstance(self.region, SubgraphWindow):
+        whole = isinstance(self.region, Graph)
+        if self.bc == "none" and not whole:
             raise ValidationError("bc 'none' runs on the whole graph, not a window")
-        if self.bc != "none" and isinstance(self.region, Graph):
+        if self.bc != "none" and whole:
             raise ValidationError(f"bc {self.bc!r} needs a window with a boundary")
 
     @property
     def graph(self) -> Graph:
-        return self.region if isinstance(self.region, Graph) else self.region.graph
+        return self.region.graph
 
     @property
     def interior(self) -> tuple[str, ...]:
-        return (
-            self.region.vertices
-            if isinstance(self.region, Graph)
-            else self.region.interior
-        )
+        return self.region.interior
 
     @property
     def boundary(self) -> tuple[str, ...]:
-        return () if isinstance(self.region, Graph) else self.region.boundary
+        return self.region.boundary
 
     @property
     def closure(self) -> tuple[str, ...]:
-        return self.interior + self.boundary
+        return self.region.closure
 
     def potential_at(self, x: str) -> float:
-        if self.potential is None:
-            return 0.0
-        if isinstance(self.potential, VertexFunction):
-            return self.potential.value(x)
-        return float(self.potential)
+        return potential_value(self.potential, x)
 
 
 def symmetric_matrix(spec: OperatorSpec) -> np.ndarray:
@@ -138,23 +140,43 @@ def _extend_to_closure(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def check_dirichlet_data(spec: OperatorSpec, f: VertexFunction) -> None:
+    """Under the dirichlet condition, f must vanish wherever it is given on
+    the boundary."""
+    if spec.bc != "dirichlet":
+        return
+    for b in spec.boundary:
+        if b in f and f.value(b) != 0.0:
+            raise ValidationError(
+                f"dirichlet data must vanish on the boundary, f({b}) = {f.value(b)}"
+            )
+
+
+def _on_closure(spec: OperatorSpec, column: np.ndarray) -> VertexFunction:
+    """The function with these interior values (one per interior vertex),
+    extended to the boundary as the spec's bc says."""
+    ext = _extend_to_closure(spec, column[:, None])[:, 0]
+    return VertexFunction(spec.graph, dict(zip(spec.closure, ext.tolist())))
+
+
+def extend_to_boundary(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
+    """f on the closure: its interior values, and boundary values from the
+    bc (zero for dirichlet, where given data must vanish; the mean of the
+    interior neighbors for neumann)."""
+    check_dirichlet_data(spec, f)
+    return _on_closure(spec, np.array([f.value(x) for x in spec.interior]))
+
+
 def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
     """Evaluate Lf on the interior.
 
     Dirichlet data must actually vanish on the boundary; Neumann data is
     extended by the reflection relation; bc 'none' needs f on all vertices.
     """
-    if spec.bc == "dirichlet":
-        for b in spec.boundary:
-            if b in f and f.value(b) != 0.0:
-                raise ValidationError(
-                    f"dirichlet data must vanish on the boundary, f({b}) = {f.value(b)}"
-                )
-    inner = np.array([[f.value(x)] for x in spec.interior])
-    ext = _extend_to_closure(spec, inner)[:, 0]
-    extended = VertexFunction(spec.graph, dict(zip(spec.closure, ext.tolist())))
+    extended = extend_to_boundary(spec, f)
     out = {}
-    for x, fx in zip(spec.interior, inner[:, 0].tolist()):
+    for x in spec.interior:
+        fx = extended.values[x]
         out[x] = -laplacian(extended, x, spec.config) + spec.potential_at(x) * fx
     return VertexFunction(spec.graph, out)
 
@@ -303,8 +325,8 @@ def courant_fischer_check(
 
 
 def barta_bound(
-    region: Domain,
-    potential: Union[None, float, VertexFunction],
+    region: Region,
+    potential: StaticPotential,
     u: VertexFunction,
     cfg: CalculusConfig = DEFAULT_CONFIG,
 ) -> float:
@@ -315,23 +337,12 @@ def barta_bound(
     strictly positive on the interior and defined on closed neighborhoods;
     boundary values enter the stencil as given.
     """
-    if isinstance(region, Graph):
-        g, interior = region, region.vertices
-    else:
-        g, interior = region.graph, region.interior
     best = math.inf
-    for x in interior:
+    for x in region.interior:
         ux = u.value(x)
         if ux <= 0.0:
             raise ValidationError(f"test function must be positive on interior, u({x}) = {ux}")
-        q = 0.0
-        if potential is not None:
-            q = (
-                potential.value(x)
-                if isinstance(potential, VertexFunction)
-                else float(potential)
-            )
-        lu = -laplacian(u, x, cfg) + q * ux
+        lu = -laplacian(u, x, cfg) + potential_value(potential, x) * ux
         best = min(best, lu / ux)
     return best
 

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 import graphcalc as gc
 
 from conftest import FIXTURES
+from helpers import connected_graphs
 
 SCALE23 = gc.CalculusConfig(laplacian_scale=2.0 / 3.0)
 
@@ -200,3 +202,16 @@ def test_identity_suite_shape_and_determinism(c4):
     assert r1["green_symmetric"]["max_abs_residual"] <= 1e-12
     r3 = gc.run_identity_suite(c4, seed=10, trials=5)
     assert r3 != r1
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(connected_graphs())
+def test_identity_suite_property(g):
+    report = gc.run_identity_suite(g, seed=len(g), trials=3)
+    residuals = [
+        v["max_abs_residual"]
+        for v in report.values()
+        if isinstance(v, dict) and "max_abs_residual" in v
+    ]
+    assert len(residuals) == 7
+    assert max(residuals) <= 1e-12

@@ -534,6 +534,27 @@ def test_cli_unwritable_out_is_json_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_cli_non_utf8_input_is_json_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + '{"vertices": ["a"], "edges": []}'.encode("utf-16-le"))
+    rc, out = run_cli(capsys, ["graph", str(bad)])
+    assert_one_json_validation_error(rc, out)
+    message = json.loads(out)["error"]["message"]
+    assert f"graph file {str(bad)!r} is not UTF-8" in message
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphcalc.cli", "graph", str(bad)], capture_output=True
+    )
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"]["message"] == message
+    fn = tmp_path / "f.csv"
+    fn.write_bytes(b"\xff\xfea,1\n")
+    argv = ["cheeger", write_graph_file(tmp_path, make_p3()), "--function", str(fn)]
+    rc, out = run_cli(capsys, argv)
+    assert_one_json_validation_error(rc, out)
+    assert f"function file {str(fn)!r}" in json.loads(out)["error"]["message"]
+
+
 def test_cli_nan_csv_cell_is_json_error(tmp_path, capsys):
     path = write_graph_file(tmp_path, make_p3())
     fn = tmp_path / "f.csv"

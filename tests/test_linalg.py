@@ -192,3 +192,35 @@ def test_no_blas_in_linalg_and_no_lapack_solvers_elsewhere():
     for path in sorted(SRC.glob("*.py")):
         if path.name != "linalg.py":
             assert not _numpy_uses(path) & banned, path.name
+
+
+def _region_type_checks(path):
+    """(function, line) of every isinstance whose type names Graph or SubgraphWindow."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and _dotted(node.func) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if {_dotted(k).rsplit(".", 1)[-1] for k in kinds} & {"Graph", "SubgraphWindow"}:
+                found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_region_type_is_told_apart_only_by_operator_spec():
+    """A graph is the window with an empty boundary, so only the bc rule of
+    OperatorSpec may ask which of the two a region is."""
+    sites = {
+        (path.name, scope, line)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line in _region_type_checks(path)
+    }
+    assert {(name, scope) for name, scope, _ in sites} <= {
+        ("spectral.py", "OperatorSpec.__post_init__")
+    }, sorted(sites)
+    assert len(sites) <= 1, sorted(sites)
