@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import DomainError, NotAdjacentError, ValidationError
-from .graph import Graph, Region, SubgraphWindow, VertexFunction
+from .graph import Graph, Region, SubgraphWindow, VertexFunction, gather
 from .rng import Lcg64
 
 ALLOWED_SCALES = (1.0, 2.0 / 3.0)
@@ -209,16 +209,10 @@ def closure_energy(f: VertexFunction, region: Region) -> float:
     This is the closed-window energy; with zero boundary data it equals
     twice the scale-1 quadratic form of the negative laplacian.
     """
-    g = region.graph
-    closure = region.closure
-    inside = set(closure)
+    vals, lay = gather(f, region.closure), region.layout
     total = 0.0
-    for x in closure:
-        fx = f.value(x)
-        for y in g.neighbors(x):
-            if y in inside:
-                t = f.value(y) - fx
-                total += t * t
+    for t in (vals[lay.dst] - vals[lay.src]).tolist():
+        total += t * t
     return total
 
 

@@ -225,7 +225,7 @@ def cmd_spectrum(args, inputs, cfg, argv):
     inner = spec.interior
     # weighted Gram matrix Phi^T D Phi, one row at a time, upper triangle
     vecs = es.vectors[: len(inner)]
-    dvecs = vecs * np.array([g.degree(x) for x in inner], dtype=float)[:, None]
+    dvecs = vecs * spec.region.layout.deg[: len(inner), None]
     ortho = 0.0
     for i in range(len(es)):
         row = (dvecs * vecs[:, i : i + 1]).sum(axis=0)[i:]

@@ -75,7 +75,7 @@ def _enumerate_cuts(g: Graph):
     mask byte.
     """
     n = len(g)
-    deg = np.array([g.degree(v) for v in g.vertices], dtype=np.int64)
+    deg = g.layout.deg.astype(np.int64)
     total = int(deg.sum())
     nbr = np.array([sum(1 << g.index[w] for w in g.neighbors(v)) for v in g.vertices], np.uint32)
     byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1

@@ -22,7 +22,7 @@ from .calculus import (
     weighted_norm_sq,
 )
 from .errors import DomainError, IndefiniteStepError, NumericalError, ValidationError
-from .graph import Graph, SubgraphWindow, VertexFunction
+from .graph import Graph, SubgraphWindow, VertexFunction, gather, scatter
 from .linalg import cholesky, cholesky_solve, eigvalsh
 from .spectral import (
     EigenSystem,
@@ -190,13 +190,14 @@ FieldProvider = Union[VectorField, Callable[[float], VectorField]]
 
 
 class _PairRates:
-    """Rates w(x, y) / d_x on g.pair_arrays; rhs sums over pairs by bincount, not BLAS."""
+    """Rates w(x, y) / d_x on the graph's layout pairs; rhs sums over pairs by
+    bincount, not BLAS."""
 
     def __init__(self, g: Graph):
-        self.src, self.dst = g.pair_arrays
+        lay = g.layout
+        self.src, self.dst, self.deg = lay.src, lay.dst, lay.deg
         names = g.vertices
         self.keys = [(names[i], names[j]) for i, j in zip(self.src.tolist(), self.dst.tolist())]
-        self.deg = np.bincount(self.src, minlength=len(g)).astype(float)
 
     def rates(self, w: VectorField) -> np.ndarray:
         try:
@@ -231,9 +232,9 @@ def transport_solve(
     else:
         rates_at = lambda t: pairs.rates(field(t))
 
-    vec = np.array([f0.value(x) for x in g.vertices])
+    vec = gather(f0, g.vertices)
     times = [0.0]
-    states = [VertexFunction(g, dict(zip(g.vertices, vec.tolist())))]
+    states = [scatter(g, g.vertices, vec)]
     for k in range(n_steps):
         t = k * dt
         r1, r2, r4 = rates_at(t), rates_at(t + dt / 2), rates_at(t + dt)
@@ -243,7 +244,7 @@ def transport_solve(
         k4 = pairs.rhs(r4, vec + dt * k3)
         vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         times.append((k + 1) * dt)
-        states.append(VertexFunction(g, dict(zip(g.vertices, vec.tolist()))))
+        states.append(scatter(g, g.vertices, vec))
     return Trajectory(tuple(times), tuple(states), "rk4")
 
 
@@ -255,7 +256,7 @@ def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[fl
     equation makes them equal by construction.
     """
     pairs = _PairRates(g)
-    vec = np.array([f.value(x) for x in g.vertices])
+    vec = gather(f, g.vertices)
     lhs = float(np.sum(pairs.deg * pairs.rhs(pairs.rates(w), vec)))
     rhs = sum(g.degree(x) * directional_derivative(w, f, x) for x in g.vertices)
     return lhs, rhs
@@ -334,12 +335,11 @@ def dmf_step(
 
     u0 = extend_to_boundary(spec, u_prev)
     g = w.graph
-    inner = list(w.interior)
-    deg = np.array([g.degree(x) for x in inner], dtype=float)
-    sqd = np.sqrt(deg)
+    inner = w.interior
+    sqd = np.sqrt(w.layout.deg[: len(inner)])
     m = symmetric_matrix(spec)
     a = m + np.diag(1.0 / h - np.array([lam_vals[x] for x in inner]))
-    b = sqd * np.array([u0.value(x) for x in inner]) / h
+    b = sqd * gather(u0, inner) / h
     try:
         factor = cholesky(a)
     except NumericalError as exc:
@@ -504,10 +504,10 @@ class ConvergenceReport:
 
 def _max_weighted_gap(pairs, w: SubgraphWindow) -> float:
     """Largest degree-weighted l2 distance on the interior over (u, v) pairs."""
-    deg = np.array([w.graph.degree(x) for x in w.interior], dtype=float)
+    deg = w.layout.deg[: len(w.interior)]
     worst = 0.0
     for u, v in pairs:
-        diff = np.array([u.value(x) - v.value(x) for x in w.interior])
+        diff = gather(u, w.interior) - gather(v, w.interior)
         worst = max(worst, math.sqrt(float((diff * diff) @ deg)))
     return worst
 

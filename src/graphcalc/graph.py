@@ -8,9 +8,12 @@ order, lexicographic path order) refers to that order, not to string sorting.
 A window is a connected interior vertex set S together with its vertex
 boundary (outside neighbors) and closure.  A graph is also a region: the
 window whose interior and closure are all of its vertices and whose boundary
-is empty, so every operator takes either one as its region.
+is empty, so every operator takes either one as its region.  Each region
+caches one layout of array rows for its closure; gather and scatter move a
+vertex function to and from those arrays.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,14 +124,16 @@ class Graph:
         """Undirected edges, each once, endpoints in file order."""
         return self._edges
 
-    @cached_property
+    @property
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only index arrays (src, dst) of the ordered adjacent pairs,
-        sources in file order, targets in neighbor order.  Built on first use."""
-        src = np.repeat(np.arange(len(self)), [len(self._nbrs[x]) for x in self.vertices])
-        dst = np.array([self.index[y] for x in self.vertices for y in self._nbrs[x]], dtype=np.intp)
-        src.flags.writeable = dst.flags.writeable = False
-        return src, dst
+        sources in file order, targets in neighbor order: the layout's pairs."""
+        return self.layout.src, self.layout.dst
+
+    @cached_property
+    def layout(self) -> "RegionLayout":
+        """The graph's region layout, rows in file order.  Built on first use."""
+        return _region_layout(self, self.vertices, self.vertices)
 
     def is_connected(self, within: Optional[Iterable[str]] = None) -> bool:
         verts = list(self.vertices) if within is None else [self.check_vertex(v) for v in within]
@@ -185,8 +190,42 @@ class SubgraphWindow:
     def closure(self) -> tuple[str, ...]:
         return self.interior + self.boundary
 
+    @cached_property
+    def layout(self) -> "RegionLayout":
+        """The window's region layout.  Built on first use."""
+        return _region_layout(self.graph, self.interior, self.closure)
+
 
 Region = Union[Graph, SubgraphWindow]
+
+
+@dataclass(frozen=True, eq=False)
+class RegionLayout:
+    """Array rows of a region's closure, shared by every array kernel.
+
+    rows maps each closure vertex to its row: interior rows first, then the
+    boundary, as in region.closure.  deg holds each row's ambient degree.
+    src and dst are the rows of the ordered adjacent pairs with both ends in
+    the closure, sorted by source row and then in neighbor order; the first
+    interior_pairs of them leave an interior vertex.  The arrays are
+    read-only.
+    """
+
+    rows: dict[str, int]
+    deg: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    interior_pairs: int
+
+
+def _region_layout(g: Graph, interior: tuple[str, ...], closure: tuple[str, ...]) -> RegionLayout:
+    rows = {x: i for i, x in enumerate(closure)}
+    nbr_rows = [[rows[y] for y in g._nbrs[x] if y in rows] for x in closure]
+    src = np.repeat(np.arange(len(closure)), [len(r) for r in nbr_rows])
+    dst = np.array([j for r in nbr_rows for j in r], dtype=np.intp)
+    deg = np.array([len(g._nbrs[x]) for x in closure], dtype=float)
+    deg.flags.writeable = src.flags.writeable = dst.flags.writeable = False
+    return RegionLayout(rows, deg, src, dst, sum(map(len, nbr_rows[: len(interior)])))
 
 
 def build_window(g: Graph, interior: Iterable[str]) -> SubgraphWindow:
@@ -230,6 +269,9 @@ class VertexFunction:
         self.values: dict[str, float] = {
             v: float(values[v]) for v in graph.vertices if v in values
         }
+        if not all(map(math.isfinite, self.values.values())):
+            x = next(x for x, v in self.values.items() if not math.isfinite(v))
+            raise ValidationError(f"value at {x!r} is not finite: {self.values[x]}")
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -253,6 +295,27 @@ class VertexFunction:
 
     def defined_on(self, region: Iterable[str]) -> bool:
         return all(x in self.values for x in region)
+
+
+def gather(f: VertexFunction, xs: Sequence[str]) -> np.ndarray:
+    """f's values at xs as a float array; value()'s error at the first x off
+    f's domain."""
+    try:
+        return np.fromiter(map(f.values.__getitem__, xs), float, len(xs))
+    except KeyError as e:
+        f.value(e.args[0])  # raises: the vertex is off the domain
+        raise
+
+
+def scatter(g: Graph, xs: Sequence[str], vals: np.ndarray) -> VertexFunction:
+    """The function with value vals[i] at xs[i], stored in file order.
+    Neither xs (distinct vertices of g, such as a region's closure) nor vals
+    is checked again."""
+    by_vertex = dict(zip(xs, vals.tolist()))
+    f = object.__new__(VertexFunction)
+    f.graph = g
+    f.values = {v: by_vertex[v] for v in g.vertices if v in by_vertex}
+    return f
 
 
 def monge_cost(

@@ -133,12 +133,12 @@ def _closure_stencil(
     """Neighbors of x inside the region's closure (u's whole graph when
     region is None), and the ambient degree of x."""
     nbrs = u.graph.stencil(x)
-    closure = set((u.graph if region is None else region).closure)
-    return [y for y in nbrs if y in closure], len(nbrs)
+    rows = (u.graph if region is None else region).layout.rows
+    return [y for y in nbrs if y in rows], len(nbrs)
 
 
 def check_no_antipodal_edges(u: SphereMap, region: Region) -> None:
-    closure = set(region.closure)
+    closure = region.layout.rows
     for x, y in region.graph.edges():
         if x in closure and y in closure and x in u and y in u:
             if sphere_distance(u.point(x), u.point(y)) > math.pi - ANTIPODAL_MARGIN:
@@ -160,14 +160,10 @@ def energy_density(u: SphereMap, x: str, region: Optional[Region] = None) -> flo
 
 def map_energy(u: SphereMap, region: Region) -> float:
     """Half the sum of squared distances over ordered closure pairs."""
-    g = region.graph
-    closure = region.closure
-    inside = set(closure)
+    closure, lay = region.closure, region.layout
     acc = 0.0
-    for x in closure:
-        for y in g.neighbors(x):
-            if y in inside:
-                acc += sphere_distance(u.point(x), u.point(y)) ** 2
+    for i, j in zip(lay.src.tolist(), lay.dst.tolist()):
+        acc += sphere_distance(u.point(closure[i]), u.point(closure[j])) ** 2
     return 0.5 * acc
 
 
@@ -241,17 +237,11 @@ def harmonic_heat_flow(
         raise ValidationError("tau, tol and max_steps must be positive")
     if not u0.defined_on(w.closure):
         raise ValidationError("initial map must be defined on the window closure")
-    g, closure, k = w.graph, w.closure, len(w.interior)
-    deg = np.array([g.degree(x) for x in w.interior], dtype=float)[:, None]
+    closure, k, lay = w.closure, len(w.interior), w.layout
+    deg = lay.deg[:k, None]
     if not deg.all():
         raise ValidationError(f"vertex {w.interior[int(deg.argmin())]!r} is isolated")
-    row = np.full(len(g), -1)
-    row[[g.index[x] for x in closure]] = np.arange(len(closure))
-    src, dst = g.pair_arrays
-    keep = (row[src] >= 0) & (row[dst] >= 0)
-    order = np.argsort(row[src[keep]], kind="stable")  # closure order, then file order
-    src, dst = row[src[keep]][order], row[dst[keep]][order]
-    inner = int(np.searchsorted(src, k))  # pairs leaving an interior vertex
+    src, dst, inner = lay.src, lay.dst, lay.interior_pairs
     slots = (3 * src[:inner, None] + np.arange(3)).ravel()
     pts = np.array([u0.point(x).xyz for x in closure])
     dots, theta = _pair_geometry(pts, src, dst)

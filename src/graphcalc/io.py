@@ -33,7 +33,11 @@ def format_float(x: float) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    """Graph from a JSON object {"vertices": [...], "edges": [[a, b], ...]}."""
+    """Graph from a JSON object {"vertices": [...], "edges": [[a, b], ...]}.
+
+    The CSV writers print vertex ids raw, so an id may not contain ',', '"'
+    or a line break, start with '#', or have leading or trailing whitespace.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -48,6 +52,9 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError("'vertices' must be a nonempty list of nonempty strings")
     if len(set(verts)) != len(verts):
         raise GraphParseError("vertex names must be unique")
+    for v in verts:
+        if v != v.strip() or v.startswith("#") or "," in v or '"' in v or v.splitlines() != [v]:
+            raise GraphParseError(f"vertex id {v!r} cannot be written to CSV")
     if not isinstance(edges, list):
         raise GraphParseError("'edges' must be a list")
     vset = set(verts)

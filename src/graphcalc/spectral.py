@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian, weighted_inner
 from .errors import DomainError, NonpositiveSpectrumError, ValidationError
-from .graph import Graph, Region, VertexFunction
+from .graph import Graph, Region, VertexFunction, gather, scatter
 from .linalg import eigh, eigvalsh
 from .rng import Lcg64
 
@@ -82,42 +82,33 @@ class OperatorSpec:
 
 def symmetric_matrix(spec: OperatorSpec) -> np.ndarray:
     """Degree-conjugated matrix of L on the interior, exactly symmetric."""
-    g = spec.graph
-    interior = spec.interior
-    pos = {v: i for i, v in enumerate(interior)}
-    inner = set(interior)
-    bset = set(spec.boundary)
+    lay = spec.region.layout
+    k = len(spec.interior)
     scale = spec.config.laplacian_scale
-    n = len(interior)
-    deg = np.array([g.degree(v) for v in interior], dtype=float)
-    M = np.zeros((n, n))
-    for x in interior:
-        i = pos[x]
-        M[i, i] = scale + spec.potential_at(x)
-        for y in g.neighbors(x):
-            if y in inner:
-                j = pos[y]
-                if j > i:
-                    val = -scale / math.sqrt(deg[i] * deg[j])
-                    M[i, j] = val
-                    M[j, i] = val
+    deg = lay.deg
+    M = np.zeros((k, k))
+    M[np.diag_indices(k)] = [scale + spec.potential_at(x) for x in spec.interior]
+    src, dst = lay.src[: lay.interior_pairs], lay.dst[: lay.interior_pairs]
+    i, j = src[dst < k], dst[dst < k]
+    M[i, j] = -scale / np.sqrt(deg[i] * deg[j])
     if spec.bc == "neumann":
         # eliminate each boundary vertex through the mean of its interior
         # neighbors; the correction stays symmetric because the coupling
         # x -> b -> z weighs both directions by 1/#(interior nbrs of b)
-        for b in spec.boundary:
-            inb = [z for z in g.neighbors(b) if z in inner]
-            if not inb:
-                continue
-            wgt = 1.0 / len(inb)
-            for x in g.neighbors(b):
-                if x not in inner:
-                    continue
-                i = pos[x]
-                for z in inb:
-                    j = pos[z]
-                    M[i, j] -= scale * wgt / math.sqrt(deg[i] * deg[j])
+        for inb in _reflection_rows(spec):
+            if inb.size:
+                d = deg[inb]
+                M[np.ix_(inb, inb)] -= scale * (1.0 / inb.size) / np.sqrt(np.outer(d, d))
     return M
+
+
+def _reflection_rows(spec: OperatorSpec) -> list[np.ndarray]:
+    """For each boundary vertex, the rows of its interior neighbors in
+    neighbor order."""
+    lay = spec.region.layout
+    k, n = len(spec.interior), len(spec.closure)
+    src, dst = lay.src[lay.interior_pairs :], lay.dst[lay.interior_pairs :]
+    return [d[d < k] for d in np.split(dst, np.searchsorted(src, np.arange(k + 1, n)))]
 
 
 def _extend_to_closure(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
@@ -128,16 +119,14 @@ def _extend_to_closure(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
     rows must be 2-D: numpy sums a 2-D array down its first axis in order,
     but a 1-D array pairwise.
     """
-    g = spec.graph
-    pos = {v: i for i, v in enumerate(spec.interior)}
-    out = [rows]
-    for b in spec.boundary:
-        inb = [pos[z] for z in g.neighbors(b) if z in pos]
-        if spec.bc == "neumann" and inb:
-            out.append(rows[inb].sum(axis=0, keepdims=True) / len(inb))
-        else:
-            out.append(np.zeros((1,) + rows.shape[1:]))
-    return np.concatenate(out)
+    k = len(rows)
+    out = np.zeros((len(spec.closure),) + rows.shape[1:])
+    out[:k] = rows
+    if spec.bc == "neumann":
+        for r, inb in enumerate(_reflection_rows(spec), k):
+            if inb.size:
+                out[r] = rows[inb].sum(axis=0) / inb.size
+    return out
 
 
 def check_dirichlet_data(spec: OperatorSpec, f: VertexFunction) -> None:
@@ -156,7 +145,7 @@ def _on_closure(spec: OperatorSpec, column: np.ndarray) -> VertexFunction:
     """The function with these interior values (one per interior vertex),
     extended to the boundary as the spec's bc says."""
     ext = _extend_to_closure(spec, column[:, None])[:, 0]
-    return VertexFunction(spec.graph, dict(zip(spec.closure, ext.tolist())))
+    return scatter(spec.graph, spec.closure, ext)
 
 
 def extend_to_boundary(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
@@ -164,7 +153,7 @@ def extend_to_boundary(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
     bc (zero for dirichlet, where given data must vanish; the mean of the
     interior neighbors for neumann)."""
     check_dirichlet_data(spec, f)
-    return _on_closure(spec, np.array([f.value(x) for x in spec.interior]))
+    return _on_closure(spec, gather(f, spec.interior))
 
 
 def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
@@ -202,15 +191,11 @@ class EigenSystem:
 
 
 def eigensystem(spec: OperatorSpec) -> EigenSystem:
-    g = spec.graph
     M = symmetric_matrix(spec)
     vals, vecs = eigh(M)
-    sqrt_deg = np.array([math.sqrt(g.degree(v)) for v in spec.interior])
-    vectors = _extend_to_closure(spec, vecs / sqrt_deg[:, None])
+    vectors = _extend_to_closure(spec, vecs / np.sqrt(spec.region.layout.deg[: len(M)])[:, None])
     vectors.flags.writeable = False
-    funcs = tuple(
-        VertexFunction(g, dict(zip(spec.closure, col))) for col in vectors.T.tolist()
-    )
+    funcs = tuple(scatter(spec.graph, spec.closure, col) for col in vectors.T)
     return EigenSystem(spec, tuple(float(v) for v in vals), funcs, vectors)
 
 
@@ -225,15 +210,12 @@ def _expand(
     bits do not depend on the BLAS thread count.
     """
     spec = es.spec
-    g = spec.graph
-    data = np.array([f.value(x) for x in spec.interior])
+    data = gather(f, spec.interior)
     if weighted:
-        data = data * np.array([g.degree(x) for x in spec.interior], dtype=float)
+        data = data * spec.region.layout.deg[: len(data)]
     coeffs = (es.vectors[: len(data)] * data[:, None]).sum(axis=0)
     return [
-        VertexFunction(
-            g, dict(zip(spec.closure, (es.vectors * (coeffs * m)).sum(axis=1).tolist()))
-        )
+        scatter(spec.graph, spec.closure, (es.vectors * (coeffs * m)).sum(axis=1))
         for m in factors
     ]
 
@@ -347,13 +329,21 @@ def barta_bound(
     return best
 
 
+def _interior_rows(spec: OperatorSpec, what: str, x: str, y: str) -> tuple[int, int]:
+    """The rows of x and y, which must both be interior vertices."""
+    rows, k = spec.region.layout.rows, len(spec.interior)
+    i, j = rows.get(x, k), rows.get(y, k)
+    if i >= k or j >= k:
+        raise DomainError(f"{what} is defined on the interior; got ({x}, {y})")
+    return i, j
+
+
 class HeatKernel:
     """S_t(x, y) = sum_j exp(-lambda_j t) phi_j(x) phi_j(y) on the interior."""
 
     def __init__(self, es: EigenSystem):
         self.es = es
         self.interior = es.spec.interior
-        self._pos = {v: i for i, v in enumerate(self.interior)}
         self._phi = es.vectors[: len(self.interior)].T  # rows indexed by eigenfunction
         self._vals = np.array(es.values)
 
@@ -364,9 +354,8 @@ class HeatKernel:
         return self._phi.T @ (w[:, None] * self._phi)
 
     def value(self, t: float, x: str, y: str) -> float:
-        if x not in self._pos or y not in self._pos:
-            raise DomainError(f"heat kernel is defined on the interior; got ({x}, {y})")
-        return float(self.matrix(t)[self._pos[x], self._pos[y]])
+        i, j = _interior_rows(self.es.spec, "heat kernel", x, y)
+        return float(self.matrix(t)[i, j])
 
     def apply(self, t: float, f: VertexFunction, weighted: bool = True) -> VertexFunction:
         """Propagate data f to time t; boundary values follow the spec's bc.
@@ -397,16 +386,13 @@ class GreenFunction:
                 raise NonpositiveSpectrumError(k + 1, lam)
         self.es = es
         self.interior = es.spec.interior
-        self._pos = {v: i for i, v in enumerate(self.interior)}
         phi = es.vectors[: len(self.interior)].T
         vals = np.array(es.values)
         self._G = phi.T @ (phi / vals[:, None])
         self._inv = 1.0 / vals
 
     def value(self, x: str, y: str) -> float:
-        if x not in self._pos or y not in self._pos:
-            raise DomainError(f"green function is defined on the interior; got ({x}, {y})")
-        return float(self._G[self._pos[x], self._pos[y]])
+        return float(self._G[_interior_rows(self.es.spec, "green function", x, y)])
 
     def apply(self, f: VertexFunction, weighted: bool = True) -> VertexFunction:
         """Solve Lu = f (weighted=True); boundary values follow the spec's bc."""

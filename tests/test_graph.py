@@ -1,8 +1,15 @@
+import math
+
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphcalc as gc
+from graphcalc.graph import gather, scatter
 
-from helpers import brute_monge, floyd_warshall
+from helpers import brute_monge, connected_graphs, floyd_warshall, grid_graph
 from conftest import FIXTURES, make_c4, make_p5
 
 
@@ -29,6 +36,48 @@ def test_pair_arrays_follow_neighbor_order_and_are_built_lazily():
             src[0] = 0
         with pytest.raises(ValueError):
             dst[0] = 0
+
+
+def _regions():
+    for make in FIXTURES.values():
+        g = make()
+        yield g
+        yield gc.canonical_window(g)
+    g = grid_graph(5)
+    yield gc.build_window(g, ["r1c1", "r1c2", "r2c1", "r2c2", "r3c3", "r2c3"])
+    yield gc.build_window(gc.Graph(["a", "b", "z"], [("a", "b")]), ["z"])
+
+
+def test_region_layout_rows_degrees_and_closure_pairs():
+    for region in _regions():
+        g, closure, k = region.graph, region.closure, len(region.interior)
+        assert "layout" not in vars(region)
+        lay = region.layout
+        assert region.layout is lay
+        assert lay.rows == {x: i for i, x in enumerate(closure)}
+        assert lay.deg.tolist() == [float(g.degree(x)) for x in closure]
+        want = [(lay.rows[x], lay.rows[y]) for x in closure for y in g.neighbors(x) if y in lay.rows]
+        assert list(zip(lay.src.tolist(), lay.dst.tolist())) == want
+        assert lay.interior_pairs == sum(1 for i, _ in want if i < k)
+        for a in (lay.deg, lay.src, lay.dst):
+            with pytest.raises(ValueError):
+                a[0] = 0
+    for make in FIXTURES.values():
+        g = make()
+        assert g.pair_arrays[0] is g.layout.src and g.pair_arrays[1] is g.layout.dst
+
+
+def test_gather_and_scatter(p5):
+    f = gc.VertexFunction(p5, {"e": -0.0, "b": 2.5, "c": 5e-324})
+    assert gather(f, ("c", "e", "b")).tolist() == [5e-324, -0.0, 2.5]
+    assert math.copysign(1.0, gather(f, ("e",))[0]) == -1.0
+    with pytest.raises(gc.DomainError, match="not defined at 'd'"):
+        gather(f, ("b", "d", "a"))
+    with pytest.raises(gc.UnknownVertexError, match="unknown vertex 'zz'"):
+        gather(f, ("b", "zz"))
+    h = scatter(p5, ("d", "a", "c"), np.array([1.0, 2.0, 3.0]))
+    assert h.domain == ("a", "c", "d")
+    assert h.values == gc.VertexFunction(p5, {"d": 1.0, "a": 2.0, "c": 3.0}).values
 
 
 def test_unknown_vertex_rejected(c4):
@@ -102,6 +151,9 @@ def test_vertex_function_domain(p3):
     with pytest.raises(gc.UnknownVertexError):
         f.value("zz")
     assert f.restrict(["a"]).domain == ("a",)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(gc.ValidationError, match="value at 'b' is not finite"):
+            gc.VertexFunction(p3, {"a": 1.0, "b": bad, "c": bad})
 
 
 def test_monge_frozen_values():
@@ -158,3 +210,28 @@ def test_graph_construction_validation():
         gc.Graph(["a", "b"], [("a", "a")])
     with pytest.raises(gc.ValidationError):
         gc.Graph(["a", "b"], [("a", "c")])
+
+
+def _nx(g):
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges())
+    return G
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(connected_graphs())
+def test_distance_matches_networkx(g):
+    lengths = dict(nx.all_pairs_shortest_path_length(_nx(g)))
+    for x in g.vertices:
+        for y in g.vertices:
+            assert gc.graph_distance(g, x, y) == lengths[x][y]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(connected_graphs(), st.data())
+def test_connectivity_within_matches_networkx(g, data):
+    G = _nx(g)
+    for _ in range(5):
+        within = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, unique=True))
+        assert g.is_connected(within=within) == nx.is_connected(G.subgraph(within))

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphcalc as gc
 import graphcalc.cli as cli
@@ -147,6 +149,63 @@ def test_format_float_round_trips():
     for _ in range(200):
         x = rng.normal() * 10.0 ** rng.randint(20)
         assert float(gc.format_float(x)) == x
+
+
+def test_parse_graph_rejects_ids_csv_cannot_carry(tmp_path, capsys):
+    # each of these rendered into a CSV line that read back wrong or not at all
+    for bad in ["a,b", "#x", " a", "a ", 'a"b', "a\nb", "a\r", "a\x1cb", "a\u2028b"]:
+        doc = json.dumps({"vertices": ["ok", bad], "edges": [["ok", bad]]})
+        with pytest.raises(gc.GraphParseError, match="cannot be written to CSV"):
+            gc.parse_graph(doc)
+    assert gc.parse_graph(json.dumps({"vertices": ["a#b", "a b", "é"], "edges": []}))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": ["ok", "a,b"], "edges": []}))
+    rc, out = run_cli(capsys, ["graph", str(path)])
+    assert rc == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "GraphParseError"
+    assert doc["error"]["exit_code"] == 1
+    assert "'a,b'" in doc["error"]["message"]
+
+
+def _parse_graph_accepts(v):
+    try:
+        gc.parse_graph(json.dumps({"vertices": [v], "edges": []}))
+    except gc.GraphParseError:
+        return False
+    return True
+
+
+VERTEX_IDS = st.text(min_size=1, max_size=6).filter(_parse_graph_accepts)
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -1e-310, 2.2250738585072014e-308]
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(VERTEX_IDS, min_size=1, max_size=6, unique=True), st.data())
+def test_vertex_function_csv_round_trip_is_exact(ids, data):
+    g = gc.Graph(ids, [])
+    domain = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    vals = data.draw(st.lists(FINITE_FLOATS, min_size=len(domain), max_size=len(domain)))
+    f = gc.VertexFunction(g, dict(zip(domain, vals)))
+    back = gc.parse_vertex_function(gc.render_vertex_function_csv(f, ["manifest: {}"]), g)
+    assert back.domain == f.domain
+    assert [v.hex() for v in back.values.values()] == [v.hex() for v in f.values.values()]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(VERTEX_IDS, min_size=1, max_size=7, unique=True), st.data())
+def test_graph_json_round_trip_property(ids, data):
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [data.draw(st.sampled_from([(a, b), (b, a)])) for a, b in chosen]
+    g = gc.Graph(ids, edges)
+    back = gc.parse_graph(gc.write_graph(g))
+    assert back.vertices == g.vertices
+    assert back.edges() == g.edges()
+    assert [back.neighbors(x) for x in ids] == [g.neighbors(x) for x in ids]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphcalc as gc
 
 from conftest import FIXTURES
-from helpers import brute_bottleneck, random_connected_graph
+from helpers import brute_bottleneck, connected_graphs, random_connected_graph
 
 
 def oct_saddle_function(g):
@@ -221,3 +224,21 @@ def test_is_coercive_on_window(p5):
     whole = gc.build_window(p5, list(p5.vertices))
     assert whole.boundary == ()
     assert not gc.is_coercive_on_window(low_inside, whole)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(connected_graphs(), st.data())
+def test_bottleneck_level_is_the_joining_threshold(g, data):
+    """The level is the least t at which z0 and z1 are joined in {f <= t}."""
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=len(g), max_size=len(g)))
+    f = gc.VertexFunction(g, dict(zip(g.vertices, map(float, values))))
+    z0, z1 = data.draw(st.lists(st.sampled_from(g.vertices), min_size=2, max_size=2))
+    G = nx.Graph(list(g.edges()))
+    G.add_nodes_from(g.vertices)
+    for t in sorted(set(f.values.values())):
+        below = G.subgraph(x for x in g.vertices if f.value(x) <= t)
+        if z0 in below and z1 in below and nx.has_path(below, z0, z1):
+            break
+    level, path = gc.bottleneck_level(g, f, z0, z1)
+    assert level == t
+    assert max(f.value(x) for x in path) == t

@@ -6,7 +6,7 @@ import pytest
 import graphcalc as gc
 
 from conftest import FIXTURES
-from helpers import eig_oracle
+from helpers import eig_oracle, grid_graph, grid_interior
 
 SCALES = (1.0, 2.0 / 3.0)
 
@@ -52,6 +52,51 @@ def test_symmetric_matrix_is_symmetric():
                 for spec in _specs_for(g, cfg, q):
                     M = gc.symmetric_matrix(spec)
                     assert np.array_equal(M, M.T), (name, spec.bc)
+
+
+def _loop_assembly(spec):
+    """symmetric_matrix written out with loops over g.neighbors."""
+    g, interior = spec.graph, spec.interior
+    pos = {v: i for i, v in enumerate(interior)}
+    scale = spec.config.laplacian_scale
+    deg = [float(g.degree(v)) for v in interior]
+    M = np.zeros((len(interior), len(interior)))
+    for x in interior:
+        i = pos[x]
+        M[i, i] = scale + spec.potential_at(x)
+        for y in g.neighbors(x):
+            if y in pos:
+                M[i, pos[y]] = -scale / math.sqrt(deg[i] * deg[pos[y]])
+    if spec.bc == "neumann":
+        for b in spec.boundary:
+            inb = [pos[z] for z in g.neighbors(b) if z in pos]
+            for i in inb:
+                for j in inb:
+                    M[i, j] -= scale * (1.0 / len(inb)) / math.sqrt(deg[i] * deg[j])
+    return M
+
+
+def _diagonal_grid(k):
+    g = grid_graph(k)
+    diagonals = [(f"r{i}c{j}", f"r{i + 1}c{j + 1}") for i in range(k - 1) for j in range(k - 1)]
+    return gc.Graph(g.vertices, list(g.edges()) + diagonals)
+
+
+@pytest.mark.parametrize("k", [3, 4, 7])
+@pytest.mark.parametrize("diagonals", [False, True])
+def test_symmetric_matrix_matches_loop_assembly_bit_for_bit(k, diagonals):
+    g = _diagonal_grid(k) if diagonals else grid_graph(k)
+    rng = gc.Lcg64(k)
+    windows = [
+        gc.build_window(g, grid_interior(k)),
+        gc.build_window(g, [f"r{i}c{j}" for i in range(k - 1) for j in range(k // 2 + 1)]),
+    ]
+    for cfg in (gc.CalculusConfig(s) for s in SCALES):
+        for potential in _potentials(g, rng):
+            specs = [gc.OperatorSpec(g, "none", potential, cfg)]
+            specs += [gc.OperatorSpec(w, bc, potential, cfg) for w in windows for bc in ("dirichlet", "neumann")]
+            for spec in specs:
+                assert gc.symmetric_matrix(spec).tobytes() == _loop_assembly(spec).tobytes()
 
 
 def test_eigensystem_matches_dense_oracle():
