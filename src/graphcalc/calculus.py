@@ -16,10 +16,10 @@ it ran with.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import DomainError, NotAdjacentError, ValidationError
+from .errors import DomainError, ValidationError
 from .graph import Graph, Region, SubgraphWindow, VertexFunction, gather
 from .rng import Lcg64
 

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 One-shot subcommands, each reading files named on the command line and
-writing a single JSON or CSV document to --out or standard output.  Every
-document embeds a run manifest (argv, input digests, scale, version); there
-are no timestamps, so identical invocations produce identical bytes.
+returning a payload dict (a JSON document) or a CSV body with its extra
+comment lines.  `main` alone writes the document to --out or standard output,
+led by a run manifest (argv, input digests, scale, version): the first JSON
+key, or the first '# manifest: ...' line.  There are no timestamps, so
+identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 validation problems, 2 numerical failures.  Errors
 print a one-object JSON diagnostic to standard output.
@@ -60,35 +62,30 @@ def _render_scalar(obj) -> str:
     return _json.dumps(obj)
 
 
-def render_json(obj, level: int = 0) -> str:
-    """Deterministic JSON: insertion order, floats at .17g."""
-    pad = "  " * level
-    inner = "  " * (level + 1)
+def render_json(obj, level: Optional[int] = 0) -> str:
+    """Deterministic JSON: insertion order, floats at .17g; one line when level is None."""
+    deeper = None if level is None else level + 1
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [
-            f"{inner}{_render_scalar(str(k))}: {render_json(v, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+        brackets = "{}"
+        items = [f"{_render_scalar(str(k))}: {render_json(v, deeper)}" for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{inner}{render_json(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _render_scalar(obj)
+        brackets = "[]"
+        items = [render_json(v, deeper) for v in obj]
+    else:
+        return _render_scalar(obj)
+    if level is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "  " * level
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def render_json_line(obj) -> str:
-    """Single-line variant for CSV manifest comments."""
-    if isinstance(obj, dict):
-        return "{" + ", ".join(
-            f"{_render_scalar(str(k))}: {render_json_line(v)}" for k, v in obj.items()
-        ) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(render_json_line(v) for v in obj) + "]"
-    return _render_scalar(obj)
+    """Single-line variant for CSV comment lines."""
+    return render_json(obj, None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,17 +190,15 @@ def _time_potential(text: Optional[str], g: Graph, inputs: Inputs):
 # subcommands
 
 
-def cmd_graph(args, inputs, cfg, argv):
+def cmd_graph(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
-    payload = {
-        "manifest": build_manifest(argv, cfg.laplacian_scale, inputs),
+    return {
         "vertices": len(g),
         "edges": len(g.edges()),
         "volume": volume(g, g.vertices),
         "connected": g.is_connected(),
         "degrees": {v: g.degree(v) for v in g.vertices},
     }
-    return payload, "json"
 
 
 def _spec_from_args(args, g: Graph, cfg: CalculusConfig, inputs: Inputs) -> OperatorSpec:
@@ -218,7 +213,7 @@ def _spec_from_args(args, g: Graph, cfg: CalculusConfig, inputs: Inputs) -> Oper
     return OperatorSpec(w, args.bc, q, cfg)
 
 
-def cmd_spectrum(args, inputs, cfg, argv):
+def cmd_spectrum(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
     spec = _spec_from_args(args, g, cfg, inputs)
     es = eigensystem(spec)
@@ -232,7 +227,6 @@ def cmd_spectrum(args, inputs, cfg, argv):
         row[0] -= 1.0
         ortho = max(ortho, float(np.max(np.abs(row))))
     payload = {
-        "manifest": build_manifest(argv, cfg.laplacian_scale, inputs),
         "bc": spec.bc,
         "interior": list(inner),
         "boundary": list(spec.boundary),
@@ -244,10 +238,10 @@ def cmd_spectrum(args, inputs, cfg, argv):
             str(k + 1): {x: phi.value(x) for x in phi.domain}
             for k, phi in enumerate(es.functions)
         }
-    return payload, "json"
+    return payload
 
 
-def cmd_cheeger(args, inputs, cfg, argv):
+def cmd_cheeger(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
     h, hrep, gv, grep = cheeger_constants(g)
 
@@ -261,7 +255,6 @@ def cmd_cheeger(args, inputs, cfg, argv):
         }
 
     payload = {
-        "manifest": build_manifest(argv, cfg.laplacian_scale, inputs),
         "h": h,
         "h_witness": report(hrep),
         "g": gv,
@@ -270,16 +263,15 @@ def cmd_cheeger(args, inputs, cfg, argv):
     if args.function:
         f = parse_vertex_function(inputs.read("function", args.function), g)
         payload["functional_ratio"] = cheeger_functional(g, f)
-    return payload, "json"
+    return payload
 
 
-def cmd_minimax(args, inputs, cfg, argv):
+def cmd_minimax(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
     f = parse_vertex_function(inputs.read("function", args.function), g)
     level, path = bottleneck_level(g, f, args.src, args.dst)
     result = find_minimax(g, f, args.src, args.dst)
     payload = {
-        "manifest": build_manifest(argv, cfg.laplacian_scale, inputs),
         "level": result.level,
         "vertex": result.vertex,
         "path": list(result.path),
@@ -303,10 +295,10 @@ def cmd_minimax(args, inputs, cfg, argv):
                 "dip_minus": cls.witness.dip_minus,
             },
         }
-    return payload, "json"
+    return payload
 
 
-def cmd_heat(args, inputs, cfg, argv):
+def cmd_heat(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
     f = parse_vertex_function(inputs.read("function", args.function), g)
     spec = _spec_from_args(args, g, cfg, inputs)
@@ -315,16 +307,10 @@ def cmd_heat(args, inputs, cfg, argv):
     dt = args.t_final / args.steps
     times = [k * dt for k in range(args.steps + 1)]
     traj = spectral_heat_solve(spec, f, times)
-    manifest = build_manifest(argv, cfg.laplacian_scale, inputs)
-    return (
-        render_trajectory_csv(
-            traj.times, traj.states, ["manifest: " + render_json_line(manifest)]
-        ),
-        "text",
-    )
+    return render_trajectory_csv(traj.times, traj.states), {}
 
 
-def cmd_transport(args, inputs, cfg, argv):
+def cmd_transport(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
     f = parse_vertex_function(inputs.read("function", args.function), g)
     base = parse_vector_field(inputs.read("field", args.field), g, args.field_mode)
@@ -341,22 +327,15 @@ def cmd_transport(args, inputs, cfg, argv):
     else:
         raise ValidationError(f"unknown profile {args.profile!r}")
     traj = transport_solve(g, field, f, args.t_final, args.dt)
-    manifest = build_manifest(argv, cfg.laplacian_scale, inputs)
-    return (
-        render_trajectory_csv(
-            traj.times, traj.states, ["manifest: " + render_json_line(manifest)]
-        ),
-        "text",
-    )
+    return render_trajectory_csv(traj.times, traj.states), {}
 
 
-def cmd_dmf(args, inputs, cfg, argv):
+def cmd_dmf(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
     f = parse_vertex_function(inputs.read("function", args.function), g)
     w = build_window(g, _split_names(args.interior, "interior"))
     pot = _time_potential(args.potential, g, inputs)
     run = dmf_run(f, pot, args.t_final, args.steps, w, cfg)
-    manifest = build_manifest(argv, cfg.laplacian_scale, inputs)
     audit = {
         "dissipation": run.dissipation,
         "audit_margin": run.audit_margin,
@@ -365,20 +344,10 @@ def cmd_dmf(args, inputs, cfg, argv):
         "max_el_residual": max(r.el_residual for r in run.reports),
         "certificates_ok": all(r.certificate_ok for r in run.reports),
     }
-    return (
-        render_trajectory_csv(
-            run.times,
-            run.states,
-            [
-                "manifest: " + render_json_line(manifest),
-                "audit: " + render_json_line(audit),
-            ],
-        ),
-        "text",
-    )
+    return render_trajectory_csv(run.times, run.states), {"audit": audit}
 
 
-def cmd_harmonic(args, inputs, cfg, argv):
+def cmd_harmonic(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
     w = build_window(g, _split_names(args.interior, "interior"))
     bmap = parse_sphere_map(inputs.read("boundary", args.boundary), g)
@@ -390,7 +359,6 @@ def cmd_harmonic(args, inputs, cfg, argv):
             f"flow did not converge: status {res.flow.status!r} after "
             f"{res.flow.steps_accepted} accepted steps, residual {res.flow.residual}"
         )
-    manifest = build_manifest(argv, cfg.laplacian_scale, inputs)
     summary = {
         "status": res.flow.status,
         "seed_energy": res.seed_energy,
@@ -400,41 +368,25 @@ def cmd_harmonic(args, inputs, cfg, argv):
         "steps_rejected": res.flow.steps_rejected,
         "certificate_ok": res.certificate_ok,
     }
-    return (
-        render_sphere_map_csv(
-            res.flow.map,
-            [
-                "manifest: " + render_json_line(manifest),
-                "result: " + render_json_line(summary),
-            ],
-        ),
-        "text",
-    )
+    return render_sphere_map_csv(res.flow.map), {"result": summary}
 
 
-def cmd_identities(args, inputs, cfg, argv):
+def cmd_identities(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
-    report = run_identity_suite(g, args.seed, args.trials, cfg)
-    payload = {
-        "manifest": build_manifest(argv, cfg.laplacian_scale, inputs, seed=args.seed)
-    }
-    payload.update(report)
-    return payload, "json"
+    return run_identity_suite(g, args.seed, args.trials, cfg)
 
 
-def cmd_monge(args, inputs, cfg, argv):
+def cmd_monge(args, inputs, cfg):
     g = _load_graph_arg(args, inputs)
     sources = _split_names(args.sources, "sources")
     targets = _split_names(args.targets, "targets")
     cost, assignment = monge_cost(g, sources, targets)
-    payload = {
-        "manifest": build_manifest(argv, cfg.laplacian_scale, inputs),
+    return {
         "sources": sources,
         "targets": targets,
         "cost": cost,
         "assignment": list(assignment),
     }
-    return payload, "json"
 
 
 # ---------------------------------------------------------------------------
@@ -560,33 +512,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         scale = parse_scale(scale_text) if scale_text is not None else 1.0
         cfg = CalculusConfig(laplacian_scale=scale)
         inputs = Inputs()
-        result, kind = args.func(args, inputs, cfg, argv)
-        if kind == "json":
-            _emit(render_json(result) + "\n", args.out)
+        result = args.func(args, inputs, cfg)
+        manifest = build_manifest(argv, cfg.laplacian_scale, inputs, getattr(args, "seed", None))
+        if isinstance(result, dict):
+            _emit(render_json({"manifest": manifest, **result}) + "\n", args.out)
         else:
-            _emit(result, args.out)
+            body, notes = result
+            notes = {"manifest": manifest, **notes}
+            head = "".join(f"# {k}: {render_json_line(v)}\n" for k, v in notes.items())
+            _emit(head + body, args.out)
         return 0
     except SystemExit as e:  # argparse --version/--help paths
-        code = e.code if isinstance(e.code, int) else 0
-        return code
-    except NumericalError as e:
-        _emit(
-            render_json(
-                {"error": {"type": type(e).__name__, "message": str(e), "exit_code": 2}}
-            )
-            + "\n",
-            None,
-        )
-        return 2
+        return e.code if isinstance(e.code, int) else 0
     except GraphCalcError as e:
-        _emit(
-            render_json(
-                {"error": {"type": type(e).__name__, "message": str(e), "exit_code": 1}}
-            )
-            + "\n",
-            None,
-        )
-        return 1
+        code = 2 if isinstance(e, NumericalError) else 1
+        error = {"type": type(e).__name__, "message": str(e), "exit_code": code}
+        _emit(render_json({"error": error}) + "\n", None)
+        return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .rng import Lcg64
 
 ANTIPODAL_MARGIN = 1e-6
 FALLBACK_POINT = (1.0, 0.0, 0.0)
+SEED_SWEEPS = 10
 
 
 class SpherePoint:
@@ -321,12 +322,11 @@ def dirichlet_minimize(
     tau: float = 0.5,
     tol: float = 1e-8,
     max_steps: int = 20000,
-    seed_sweeps: int = 10,
 ) -> MinimizeResult:
     """Harmonic extension of boundary data by seeded gradient flow.
 
     The interior seed is the normalized mean of the boundary points refined
-    by a fixed number of normalized neighbor-averaging sweeps; zero sums
+    by SEED_SWEEPS normalized neighbor-averaging sweeps; zero sums
     fall back to a fixed point so seeding is total and deterministic.
     """
     if not boundary_map.defined_on(w.boundary):
@@ -337,7 +337,7 @@ def dirichlet_minimize(
         points[x] = base
     u = SphereMap(w.graph, points)
     closure = set(w.closure)
-    for _ in range(seed_sweeps):
+    for _ in range(SEED_SWEEPS):
         new_points = {
             x: _normalized_sum(
                 u.point(y).array for y in w.graph.neighbors(x) if y in closure

@@ -2,8 +2,8 @@
 
 CSV readers skip blank lines and '#' comment lines, tolerate surrounding
 whitespace, and accept one optional header row naming the columns.  Writers
-emit one leading '# manifest: ...' comment when given one, then plain rows
-with floats at full round-trip precision.
+emit a header row, then plain rows with floats at full round-trip precision;
+the CLI puts its '# manifest: ...' comment lines above them.
 """
 
 import csv
@@ -11,7 +11,7 @@ import io as _io
 import json
 import math
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Union
 
 from .calculus import VectorField
 from .errors import (
@@ -192,35 +192,28 @@ def parse_sphere_map(text: str, g: Graph) -> SphereMap:
     return SphereMap(g, pts)
 
 
-def _with_comments(body: str, comments: Sequence[str]) -> str:
-    head = "".join(f"# {c}\n" for c in comments)
-    return head + body
-
-
-def render_vertex_function_csv(
-    f: VertexFunction, comments: Sequence[str] = ()
-) -> str:
+def render_vertex_function_csv(f: VertexFunction) -> str:
     buf = _io.StringIO()
     buf.write("vertex,value\n")
     for x in f.domain:
         buf.write(f"{x},{format_float(f.value(x))}\n")
-    return _with_comments(buf.getvalue(), comments)
+    return buf.getvalue()
 
 
-def render_trajectory_csv(times, states, comments: Sequence[str] = ()) -> str:
+def render_trajectory_csv(times, states) -> str:
     """time,vertex,value rows, time-major, vertices in file order."""
     buf = _io.StringIO()
     buf.write("time,vertex,value\n")
     for t, u in zip(times, states):
         for x in u.domain:
             buf.write(f"{format_float(t)},{x},{format_float(u.value(x))}\n")
-    return _with_comments(buf.getvalue(), comments)
+    return buf.getvalue()
 
 
-def render_sphere_map_csv(u: SphereMap, comments: Sequence[str] = ()) -> str:
+def render_sphere_map_csv(u: SphereMap) -> str:
     buf = _io.StringIO()
     buf.write("vertex,x,y,z\n")
     for v in u.domain:
         p = u.point(v).xyz
         buf.write(f"{v},{format_float(p[0])},{format_float(p[1])},{format_float(p[2])}\n")
-    return _with_comments(buf.getvalue(), comments)
+    return buf.getvalue()

@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian, weighted_inner
-from .errors import DomainError, NonpositiveSpectrumError, ValidationError
+from .errors import DomainError, NonpositiveSpectrumError, NumericalError, ValidationError
 from .graph import Graph, Region, VertexFunction, gather, scatter
 from .linalg import eigh, eigvalsh
 from .rng import Lcg64
@@ -199,25 +199,26 @@ def eigensystem(spec: OperatorSpec) -> EigenSystem:
     return EigenSystem(spec, tuple(float(v) for v in vals), funcs, vectors)
 
 
-def _expand(
-    es: EigenSystem, f: VertexFunction, factors, weighted: bool = True
-) -> list[VertexFunction]:
+def _expand(es: EigenSystem, f: VertexFunction, factors) -> list[VertexFunction]:
     """sum_j m_j c_j phi_j on the closure, one function per factor row m.
 
-    c = Phi^T (w f) over the interior with w the degree, or 1 when not
-    weighted; a factor row is phi(lambda), such as exp(-lambda t) or
-    1/lambda.  Only elementwise products and np.sum, never BLAS, so the
-    bits do not depend on the BLAS thread count.
+    c = Phi^T (d f) over the interior with d the degree; a factor row is
+    phi(lambda), such as exp(-lambda t) or 1/lambda.  Only elementwise
+    products and np.sum, never BLAS, so the bits do not depend on the BLAS
+    thread count.  A value outside the float range is a NumericalError.
     """
     spec = es.spec
-    data = gather(f, spec.interior)
-    if weighted:
-        data = data * spec.region.layout.deg[: len(data)]
+    data = gather(f, spec.interior) * spec.region.layout.deg[: len(spec.interior)]
     coeffs = (es.vectors[: len(data)] * data[:, None]).sum(axis=0)
-    return [
-        scatter(spec.graph, spec.closure, (es.vectors * (coeffs * m)).sum(axis=1))
-        for m in factors
-    ]
+    out = []
+    for m in factors:
+        values = (es.vectors * (coeffs * m)).sum(axis=1)
+        finite = np.isfinite(values)
+        if not finite.all():
+            x = spec.closure[int(np.argmin(finite))]
+            raise NumericalError(f"eigen-expansion overflowed: value at {x!r} is not finite")
+        out.append(scatter(spec.graph, spec.closure, values))
+    return out
 
 
 def rayleigh_quotient(f: VertexFunction, spec: OperatorSpec) -> float:
@@ -357,16 +358,15 @@ class HeatKernel:
         i, j = _interior_rows(self.es.spec, "heat kernel", x, y)
         return float(self.matrix(t)[i, j])
 
-    def apply(self, t: float, f: VertexFunction, weighted: bool = True) -> VertexFunction:
+    def apply(self, t: float, f: VertexFunction) -> VertexFunction:
         """Propagate data f to time t; boundary values follow the spec's bc.
 
-        weighted=True uses the degree-weighted reconstruction (the measure
-        the eigenfunctions are orthonormal against), which reproduces f at
-        t = 0.  weighted=False exposes the plain unweighted sum.
+        The reconstruction is degree-weighted (the measure the
+        eigenfunctions are orthonormal against), so it reproduces f at t = 0.
         """
         if t < 0:
             raise ValidationError("heat kernel needs t >= 0")
-        return _expand(self.es, f, [np.exp(-self._vals * t)], weighted)[0]
+        return _expand(self.es, f, [np.exp(-self._vals * t)])[0]
 
 
 def heat_kernel(es: EigenSystem) -> HeatKernel:
@@ -394,9 +394,9 @@ class GreenFunction:
     def value(self, x: str, y: str) -> float:
         return float(self._G[_interior_rows(self.es.spec, "green function", x, y)])
 
-    def apply(self, f: VertexFunction, weighted: bool = True) -> VertexFunction:
-        """Solve Lu = f (weighted=True); boundary values follow the spec's bc."""
-        return _expand(self.es, f, [self._inv], weighted)[0]
+    def apply(self, f: VertexFunction) -> VertexFunction:
+        """Solve Lu = f; boundary values follow the spec's bc."""
+        return _expand(self.es, f, [self._inv])[0]
 
 
 def green_function(es: EigenSystem) -> GreenFunction:

@@ -45,6 +45,16 @@ def test_spectral_heat_rejects_nonzero_dirichlet_boundary(p3):
         gc.spectral_heat_solve(spec, bad, [0.0, 1.0])
 
 
+def test_spectral_heat_overflow_is_numerical_error(p3):
+    # lambda_1 = 1 - 1000, so exp(-lambda_1 t) leaves the float range by t = 1
+    w = gc.build_window(p3, ["b"])
+    spec = gc.OperatorSpec(w, "dirichlet", -1000.0)
+    f = gc.VertexFunction(p3, {"b": 1.0})
+    with pytest.raises(gc.NumericalError, match="value at 'b' is not finite"):
+        gc.spectral_heat_solve(spec, f, [0.0, 0.5, 1.0])
+    assert gc.spectral_heat_solve(spec, f, [0.0, 0.5]).states[1].value("b") > 1e200
+
+
 def test_spectral_heat_matches_heat_kernel(p5):
     # one expansion serves both: equal bit for bit on the whole closure
     w = gc.build_window(p5, ["b", "c", "d"])

@@ -115,7 +115,7 @@ def test_parse_sphere_map(p3):
 
 def test_csv_renderers_round_trip(p3):
     f = gc.VertexFunction(p3, {"a": 1.0 / 3.0, "b": -2.5e-17, "c": 7.0})
-    text = gc.render_vertex_function_csv(f, ["manifest: {}"])
+    text = "# manifest: {}\n" + gc.render_vertex_function_csv(f)
     assert text.startswith("# manifest: {}\nvertex,value\n")
     back = gc.parse_vertex_function(text, p3)
     for v in p3.vertices:
@@ -136,12 +136,41 @@ def test_csv_renderers_round_trip(p3):
 
 def test_render_trajectory_csv_shape(p3):
     f = gc.VertexFunction(p3, {"a": 0.0, "b": 1.0, "c": 0.0})
-    text = gc.render_trajectory_csv([0.0, 0.5], [f, f], ["note"])
+    text = "# note\n" + gc.render_trajectory_csv([0.0, 0.5], [f, f])
     lines = text.splitlines()
     assert lines[0] == "# note"
     assert lines[1] == "time,vertex,value"
     assert lines[2] == "0,a,0"
     assert lines[5] == "0.5,a,0"
+
+
+def test_render_json_layouts_are_pinned():
+    obj = {
+        "empty_dict": {},
+        "empty_list": [],
+        "flags": [True, False, None],
+        "n": 3,
+        "x": 0.1,
+        "specials": [math.nan, math.inf, -math.inf],
+        "nested": {'say "hi"': [1, [2.5, {}], {"k": -0.0}]},
+        "tuple": (1, 2),
+    }
+    assert cli.render_json(obj) == (
+        '{\n  "empty_dict": {},\n  "empty_list": [],\n  "flags": [\n    true,\n'
+        '    false,\n    null\n  ],\n  "n": 3,\n  "x": 0.10000000000000001,\n'
+        '  "specials": [\n    "nan",\n    "inf",\n    "-inf"\n  ],\n  "nested": {\n'
+        '    "say \\"hi\\"": [\n      1,\n      [\n        2.5,\n        {}\n      ],\n'
+        '      {\n        "k": -0\n      }\n    ]\n  },\n  "tuple": [\n    1,\n    2\n  ]\n}'
+    )
+    assert cli.render_json(obj["nested"], 2) == (
+        '{\n      "say \\"hi\\"": [\n        1,\n        [\n          2.5,\n'
+        '          {}\n        ],\n        {\n          "k": -0\n        }\n      ]\n    }'
+    )
+    assert cli.render_json_line(obj) == (
+        '{"empty_dict": {}, "empty_list": [], "flags": [true, false, null], "n": 3, '
+        '"x": 0.10000000000000001, "specials": ["nan", "inf", "-inf"], '
+        '"nested": {"say \\"hi\\"": [1, [2.5, {}], {"k": -0}]}, "tuple": [1, 2]}'
+    )
 
 
 def test_format_float_round_trips():
@@ -190,7 +219,7 @@ def test_vertex_function_csv_round_trip_is_exact(ids, data):
     domain = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
     vals = data.draw(st.lists(FINITE_FLOATS, min_size=len(domain), max_size=len(domain)))
     f = gc.VertexFunction(g, dict(zip(domain, vals)))
-    back = gc.parse_vertex_function(gc.render_vertex_function_csv(f, ["manifest: {}"]), g)
+    back = gc.parse_vertex_function("# manifest: {}\n" + gc.render_vertex_function_csv(f), g)
     assert back.domain == f.domain
     assert [v.hex() for v in back.values.values()] == [v.hex() for v in f.values.values()]
 
@@ -243,6 +272,54 @@ def test_cli_graph_payload(tmp_path, capsys):
     assert doc["volume"] == 8
     assert doc["connected"] is True
     assert doc["degrees"] == {"v0": 2, "v1": 2, "v2": 2, "v3": 2}
+
+
+CSV_NOTES = {"heat": [], "transport": [], "dmf": ["audit"], "harmonic": ["result"]}
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["graph", "spectrum", "cheeger", "minimax", "heat", "transport", "dmf", "harmonic",
+     "identities", "monge"],
+)
+def test_every_document_leads_with_its_manifest(tmp_path, capsys, command):
+    gpath = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("a,0\nb,1\nc,0\n")
+    field = tmp_path / "w.csv"
+    field.write_text("a,b,1\nb,c,1\n")
+    bmap = tmp_path / "boundary.csv"
+    bmap.write_text("a,1,0,0\nc,0,1,0\n")
+    f = str(fn)
+    extra = {
+        "graph": [],
+        "spectrum": ["--bc", "dirichlet", "--interior", "b"],
+        "cheeger": ["--function", f],
+        "minimax": [f, "--src", "a", "--dst", "c"],
+        "heat": [f, "--bc", "dirichlet", "--interior", "b", "--t-final", "1", "--steps", "2"],
+        "transport": [f, "--field", str(field), "--t-final", "1", "--dt", "0.5"],
+        "dmf": [f, "--interior", "b", "--t-final", "1", "--steps", "2"],
+        "harmonic": ["--interior", "b", "--boundary", str(bmap)],
+        "identities": ["--seed", "7", "--trials", "3"],
+        "monge": ["--sources", "a", "--targets", "c"],
+    }[command]
+    argv = [command, gpath, *extra]
+    rc, out = run_cli(capsys, argv)
+    assert rc == 0, out
+    if command in CSV_NOTES:
+        lines = out.splitlines()
+        labels = ["manifest", *CSV_NOTES[command]]
+        for line, label in zip(lines, labels):
+            assert line.startswith(f"# {label}: {{"), (line, label)
+        assert not lines[len(labels)].startswith("#")
+        manifest = json.loads(lines[0][len("# manifest: ") :])
+    else:
+        doc = json.loads(out)
+        assert list(doc)[0] == "manifest"
+        manifest = doc["manifest"]
+    seed = ["seed"] if command == "identities" else []
+    assert list(manifest) == ["tool", "version", "argv", "scale", *seed, "inputs"]
+    assert manifest["argv"] == argv
 
 
 def test_cli_spectrum_frozen(tmp_path, capsys):
@@ -621,6 +698,20 @@ def test_cli_nan_csv_cell_is_json_error(tmp_path, capsys):
     argv = ["heat", path, str(fn), "--bc", "dirichlet", "--interior", "b",
             "--t-final", "1", "--steps", "2"]
     assert_one_json_validation_error(*run_cli(capsys, argv))
+
+
+def test_cli_heat_overflow_is_numerical_error(tmp_path, capsys):
+    path = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("b,1\n")
+    argv = ["heat", path, str(fn), "--bc", "dirichlet", "--interior", "b",
+            "--potential", "-1000", "--t-final", "1", "--steps", "2"]
+    rc, out = run_cli(capsys, argv)
+    assert rc == 2
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "NumericalError"
+    assert doc["error"]["exit_code"] == 2
 
 
 def test_cli_orthonormality_residual_matches_numpy(tmp_path, capsys):
