@@ -17,7 +17,10 @@ it ran with.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 from .errors import DomainError, ValidationError
 from .graph import Graph, Region, SubgraphWindow, VertexFunction, gather
@@ -57,6 +60,14 @@ class VectorField:
             graph.check_edge(x, y)
             vals[(x, y)] = float(w)
         self.entries = vals
+        self.scaling: Optional[tuple[float, "VectorField"]] = None
+
+    @cached_property
+    def entries(self) -> dict[tuple[str, str], float]:
+        """The value on each ordered pair; a scaled field builds them on
+        first read."""
+        c, w = self.scaling
+        return {k: c * v for k, v in w.entries.items()}
 
     def value(self, x: str, y: str) -> float:
         self.graph.check_edge(x, y)
@@ -65,10 +76,13 @@ class VectorField:
         return self.entries[(x, y)]
 
     def scaled(self, c: float) -> "VectorField":
-        """The field c * w on the same pairs, without checking them again."""
+        """The field c * w on the same pairs, without checking them again.
+
+        It keeps scaling = (c, w) and builds its entries only when read, so
+        array code can scale w's values instead (the same products)."""
         out = object.__new__(type(self))
         out.graph = self.graph
-        out.entries = {k: c * v for k, v in self.entries.items()}
+        out.scaling = (c, self)
         return out
 
     def is_antisymmetric(self, tol: float = 1e-12) -> bool:
@@ -409,17 +423,54 @@ def canonical_window(g: Graph) -> SubgraphWindow:
     return build_window(g, picked)
 
 
+def _uniforms(rng: Lcg64, k: int) -> np.ndarray:
+    """k draws in [-1, 1], as random_function and random_antisymmetric_field
+    make them."""
+    return np.array([rng.uniform(-1.0, 1.0) for _ in range(k)])
+
+
 def run_identity_suite(
     g: Graph, seed: int, trials: int, cfg: CalculusConfig = DEFAULT_CONFIG
 ) -> dict:
     """Randomized residual checks for every first-order identity.
 
-    Deterministic given the seed.  Values are drawn in [-1, 1] so residuals
-    sit at accumulation roundoff, far below the 1e-12 gate.  Returns a dict
-    of per-check summaries with max absolute residuals.
+    Deterministic given the seed.  Each trial draws, from one Lcg64 stream,
+    the instances random_function (f, then h) and random_antisymmetric_field
+    (W) would draw, and evaluates both sides of every identity as arrays over
+    the graph's layout pairs, each side from a different operator.  The
+    pointwise functions above are the reference the tests hold it to.  Values
+    are drawn in [-1, 1] so residuals sit at accumulation roundoff, far below
+    the 1e-12 gate; the maximum-principle minima are the floats the pointwise
+    checks return.  Returns a dict of per-check summaries with max absolute
+    residuals.
     """
     rng = Lcg64(seed)
     win = canonical_window(g)
+    trials = max(0, trials)
+    scale = cfg.laplacian_scale
+    lay, n = g.layout, len(g)
+    src, dst, deg = lay.src, lay.dst, lay.deg
+    if trials and not deg.all():
+        raise ValidationError(f"vertex {g.vertices[int(deg.argmin())]!r} is isolated")
+    inside = np.zeros(n, dtype=bool)
+    inside[[lay.rows[x] for x in win.interior]] = True
+    leaves = inside[src]  # pairs leaving the window interior
+    stays, exits = leaves & inside[dst], leaves & ~inside[dst]
+    # W(x, y) is the draw of edge {x, y}, which g.edges() lists with x first
+    # in file order, and its negative on (y, x); a repeated edge keeps its
+    # last draw
+    edge_of = {(lay.rows[x], lay.rows[y]): k for k, (x, y) in enumerate(g.edges())}
+    ends = zip(np.minimum(src, dst).tolist(), np.maximum(src, dst).tolist())
+    edge = np.array([edge_of[e] for e in ends], dtype=np.intp)
+    forward = src < dst
+
+    def sums(pair_values: np.ndarray) -> np.ndarray:
+        """Per-vertex sums over its pairs, added in neighbor order from 0."""
+        return np.bincount(src, weights=pair_values, minlength=n)
+
+    def div(pair_values: np.ndarray) -> np.ndarray:
+        return sums(pair_values) / deg
+
     checks = {
         "divergence_theorem": 0.0,
         "green_symmetric": 0.0,
@@ -429,70 +480,56 @@ def run_identity_suite(
         "directional_vs_product": 0.0,
         "hessian_trace": 0.0,
     }
-    scale1 = CalculusConfig(laplacian_scale=1.0)
+
+    def gap(name: str, lhs, rhs) -> None:
+        worst = float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0))
+        checks[name] = max(checks[name], worst)
+
     minima_checked = 0
     min_laplacian = math.inf
     min_hessian_entry = math.inf
     min_gradient_entry = math.inf
 
-    for _ in range(max(0, trials)):
-        f = random_function(g, rng)
-        h = random_function(g, rng)
-        W = random_antisymmetric_field(g, rng)
+    for _ in range(trials):
+        f, h, drawn = _uniforms(rng, n), _uniforms(rng, n), _uniforms(rng, len(g.edges()))
+        w = np.where(forward, drawn[edge], -drawn[edge])
+        df, dh = f[dst] - f[src], h[dst] - h[src]
 
-        r = divergence_theorem_residual(W, g, g.vertices)
-        checks["divergence_theorem"] = max(checks["divergence_theorem"], abs(r))
-        r = divergence_theorem_residual(W, g, win.interior)
-        checks["divergence_theorem"] = max(checks["divergence_theorem"], abs(r))
+        gap("divergence_theorem", np.sum(w), 0.0)
+        gap("divergence_theorem", np.sum(w[stays]), 0.0)
 
-        rep = green_symmetric_report(f, h, win, cfg)
-        checks["green_symmetric"] = max(checks["green_symmetric"], abs(rep.residual))
+        lap = scale * sums(df) / deg
+        lhs = np.sum((deg * lap * h)[inside])
+        interior = -scale / 2.0 * np.sum((df * dh)[stays])
+        boundary = scale * np.sum((h[src] * df)[exits])
+        gap("green_symmetric", lhs - interior, boundary)
 
-        repv = green_vectorfield_report(W, f, win)
-        checks["green_vectorfield"] = max(checks["green_vectorfield"], abs(repv.residual))
+        div_w, w_f = div(w), div(w * df)  # div W, and W(f) = W . grad f
+        div_fw = div(0.5 * (f[src] + f[dst]) * w)
+        lhs = np.sum((deg * div_w * f)[inside])
+        pairing = np.sum((deg * w_f)[inside])
+        gap("green_vectorfield", lhs, -0.5 * pairing + np.sum((deg * div_fw)[inside]))
 
-        fg = VertexFunction(g, {v: f.value(v) * h.value(v) for v in g.vertices})
-        fW = pointwise_product(f, W)
-        gf = gradient_field(f)
-        for x in g.vertices:
-            fx, hx = f.value(x), h.value(x)
-            for y in g.neighbors(x):
-                lhs = edge_difference(fg, x, y)
-                rhs = (
-                    fx * edge_difference(h, x, y)
-                    + hx * edge_difference(f, x, y)
-                    + edge_difference(f, x, y) * edge_difference(h, x, y)
-                )
-                checks["gradient_product_rule"] = max(
-                    checks["gradient_product_rule"], abs(lhs - rhs)
-                )
-            lhs = divergence(fW, x)
-            rhs = fx * divergence(W, x) + 0.5 * directional_derivative(W, f, x)
-            checks["field_product_rule"] = max(checks["field_product_rule"], abs(lhs - rhs))
+        fh = f * h
+        gap("gradient_product_rule", fh[dst] - fh[src], f[src] * dh + h[src] * df + df * dh)
+        gap("field_product_rule", div_fw, f * div_w + 0.5 * w_f)
+        gap("directional_vs_product", div(w * f[dst]) - f * div_w, w_f)
+        gap("hessian_trace", sums(0.5 * (f[dst] + f[dst] - 2.0 * f[src])), deg * (sums(df) / deg))
 
-            lhs = directional_derivative(W, f, x)
-            rhs = scalar_product(W, gf, x)
-            checks["directional_vs_product"] = max(
-                checks["directional_vs_product"], abs(lhs - rhs)
+        # x is a local minimum when no neighbor is lower; the smallest
+        # gradient and hessian entries there are taken at the lowest neighbor
+        low = np.full(n, math.inf)
+        np.minimum.at(low, src, f[dst])
+        at_min = low >= f
+        if at_min.any():
+            minima_checked += int(np.count_nonzero(at_min))
+            min_laplacian = min(min_laplacian, float(lap[at_min].min()))
+            min_hessian_entry = min(
+                min_hessian_entry, float((0.5 * (low + low - 2.0 * f))[at_min].min())
             )
+            min_gradient_entry = min(min_gradient_entry, float((low - f)[at_min].min()))
 
-            tr = hessian(f, x).trace()
-            expect = g.degree(x) * laplacian(f, x, scale1)
-            checks["hessian_trace"] = max(checks["hessian_trace"], abs(tr - expect))
-
-            if is_local_min(f, x):
-                minima_checked += 1
-                rep = maximum_principle_check(f, x, cfg)
-                min_laplacian = min(min_laplacian, rep.laplacian_value)
-                min_hessian_entry = min(
-                    min_hessian_entry, min(e for row in hessian(f, x).entries for e in row)
-                )
-                min_gradient_entry = min(min_gradient_entry, min(gradient(f, x)))
-
-    report = {
-        name: {"max_abs_residual": value, "trials": max(0, trials)}
-        for name, value in checks.items()
-    }
+    report = {name: {"max_abs_residual": value, "trials": trials} for name, value in checks.items()}
     report["maximum_principle"] = {
         "local_minima_checked": minima_checked,
         "min_laplacian": None if minima_checked == 0 else min_laplacian,

@@ -13,6 +13,7 @@ print a one-object JSON diagnostic to standard output.
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import sys
@@ -49,17 +50,15 @@ SCALE_ENV = "GRAPHCALC_SCALE"
 
 
 def _render_scalar(obj) -> str:
-    import json as _json
-
     if isinstance(obj, bool) or obj is None:
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
-            return _json.dumps(str(obj))
+            return json.dumps(str(obj))
         return format_float(obj)
-    return _json.dumps(obj)
+    return json.dumps(obj)
 
 
 def render_json(obj, level: Optional[int] = 0) -> str:

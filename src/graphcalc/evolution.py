@@ -28,6 +28,7 @@ from .spectral import (
     EigenSystem,
     OperatorSpec,
     _expand,
+    _heat_factors,
     _on_closure,
     apply_operator,
     check_dirichlet_data,
@@ -89,8 +90,7 @@ def spectral_heat_solve(
     ts = _check_time_grid(times)
     check_dirichlet_data(spec, f)
     es = eigensystem(spec)
-    lam = np.array(es.values)
-    states = _expand(es, f, [np.exp(-lam * t) for t in ts])
+    states = _expand(es, f, _heat_factors(es, ts))
     return Trajectory(ts, tuple(states), "spectral")
 
 
@@ -196,16 +196,29 @@ class _PairRates:
     def __init__(self, g: Graph):
         lay = g.layout
         self.src, self.dst, self.deg = lay.src, lay.dst, lay.deg
+        self.src_deg = lay.deg[lay.src]
         names = g.vertices
         self.keys = [(names[i], names[j]) for i, j in zip(self.src.tolist(), self.dst.tolist())]
+        self._last: Optional[tuple[VectorField, np.ndarray]] = None
+
+    def values(self, w: VectorField) -> np.ndarray:
+        """w on the pairs.  A scaled field c * v is c times v's values, and
+        the last plain field is gathered once, so a callable field that
+        scales one base field reads the base's entries once per run."""
+        if w.scaling is not None:
+            c, base = w.scaling
+            return c * self.values(base)
+        if self._last is None or self._last[0] is not w:
+            try:
+                vals = np.fromiter(map(w.entries.__getitem__, self.keys), float, len(self.keys))
+            except KeyError as e:
+                x, y = e.args[0]
+                raise DomainError(f"field not defined on ordered pair ({x}, {y})") from None
+            self._last = (w, vals)
+        return self._last[1]
 
     def rates(self, w: VectorField) -> np.ndarray:
-        try:
-            vals = np.fromiter(map(w.entries.__getitem__, self.keys), float, len(self.keys))
-        except KeyError as e:
-            x, y = e.args[0]
-            raise DomainError(f"field not defined on ordered pair ({x}, {y})") from None
-        return vals / self.deg[self.src]
+        return self.values(w) / self.src_deg
 
     def rhs(self, rates: np.ndarray, vec: np.ndarray) -> np.ndarray:
         change = rates * (vec[self.dst] - vec[self.src])
@@ -513,8 +526,7 @@ def _max_weighted_gap(pairs, w: SubgraphWindow) -> float:
 
 
 def _run_error_vs_reference(run: DMFRun, es: EigenSystem, phi: VertexFunction) -> float:
-    lam = np.array(es.values)
-    refs = _expand(es, phi, [np.exp(-lam * t) for t in run.times])
+    refs = _expand(es, phi, _heat_factors(es, run.times))
     return _max_weighted_gap(zip(run.states, refs), run.window)
 
 

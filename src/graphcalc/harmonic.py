@@ -302,11 +302,39 @@ def harmonic_heat_flow(
     )
 
 
-def _normalized_sum(vectors) -> SpherePoint:
-    acc = sum(vectors, np.zeros(3))
-    if float(np.linalg.norm(acc)) < 1e-12:
-        return SpherePoint(*FALLBACK_POINT)
-    return SpherePoint.from_array(acc)
+def _normalized_rows(sums: np.ndarray) -> np.ndarray:
+    """Each row of an (r, 3) array normalized as SpherePoint does, or
+    FALLBACK_POINT where the row's norm is below 1e-12."""
+    norms = np.sqrt(_row_dots(sums, sums))[:, None]
+    small = norms < 1e-12
+    return np.where(small, SpherePoint(*FALLBACK_POINT).xyz, sums / np.where(small, 1.0, norms))
+
+
+def _seed_map(boundary_map: SphereMap, w: SubgraphWindow) -> SphereMap:
+    """The flow's start on the closure: every interior vertex at the
+    normalized sum of the boundary points, then SEED_SWEEPS Jacobi sweeps
+    moving each interior vertex to the normalized sum of its closure
+    neighbors.
+
+    Sums run with bincount from zero, in boundary order and in neighbor
+    order over the window layout's pairs, so they add what a sum of the
+    points' arrays adds, in the same order.
+    """
+    k, lay = len(w.interior), w.layout
+    boundary = [boundary_map.point(b) for b in w.boundary]
+    bnd = np.array([p.xyz for p in boundary]).reshape(-1, 3)
+    base = _normalized_rows(
+        np.bincount(np.tile(np.arange(3), len(bnd)), weights=bnd.ravel(), minlength=3)[None, :]
+    )
+    pts = np.concatenate([np.repeat(base, k, axis=0), bnd])
+    src, dst = lay.src[: lay.interior_pairs], lay.dst[: lay.interior_pairs]
+    slots = (3 * src[:, None] + np.arange(3)).ravel()
+    for _ in range(SEED_SWEEPS):
+        sums = np.bincount(slots, weights=pts[dst].ravel(), minlength=3 * k).reshape(k, 3)
+        pts[:k] = _normalized_rows(sums)
+    points = dict(zip(w.boundary, boundary))
+    points.update((x, SpherePoint._unit(tuple(r))) for x, r in zip(w.interior, pts[:k].tolist()))
+    return SphereMap(w.graph, points)
 
 
 @dataclass(frozen=True)
@@ -331,20 +359,7 @@ def dirichlet_minimize(
     """
     if not boundary_map.defined_on(w.boundary):
         raise ValidationError("boundary data must cover the window boundary")
-    base = _normalized_sum(boundary_map.point(b).array for b in w.boundary)
-    points = {b: boundary_map.point(b) for b in w.boundary}
-    for x in w.interior:
-        points[x] = base
-    u = SphereMap(w.graph, points)
-    closure = set(w.closure)
-    for _ in range(SEED_SWEEPS):
-        new_points = {
-            x: _normalized_sum(
-                u.point(y).array for y in w.graph.neighbors(x) if y in closure
-            )
-            for x in w.interior
-        }
-        u = u.updated(new_points)
+    u = _seed_map(boundary_map, w)
     seed_energy = map_energy(u, w)
     flow = harmonic_heat_flow(u, w, tau=tau, tol=tol, max_steps=max_steps)
     ok = flow.final_energy <= seed_energy + 1e-12 * max(1.0, seed_energy)

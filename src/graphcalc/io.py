@@ -205,8 +205,9 @@ def render_trajectory_csv(times, states) -> str:
     buf = _io.StringIO()
     buf.write("time,vertex,value\n")
     for t, u in zip(times, states):
-        for x in u.domain:
-            buf.write(f"{format_float(t)},{x},{format_float(u.value(x))}\n")
+        head = format_float(t)
+        for x, v in u.values.items():  # in u.domain order
+            buf.write(f"{head},{x},{format_float(v)}\n")
     return buf.getvalue()
 
 

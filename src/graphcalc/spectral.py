@@ -212,13 +212,22 @@ def _expand(es: EigenSystem, f: VertexFunction, factors) -> list[VertexFunction]
     coeffs = (es.vectors[: len(data)] * data[:, None]).sum(axis=0)
     out = []
     for m in factors:
-        values = (es.vectors * (coeffs * m)).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            values = (es.vectors * (coeffs * m)).sum(axis=1)
         finite = np.isfinite(values)
         if not finite.all():
             x = spec.closure[int(np.argmin(finite))]
             raise NumericalError(f"eigen-expansion overflowed: value at {x!r} is not finite")
         out.append(scatter(spec.graph, spec.closure, values))
     return out
+
+
+def _heat_factors(es: EigenSystem, times) -> list[np.ndarray]:
+    """The factor rows exp(-lambda t) of _expand, one per time; one that
+    overflows is left to _expand to report."""
+    lam = np.array(es.values)
+    with np.errstate(over="ignore"):
+        return [np.exp(-lam * t) for t in times]
 
 
 def rayleigh_quotient(f: VertexFunction, spec: OperatorSpec) -> float:
@@ -366,7 +375,7 @@ class HeatKernel:
         """
         if t < 0:
             raise ValidationError("heat kernel needs t >= 0")
-        return _expand(self.es, f, [np.exp(-self._vals * t)])[0]
+        return _expand(self.es, f, _heat_factors(self.es, [t]))[0]
 
 
 def heat_kernel(es: EigenSystem) -> HeatKernel:

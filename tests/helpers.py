@@ -3,10 +3,12 @@
 Everything here recomputes results from first principles with none of the
 package's algorithmic shortcuts: Fractions instead of floats, exhaustive
 enumeration instead of heaps or bitmask chunking, numpy's LAPACK eigensolver
-instead of the package's QL solver.
+instead of the package's QL solver, and the pointwise calculus API in place
+of the array kernels built on it.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -140,3 +142,120 @@ def connected_graphs(draw):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
     return gc.Graph(names, [(names[i], names[j]) for i, j in sorted(edges)])
+
+
+def pointwise_identity_suite(g: gc.Graph, seed: int, trials: int, cfg=gc.DEFAULT_CONFIG) -> dict:
+    """run_identity_suite written per vertex over the public pointwise
+    functions: the same draws, the same report layout."""
+    rng = gc.Lcg64(seed)
+    win = gc.canonical_window(g)
+    checks = {
+        "divergence_theorem": 0.0,
+        "green_symmetric": 0.0,
+        "green_vectorfield": 0.0,
+        "gradient_product_rule": 0.0,
+        "field_product_rule": 0.0,
+        "directional_vs_product": 0.0,
+        "hessian_trace": 0.0,
+    }
+    scale1 = gc.CalculusConfig(laplacian_scale=1.0)
+    minima_checked = 0
+    min_laplacian = math.inf
+    min_hessian_entry = math.inf
+    min_gradient_entry = math.inf
+
+    for _ in range(max(0, trials)):
+        f = gc.random_function(g, rng)
+        h = gc.random_function(g, rng)
+        W = gc.random_antisymmetric_field(g, rng)
+
+        r = gc.divergence_theorem_residual(W, g, g.vertices)
+        checks["divergence_theorem"] = max(checks["divergence_theorem"], abs(r))
+        r = gc.divergence_theorem_residual(W, g, win.interior)
+        checks["divergence_theorem"] = max(checks["divergence_theorem"], abs(r))
+
+        rep = gc.green_symmetric_report(f, h, win, cfg)
+        checks["green_symmetric"] = max(checks["green_symmetric"], abs(rep.residual))
+
+        repv = gc.green_vectorfield_report(W, f, win)
+        checks["green_vectorfield"] = max(checks["green_vectorfield"], abs(repv.residual))
+
+        fg = gc.VertexFunction(g, {v: f.value(v) * h.value(v) for v in g.vertices})
+        fW = gc.pointwise_product(f, W)
+        gf = gc.gradient_field(f)
+        for x in g.vertices:
+            fx, hx = f.value(x), h.value(x)
+            for y in g.neighbors(x):
+                lhs = gc.edge_difference(fg, x, y)
+                rhs = (
+                    fx * gc.edge_difference(h, x, y)
+                    + hx * gc.edge_difference(f, x, y)
+                    + gc.edge_difference(f, x, y) * gc.edge_difference(h, x, y)
+                )
+                checks["gradient_product_rule"] = max(
+                    checks["gradient_product_rule"], abs(lhs - rhs)
+                )
+            lhs = gc.divergence(fW, x)
+            rhs = fx * gc.divergence(W, x) + 0.5 * gc.directional_derivative(W, f, x)
+            checks["field_product_rule"] = max(checks["field_product_rule"], abs(lhs - rhs))
+
+            lhs = gc.directional_derivative(W, f, x)
+            rhs = gc.scalar_product(W, gf, x)
+            checks["directional_vs_product"] = max(
+                checks["directional_vs_product"], abs(lhs - rhs)
+            )
+
+            tr = gc.hessian(f, x).trace()
+            expect = g.degree(x) * gc.laplacian(f, x, scale1)
+            checks["hessian_trace"] = max(checks["hessian_trace"], abs(tr - expect))
+
+            if gc.is_local_min(f, x):
+                minima_checked += 1
+                rep = gc.maximum_principle_check(f, x, cfg)
+                min_laplacian = min(min_laplacian, rep.laplacian_value)
+                min_hessian_entry = min(
+                    min_hessian_entry, min(e for row in gc.hessian(f, x).entries for e in row)
+                )
+                min_gradient_entry = min(min_gradient_entry, min(gc.gradient(f, x)))
+
+    report = {
+        name: {"max_abs_residual": value, "trials": max(0, trials)}
+        for name, value in checks.items()
+    }
+    report["maximum_principle"] = {
+        "local_minima_checked": minima_checked,
+        "min_laplacian": None if minima_checked == 0 else min_laplacian,
+        "min_hessian_entry": None if minima_checked == 0 else min_hessian_entry,
+        "min_gradient_entry": None if minima_checked == 0 else min_gradient_entry,
+    }
+    report["window_interior"] = list(win.interior)
+    report["scale"] = cfg.laplacian_scale
+    report["seed"] = seed
+    return report
+
+
+def _normalized_sum(vectors) -> gc.SpherePoint:
+    acc = sum(vectors, np.zeros(3))
+    if float(np.linalg.norm(acc)) < 1e-12:
+        return gc.SpherePoint(*gc.harmonic.FALLBACK_POINT)
+    return gc.SpherePoint.from_array(acc)
+
+
+def pointwise_seed_map(boundary_map: gc.SphereMap, w: gc.SubgraphWindow) -> gc.SphereMap:
+    """dirichlet_minimize's seed written per vertex over SpherePoint arrays:
+    the normalized boundary sum, then harmonic.SEED_SWEEPS neighbor sweeps."""
+    base = _normalized_sum(boundary_map.point(b).array for b in w.boundary)
+    points = {b: boundary_map.point(b) for b in w.boundary}
+    for x in w.interior:
+        points[x] = base
+    u = gc.SphereMap(w.graph, points)
+    closure = set(w.closure)
+    for _ in range(gc.harmonic.SEED_SWEEPS):
+        new_points = {
+            x: _normalized_sum(
+                u.point(y).array for y in w.graph.neighbors(x) if y in closure
+            )
+            for x in w.interior
+        }
+        u = u.updated(new_points)
+    return u

@@ -412,7 +412,8 @@ def test_a11_cli_bytes_stable_across_runs_and_thread_counts(tmp_path):
 
 def test_flows_bytes_stable_across_thread_counts_on_larger_grids(tmp_path):
     # a guard beside a11 at sizes where BLAS matvecs do change bits between
-    # thread counts: transport and the harmonic flow must not depend on them
+    # thread counts: transport, the harmonic flow and the identity suite
+    # must not depend on them
     rng = gc.Lcg64(113)
     g15 = grid_graph(15)
     (tmp_path / "g15.json").write_text(gc.write_graph(g15))
@@ -431,12 +432,14 @@ def test_flows_bytes_stable_across_thread_counts_on_larger_grids(tmp_path):
         th = math.atan2(i - 5.5, j - 5.5)
         rows.append(f"{v},{math.cos(th)!r},{math.sin(th)!r},{0.3 + 0.5 * math.sin(2 * th)!r}\n")
     (tmp_path / "b12.csv").write_text("".join(rows))
+    (tmp_path / "g20.json").write_text(gc.write_graph(grid_graph(20)))
     battery = [
         ["transport", str(tmp_path / "g15.json"), str(tmp_path / "f15.csv"),
          "--field", str(tmp_path / "w15.csv"), "--profile", "sin",
          "--t-final", "1", "--dt", "0.01"],
         ["harmonic", str(tmp_path / "g12.json"), "--interior", ",".join(interior),
          "--boundary", str(tmp_path / "b12.csv")],
+        ["identities", str(tmp_path / "g20.json"), "--seed", "131", "--trials", "3"],
     ]
     for args in battery:
         assert _run_cli(args, 2) == _run_cli(args, 1), args[0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import graphcalc as gc
 
 from conftest import FIXTURES
-from helpers import connected_graphs
+from helpers import connected_graphs, pointwise_identity_suite
 
 SCALE23 = gc.CalculusConfig(laplacian_scale=2.0 / 3.0)
 
@@ -215,3 +215,56 @@ def test_identity_suite_property(g):
     ]
     assert len(residuals) == 7
     assert max(residuals) <= 1e-12
+
+
+def assert_suite_matches_pointwise(g, seed, trials, cfg=gc.DEFAULT_CONFIG):
+    """The array suite against the per-vertex reference: the same draws, so
+    the same maximum-principle floats; residuals may differ by roundoff."""
+    got = gc.run_identity_suite(g, seed, trials, cfg)
+    want = pointwise_identity_suite(g, seed, trials, cfg)
+    assert list(got) == list(want)
+    assert got["maximum_principle"] == want["maximum_principle"]
+    for key in ("window_interior", "scale", "seed"):
+        assert got[key] == want[key]
+    for name, value in got.items():
+        if isinstance(value, dict) and "max_abs_residual" in value:
+            assert value["trials"] == want[name]["trials"] == max(0, trials)
+            assert value["max_abs_residual"] <= 1e-12, name
+            assert want[name]["max_abs_residual"] <= 1e-12, name
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_identity_suite_matches_pointwise_reference(name):
+    g = FIXTURES[name]()
+    for cfg in (gc.DEFAULT_CONFIG, SCALE23):
+        report = assert_suite_matches_pointwise(g, 17, 40, cfg)
+        assert report["maximum_principle"]["local_minima_checked"] > 0
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(connected_graphs())
+def test_identity_suite_matches_pointwise_reference_property(g):
+    assert_suite_matches_pointwise(g, len(g) + 3, 4)
+
+
+def test_identity_suite_zero_trials(k4):
+    report = assert_suite_matches_pointwise(k4, 5, 0)
+    assert report["maximum_principle"] == {
+        "local_minima_checked": 0,
+        "min_laplacian": None,
+        "min_hessian_entry": None,
+        "min_gradient_entry": None,
+    }
+    assert all(
+        v["max_abs_residual"] == 0.0 for v in report.values() if isinstance(v, dict) and "trials" in v
+    )
+
+
+def test_identity_suite_isolated_vertex_message():
+    # the first isolated vertex in file order, as the pointwise stencil names it
+    g = gc.Graph(["a", "b", "z", "c", "y"], [("a", "b"), ("b", "c")])
+    for suite in (gc.run_identity_suite, pointwise_identity_suite):
+        with pytest.raises(gc.ValidationError, match="^vertex 'z' is isolated$"):
+            suite(g, 3, 1)
+    assert_suite_matches_pointwise(g, 3, 0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import graphcalc as gc
 
 from conftest import FIXTURES, make_c4, make_octahedron, make_p3, make_p5
-from helpers import connected_graphs
+from helpers import connected_graphs, grid_graph, grid_interior, pointwise_seed_map
 
 EX = gc.SpherePoint(1.0, 0.0, 0.0)
 EY = gc.SpherePoint(0.0, 1.0, 0.0)
@@ -415,3 +415,38 @@ def test_flow_first_step_property(case):
             gc.harmonic_heat_flow(u0, w, tau=tau)
         return
     _assert_first_step_matches_pointwise(u0, w, tau)
+
+
+def _assert_seed_matches_pointwise(boundary_map, w):
+    got = gc.harmonic._seed_map(boundary_map, w)
+    want = pointwise_seed_map(boundary_map, w)
+    assert got.domain == want.domain == tuple(x for x in w.graph.vertices if x in w.layout.rows)
+    assert [got.point(x).xyz for x in got.domain] == [want.point(x).xyz for x in want.domain]
+    assert gc.map_energy(got, w) == gc.map_energy(want, w)
+
+
+def test_seed_sweeps_match_pointwise_loop(p3, octahedron):
+    rng = gc.Lcg64(97)
+    cases = [
+        (gc.SphereMap(p3, {"a": EX, "c": EY}), gc.build_window(p3, ["b"])),
+        # the boundary sum cancels: every interior vertex takes FALLBACK_POINT
+        (gc.SphereMap(p3, {"a": EZ, "c": gc.SpherePoint(0.0, 0.0, -1.0)}), gc.build_window(p3, ["b"])),
+        # a -0.0 coordinate: sums start from +0.0, as sum(..., np.zeros(3)) does
+        (gc.SphereMap(p3, {"a": gc.SpherePoint(-0.0, 0.0, 1.0)}), gc.build_window(p3, ["b", "c"])),
+        (random_sphere_map(octahedron, rng), gc.build_window(octahedron, ["p1", "m1", "p2"])),
+    ]
+    for k in (5, 8):
+        g = grid_graph(k)
+        cases.append((random_sphere_map(g, rng), gc.build_window(g, grid_interior(k))))
+    for boundary_map, w in cases:
+        _assert_seed_matches_pointwise(boundary_map, w)
+    boundary_map, w = cases[-1]
+    res = gc.dirichlet_minimize(boundary_map, w, tol=1e-6)
+    assert res.seed_energy == gc.map_energy(pointwise_seed_map(boundary_map, w), w)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(windowed_maps())
+def test_seed_sweeps_match_pointwise_loop_property(case):
+    u0, w, _ = case
+    _assert_seed_matches_pointwise(u0, w)

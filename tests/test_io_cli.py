@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,26 @@ def test_render_trajectory_csv_shape(p3):
     assert lines[1] == "time,vertex,value"
     assert lines[2] == "0,a,0"
     assert lines[5] == "0.5,a,0"
+
+
+def test_render_trajectory_csv_bytes_are_pinned():
+    # rows in each state's domain order (file order, not insertion order),
+    # -0.0, subnormals and the .17g time column exactly as before
+    g = gc.Graph(["b", "a", "c"], [("a", "b"), ("b", "c")])
+    states = [
+        gc.VertexFunction(g, {"a": 0.1, "b": -0.0, "c": 5e-324}),
+        gc.VertexFunction(g, {"c": 1e300, "a": -2.5e-310}),
+        gc.VertexFunction(g, {"b": 1 / 3}),
+    ]
+    assert gc.render_trajectory_csv([0.0, 0.1, 2.0 / 3.0], states) == (
+        "time,vertex,value\n"
+        "0,b,-0\n"
+        "0,a,0.10000000000000001\n"
+        "0,c,4.9406564584124654e-324\n"
+        "0.10000000000000001,a,-2.5000000000000171e-310\n"
+        "0.10000000000000001,c,1.0000000000000001e+300\n"
+        "0.66666666666666663,b,0.33333333333333331\n"
+    )
 
 
 def test_render_json_layouts_are_pinned():
@@ -706,12 +727,18 @@ def test_cli_heat_overflow_is_numerical_error(tmp_path, capsys):
     fn.write_text("b,1\n")
     argv = ["heat", path, str(fn), "--bc", "dirichlet", "--interior", "b",
             "--potential", "-1000", "--t-final", "1", "--steps", "2"]
-    rc, out = run_cli(capsys, argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    out, err = capsys.readouterr()
     assert rc == 2
     doc = json.loads(out)
     assert list(doc) == ["error"]
     assert doc["error"]["type"] == "NumericalError"
     assert doc["error"]["exit_code"] == 2
+    # the JSON error is the only signal: no numpy overflow warnings
+    assert [str(w.message) for w in caught] == []
+    assert err == ""
 
 
 def test_cli_orthonormality_residual_matches_numpy(tmp_path, capsys):
