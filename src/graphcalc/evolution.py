@@ -18,8 +18,6 @@ from .calculus import (
     closure_energy,
     directional_derivative,
     laplacian,
-    weighted_inner,
-    weighted_norm_sq,
 )
 from .errors import DomainError, IndefiniteStepError, NumericalError, ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction, gather, scatter
@@ -27,10 +25,13 @@ from .linalg import cholesky, cholesky_solve, eigvalsh
 from .spectral import (
     EigenSystem,
     OperatorSpec,
+    _apply_rows,
+    _column_sums,
     _expand,
+    _extend_to_closure,
     _heat_factors,
     _on_closure,
-    apply_operator,
+    _potential_rows,
     check_dirichlet_data,
     eigensystem,
     extend_to_boundary,
@@ -135,21 +136,29 @@ def _uniform_step(times: tuple[float, ...]) -> float:
 
 def heat_identities_report(traj: Trajectory, spec: OperatorSpec) -> HeatIdentitiesReport:
     h = _uniform_step(traj.times)
-    inner = spec.interior
-    g = spec.graph
-    cfg = spec.config
-
-    masses, forms, grad_sq, gaps = [], [], [], []
-    for u in traj.states:
-        lu = apply_operator(spec, u)
-        masses.append(weighted_norm_sq(u, inner))
-        forms.append(weighted_inner(u, lu, inner))
-        grad_sq.append(weighted_norm_sq(lu, inner))
-        pair_energy = closure_energy(u, spec.region)
-        qterm = sum(
-            spec.potential_at(x) * u.value(x) ** 2 * g.degree(x) for x in inner
-        )
-        gaps.append(abs(forms[-1] - (0.5 * cfg.laplacian_scale * pair_energy + qterm)))
+    n, lay = len(spec.interior), spec.region.layout
+    columns = []
+    for state in traj.states:
+        check_dirichlet_data(spec, state)
+        columns.append(gather(state, spec.closure))
+    states = np.column_stack(columns)  # closure rows, one column per state
+    u = states[:n]
+    deg = lay.deg[:n, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        lu = _apply_rows(spec, _extend_to_closure(spec, u))
+        # float_power is the C library's pow, as Python's ** is; np.power
+        # and u * u round some squares differently
+        u_sq = np.float_power(u, 2.0)
+        masses = _column_sums(u_sq * deg)
+        forms = _column_sums(u * lu * deg)
+        grad_sq = _column_sums(np.float_power(lu, 2.0) * deg)
+        grad = states[lay.dst] - states[lay.src]
+        pair_energy = _column_sums(grad * grad)  # closure_energy of each state
+        qterm = _column_sums(_potential_rows(spec)[:, None] * u_sq * deg)
+        gaps = np.abs(forms - (0.5 * spec.config.laplacian_scale * pair_energy + qterm))
+    if not np.isfinite([masses, forms, grad_sq, gaps]).all():
+        raise NumericalError("heat audit overflowed: a mass, form or gap is not finite")
+    masses, forms, grad_sq = masses.tolist(), forms.tolist(), grad_sq.tolist()
 
     ddt = 0.0
     for k in range(1, len(traj.times) - 1):
@@ -180,7 +189,7 @@ def heat_identities_report(traj: Trajectory, spec: OperatorSpec) -> HeatIdentiti
         max_energy_increase=worst_rise,
         conservation_residual=cons,
         energy_flux_residual=flux,
-        closure_form_gap=max(gaps),
+        closure_form_gap=max(gaps.tolist()),
         initial_mass=masses[0],
         final_mass=masses[-1],
     )
@@ -521,7 +530,7 @@ def _max_weighted_gap(pairs, w: SubgraphWindow) -> float:
     worst = 0.0
     for u, v in pairs:
         diff = gather(u, w.interior) - gather(v, w.interior)
-        worst = max(worst, math.sqrt(float((diff * diff) @ deg)))
+        worst = max(worst, math.sqrt(float(np.sum(diff * diff * deg))))
     return worst
 
 

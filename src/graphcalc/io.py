@@ -193,22 +193,17 @@ def parse_sphere_map(text: str, g: Graph) -> SphereMap:
 
 
 def render_vertex_function_csv(f: VertexFunction) -> str:
-    buf = _io.StringIO()
-    buf.write("vertex,value\n")
-    for x in f.domain:
-        buf.write(f"{x},{format_float(f.value(x))}\n")
-    return buf.getvalue()
+    """vertex,value rows in f's domain order (file order)."""
+    return "vertex,value\n" + "".join([f"{x},{v:.17g}\n" for x, v in f.values.items()])
 
 
 def render_trajectory_csv(times, states) -> str:
     """time,vertex,value rows, time-major, vertices in file order."""
-    buf = _io.StringIO()
-    buf.write("time,vertex,value\n")
+    parts = ["time,vertex,value\n"]
     for t, u in zip(times, states):
         head = format_float(t)
-        for x, v in u.values.items():  # in u.domain order
-            buf.write(f"{head},{x},{format_float(v)}\n")
-    return buf.getvalue()
+        parts += [f"{head},{x},{v:.17g}\n" for x, v in u.values.items()]  # in u.domain order
+    return "".join(parts)
 
 
 def render_sphere_map_csv(u: SphereMap) -> str:

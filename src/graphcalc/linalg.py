@@ -16,6 +16,8 @@ never a BLAS call, so its bits do not depend on the BLAS thread count.
   has its first entry above SIGN_TOL of its peak positive.  The basis then
   depends on the eigenspace, not on the solver.
 * cholesky / cholesky_solve: the symmetric positive-definite solve.
+* qr / project: a thin Householder QR, and the projection Q^T M Q onto
+  the span of its columns.
 """
 
 import math
@@ -228,3 +230,47 @@ def cholesky_solve(L: np.ndarray, b) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         y[i] = (y[i] - float(np.sum(L[i + 1 :, i] * y[i + 1 :]))) / L[i, i]
     return y
+
+
+def qr(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of an n x j matrix A (n >= j) by Householder reflections.
+
+    Q (n x j) has orthonormal columns and R (j x j) is upper triangular with
+    A = QR.  |R[c, c]| is the norm of column c's part orthogonal to the
+    columns before it, so a small diagonal entry flags lost rank.
+    """
+    A = np.array(matrix, dtype=float)
+    n, j = A.shape
+    if n < j:
+        raise ValueError("qr needs at least as many rows as columns")
+    reflectors = []
+    for c in range(j):
+        x = A[c:, c]
+        norm = math.sqrt(float((x * x).sum()))
+        if norm == 0.0:  # nothing left to reduce in this column
+            continue
+        v = x.copy()
+        v[0] += math.copysign(norm, v[0])
+        v *= math.sqrt(2.0 / float((v * v).sum()))  # H = I - v v^T
+        block = A[c:, c:]
+        block -= v[:, None] * (v[:, None] * block).sum(axis=0)
+        reflectors.append((c, v))
+    Q = np.eye(n, j)
+    for c, v in reversed(reflectors):
+        tail = Q[c:]
+        tail -= v[:, None] * (v[:, None] * tail).sum(axis=0)
+    return Q, np.triu(A[:j])
+
+
+def project(matrix, basis) -> np.ndarray:
+    """Q^T M Q for a square M and a basis Q (n x j), one column at a time."""
+    M = np.asarray(matrix, dtype=float)
+    Q = np.asarray(basis, dtype=float)
+    j = Q.shape[1]
+    MQ = np.empty(Q.shape)
+    for c in range(j):
+        MQ[:, c] = (M * Q[:, c]).sum(axis=1)
+    out = np.empty((j, j))
+    for c in range(j):
+        out[c] = (Q[:, c : c + 1] * MQ).sum(axis=0)
+    return out

@@ -22,10 +22,10 @@ from typing import Union
 
 import numpy as np
 
-from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian, weighted_inner
+from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian
 from .errors import DomainError, NonpositiveSpectrumError, NumericalError, ValidationError
 from .graph import Graph, Region, VertexFunction, gather, scatter
-from .linalg import eigh, eigvalsh
+from .linalg import eigh, eigvalsh, project, qr
 from .rng import Lcg64
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "none")
@@ -111,13 +111,22 @@ def _reflection_rows(spec: OperatorSpec) -> list[np.ndarray]:
     return [d[d < k] for d in np.split(dst, np.searchsorted(src, np.arange(k + 1, n)))]
 
 
+def _column_sums(stack: np.ndarray) -> np.ndarray:
+    """The sum down each column, adding the rows in order from zero as
+    Python's sum adds its terms.  (np.sum pairs up the rows of a single
+    column.)"""
+    total = np.zeros(stack.shape[1:])
+    for row in stack:
+        total += row
+    return total
+
+
 def _extend_to_closure(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
     """Interior rows (one per interior vertex) stacked over boundary rows.
 
     A boundary row is zero for dirichlet and the mean of the rows of its
     interior neighbors for neumann, summed in neighbor order from zero.
-    rows must be 2-D: numpy sums a 2-D array down its first axis in order,
-    but a 1-D array pairwise.
+    rows holds one function (1-D) or a stack of them (one per column).
     """
     k = len(rows)
     out = np.zeros((len(spec.closure),) + rows.shape[1:])
@@ -125,8 +134,41 @@ def _extend_to_closure(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
     if spec.bc == "neumann":
         for r, inb in enumerate(_reflection_rows(spec), k):
             if inb.size:
-                out[r] = rows[inb].sum(axis=0) / inb.size
+                out[r] = _column_sums(rows[inb]) / inb.size
     return out
+
+
+def _potential_rows(spec: OperatorSpec) -> np.ndarray:
+    """Q at each interior row, read once per vertex."""
+    return np.array([spec.potential_at(x) for x in spec.interior], dtype=float)
+
+
+def _apply_rows(spec: OperatorSpec, ext: np.ndarray) -> np.ndarray:
+    """L = -laplacian + Q on the interior rows of a closure stack.
+
+    ext has one row per closure vertex, as _extend_to_closure returns it,
+    and one column per function.  Each interior row's neighbor differences
+    are summed by np.bincount over (pair, column) slots, which adds them in
+    neighbor order from zero, so every entry equals the pointwise laplacian
+    bit for bit.
+    """
+    lay = spec.region.layout
+    k, m = len(spec.interior), ext.shape[1]
+    deg = lay.deg[:k, None]
+    if not deg.all():
+        raise ValidationError(f"vertex {spec.interior[int(deg.argmin())]!r} is isolated")
+    src, dst = lay.src[: lay.interior_pairs], lay.dst[: lay.interior_pairs]
+    slots = (src[:, None] * m + np.arange(m)).ravel()
+    sums = np.bincount(slots, weights=(ext[dst] - ext[src]).ravel(), minlength=k * m)
+    q = _potential_rows(spec)
+    return -(spec.config.laplacian_scale * sums.reshape(k, m)) / deg + q[:, None] * ext[:k]
+
+
+def _weighted_sums(spec: OperatorSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a, b) in the degree-weighted inner product for each column of two
+    interior stacks, with the terms a b d_x added as weighted_inner adds
+    them."""
+    return _column_sums(a * b * spec.region.layout.deg[: len(a), None])
 
 
 def check_dirichlet_data(spec: OperatorSpec, f: VertexFunction) -> None:
@@ -135,17 +177,15 @@ def check_dirichlet_data(spec: OperatorSpec, f: VertexFunction) -> None:
     if spec.bc != "dirichlet":
         return
     for b in spec.boundary:
-        if b in f and f.value(b) != 0.0:
-            raise ValidationError(
-                f"dirichlet data must vanish on the boundary, f({b}) = {f.value(b)}"
-            )
+        value = f.values.get(b, 0.0)
+        if value != 0.0:
+            raise ValidationError(f"dirichlet data must vanish on the boundary, f({b}) = {value}")
 
 
 def _on_closure(spec: OperatorSpec, column: np.ndarray) -> VertexFunction:
     """The function with these interior values (one per interior vertex),
     extended to the boundary as the spec's bc says."""
-    ext = _extend_to_closure(spec, column[:, None])[:, 0]
-    return scatter(spec.graph, spec.closure, ext)
+    return scatter(spec.graph, spec.closure, _extend_to_closure(spec, column))
 
 
 def extend_to_boundary(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
@@ -162,12 +202,10 @@ def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
     Dirichlet data must actually vanish on the boundary; Neumann data is
     extended by the reflection relation; bc 'none' needs f on all vertices.
     """
-    extended = extend_to_boundary(spec, f)
-    out = {}
-    for x in spec.interior:
-        fx = extended.values[x]
-        out[x] = -laplacian(extended, x, spec.config) + spec.potential_at(x) * fx
-    return VertexFunction(spec.graph, out)
+    check_dirichlet_data(spec, f)
+    rows = gather(f, spec.interior)[:, None]
+    lf = _apply_rows(spec, _extend_to_closure(spec, rows))[:, 0]
+    return VertexFunction(spec.graph, dict(zip(spec.interior, lf.tolist())))
 
 
 @dataclass(frozen=True)
@@ -230,15 +268,22 @@ def _heat_factors(es: EigenSystem, times) -> list[np.ndarray]:
         return [np.exp(-lam * t) for t in times]
 
 
+def _quotients(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
+    """The Rayleigh quotient (f, Lf)_w / (f, f)_w of each column of an
+    interior stack."""
+    den = _weighted_sums(spec, rows, rows)
+    if np.any(den <= 0.0):
+        raise ValidationError("rayleigh quotient of the zero function")
+    return _weighted_sums(spec, rows, _apply_rows(spec, _extend_to_closure(spec, rows))) / den
+
+
 def rayleigh_quotient(f: VertexFunction, spec: OperatorSpec) -> float:
     """(f, Lf)_w / (f, f)_w over the interior."""
-    interior = spec.interior
-    den = weighted_inner(f, f, interior)
-    if den <= 0.0:
+    rows = gather(f, spec.interior)[:, None]
+    if _weighted_sums(spec, rows, rows)[0] <= 0.0:
         raise ValidationError("rayleigh quotient of the zero function")
-    lf = apply_operator(spec, f)
-    num = weighted_inner(f, lf, interior)
-    return num / den
+    check_dirichlet_data(spec, f)
+    return float(_quotients(spec, rows)[0])
 
 
 @dataclass(frozen=True)
@@ -269,39 +314,37 @@ def courant_fischer_check(
     if not 1 <= j <= len(es):
         raise ValidationError(f"eigenvalue index {j} out of range 1..{len(es)}")
     spec = es.spec
-    g = spec.graph
-    interior = spec.interior
+    k = len(spec.interior)
     rng = Lcg64(seed)
     lam_j = es.values[j - 1]
 
-    span_max = rayleigh_quotient(es.functions[j - 1], spec)
+    # the first column is phi_j; each sample is sum_i (c_i / |c|) phi_i,
+    # added in index order from zero
+    weights = []
     for _ in range(samples):
         coeffs = [rng.uniform(-1.0, 1.0) for _ in range(j)]
         norm = math.sqrt(sum(c * c for c in coeffs))
         if norm < 1e-9:
             coeffs[0] = 1.0
             norm = 1.0
-        values = {}
-        for v in interior:
-            values[v] = sum(
-                c / norm * es.functions[k].value(v) for k, c in enumerate(coeffs)
-            )
-        f = VertexFunction(g, values)
-        span_max = max(span_max, rayleigh_quotient(f, spec))
+        weights.append([c / norm for c in coeffs])
+    basis = es.vectors[:k, :j]
+    stack = np.zeros((k, 1 + len(weights)))
+    stack[:, 0] = basis[:, j - 1]
+    for i, c in enumerate(np.array(weights).reshape(len(weights), j).T):
+        stack[:, 1:] += basis[:, i : i + 1] * c
+    span_max = max(_quotients(spec, stack).tolist())
 
     # any j-dimensional subspace: project the symmetric matrix and take the
     # top eigenvalue of the small block, which is the exact subspace maximum
     M = symmetric_matrix(spec)
-    n = len(interior)
     worst = math.inf
     for _ in range(subspaces):
-        B = np.array(
-            [[rng.normal() for _ in range(j)] for _ in range(n)], dtype=float
-        )
-        Qmat, R = np.linalg.qr(B)
-        if min(abs(float(R[k, k])) for k in range(j)) < 1e-8:
+        B = np.array([[rng.normal() for _ in range(j)] for _ in range(k)], dtype=float)
+        Qmat, R = qr(B)
+        if min(abs(float(R[i, i])) for i in range(j)) < 1e-8:
             continue
-        small = Qmat.T @ M @ Qmat
+        small = project(M, Qmat)
         small = 0.5 * (small + small.T)
         worst = min(worst, float(eigvalsh(small)[-1]) - lam_j)
     return CourantFischerReport(

@@ -259,3 +259,127 @@ def pointwise_seed_map(boundary_map: gc.SphereMap, w: gc.SubgraphWindow) -> gc.S
         }
         u = u.updated(new_points)
     return u
+
+
+def pointwise_apply_operator(spec: gc.OperatorSpec, f: gc.VertexFunction) -> gc.VertexFunction:
+    """apply_operator written per vertex over the pointwise laplacian."""
+    extended = gc.spectral.extend_to_boundary(spec, f)
+    out = {}
+    for x in spec.interior:
+        fx = extended.values[x]
+        out[x] = -gc.laplacian(extended, x, spec.config) + spec.potential_at(x) * fx
+    return gc.VertexFunction(spec.graph, out)
+
+
+def pointwise_rayleigh_quotient(f: gc.VertexFunction, spec: gc.OperatorSpec) -> float:
+    """rayleigh_quotient over weighted_inner and the pointwise operator."""
+    interior = spec.interior
+    den = gc.weighted_inner(f, f, interior)
+    if den <= 0.0:
+        raise gc.ValidationError("rayleigh quotient of the zero function")
+    lf = pointwise_apply_operator(spec, f)
+    num = gc.weighted_inner(f, lf, interior)
+    return num / den
+
+
+def pointwise_courant_fischer(
+    es: gc.EigenSystem, j: int, seed: int = 1, samples: int = 200, subspaces: int = 50
+) -> gc.CourantFischerReport:
+    """courant_fischer_check with one VertexFunction and one pointwise
+    Rayleigh quotient per sample, and LAPACK's QR with BLAS products for the
+    subspaces: the same draws in the same order."""
+    spec = es.spec
+    g = spec.graph
+    interior = spec.interior
+    rng = gc.Lcg64(seed)
+    lam_j = es.values[j - 1]
+
+    span_max = pointwise_rayleigh_quotient(es.functions[j - 1], spec)
+    for _ in range(samples):
+        coeffs = [rng.uniform(-1.0, 1.0) for _ in range(j)]
+        norm = math.sqrt(sum(c * c for c in coeffs))
+        if norm < 1e-9:
+            coeffs[0] = 1.0
+            norm = 1.0
+        values = {}
+        for v in interior:
+            values[v] = sum(c / norm * es.functions[k].value(v) for k, c in enumerate(coeffs))
+        f = gc.VertexFunction(g, values)
+        span_max = max(span_max, pointwise_rayleigh_quotient(f, spec))
+
+    M = gc.symmetric_matrix(spec)
+    n = len(interior)
+    worst = math.inf
+    for _ in range(subspaces):
+        B = np.array([[rng.normal() for _ in range(j)] for _ in range(n)], dtype=float)
+        Qmat, R = np.linalg.qr(B)
+        if min(abs(float(R[k, k])) for k in range(j)) < 1e-8:
+            continue
+        small = Qmat.T @ M @ Qmat
+        small = 0.5 * (small + small.T)
+        worst = min(worst, float(np.linalg.eigvalsh(small)[-1]) - lam_j)
+    return gc.CourantFischerReport(
+        j=j,
+        lambda_j=lam_j,
+        span_max=span_max,
+        span_gap=span_max - lam_j,
+        subspace_worst_excess=worst,
+        samples=samples,
+        subspaces=subspaces,
+        seed=seed,
+    )
+
+
+def pointwise_heat_identities_report(
+    traj: gc.Trajectory, spec: gc.OperatorSpec
+) -> gc.HeatIdentitiesReport:
+    """heat_identities_report with the pointwise operator, weighted sums and
+    closure_energy for each state."""
+    h = gc.evolution._uniform_step(traj.times)
+    inner = spec.interior
+    g = spec.graph
+    cfg = spec.config
+
+    masses, forms, grad_sq, gaps = [], [], [], []
+    for u in traj.states:
+        lu = pointwise_apply_operator(spec, u)
+        masses.append(gc.weighted_norm_sq(u, inner))
+        forms.append(gc.weighted_inner(u, lu, inner))
+        grad_sq.append(gc.weighted_norm_sq(lu, inner))
+        pair_energy = gc.closure_energy(u, spec.region)
+        qterm = sum(spec.potential_at(x) * u.value(x) ** 2 * g.degree(x) for x in inner)
+        gaps.append(abs(forms[-1] - (0.5 * cfg.laplacian_scale * pair_energy + qterm)))
+
+    ddt = 0.0
+    for k in range(1, len(traj.times) - 1):
+        diff = (masses[k + 1] - masses[k - 1]) / (traj.times[k + 1] - traj.times[k - 1])
+        ddt = max(ddt, abs(diff + 2.0 * forms[k]))
+
+    worst_rise = 0.0
+    for a, b in zip(forms, forms[1:]):
+        worst_rise = max(worst_rise, b - a)
+    monotone = worst_rise <= 1e-12 * max(1.0, abs(forms[0]))
+
+    cons = 0.0
+    flux = 0.0
+    acc_f, acc_g = 0.0, 0.0
+    for k in range(1, len(traj.times)):
+        acc_f += h * (forms[k - 1] + forms[k])
+        acc_g += h * (grad_sq[k - 1] + grad_sq[k])
+        cons = max(cons, abs(masses[k] + acc_f - masses[0]))
+        flux = max(flux, abs(forms[k] + acc_g - forms[0]))
+
+    return gc.HeatIdentitiesReport(
+        bc=spec.bc,
+        step=h,
+        samples=len(traj.times),
+        quad_tol=h * h,
+        max_ddt_residual=ddt,
+        energy_monotone=monotone,
+        max_energy_increase=worst_rise,
+        conservation_residual=cons,
+        energy_flux_residual=flux,
+        closure_form_gap=max(gaps),
+        initial_mass=masses[0],
+        final_mass=masses[-1],
+    )

@@ -445,6 +445,33 @@ def test_flows_bytes_stable_across_thread_counts_on_larger_grids(tmp_path):
         assert _run_cli(args, 2) == _run_cli(args, 1), args[0]
 
 
+def test_courant_fischer_stable_across_thread_counts():
+    # a guard beside a11: the Courant-Fischer subspaces are projected by
+    # linalg.qr and linalg.project, not LAPACK's QR and BLAS products, so the
+    # report on the 8 x 8 window (interior 36) is the same at any thread count
+    script = (
+        "import graphcalc as gc\n"
+        "names = [f'r{i}c{j}' for i in range(8) for j in range(8)]\n"
+        "edges = [(f'r{i}c{j}', f'r{i}c{j + 1}') for i in range(8) for j in range(7)]\n"
+        "edges += [(f'r{i}c{j}', f'r{i + 1}c{j}') for i in range(7) for j in range(8)]\n"
+        "g = gc.Graph(names, edges)\n"
+        "w = gc.build_window(g, [f'r{i}c{j}' for i in range(1, 7) for j in range(1, 7)])\n"
+        "es = gc.eigensystem(gc.OperatorSpec(w, 'dirichlet'))\n"
+        "for j in (1, 3, 12, 36):\n"
+        "    print(repr(gc.courant_fischer_check(es, j, seed=5, samples=100, subspaces=20)))\n"
+    )
+    outputs = []
+    for threads in (1, 2):
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b"CourantFischerReport") == 4
+    assert outputs[1] == outputs[0]
+
+
 def test_eigensolve_and_dmf_bytes_stable_across_thread_counts(tmp_path):
     # a guard beside a11 at n = 196, where LAPACK solves and eigensolves
     # change bits between BLAS thread counts: the dmf step solve and the

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,17 @@ import pytest
 
 import graphcalc as gc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import FIXTURES
-from helpers import random_connected_graph
+from helpers import (
+    connected_graphs,
+    grid_graph,
+    grid_interior,
+    pointwise_heat_identities_report,
+    random_connected_graph,
+)
 
 
 def grid(t_final, n):
@@ -470,3 +480,127 @@ def test_dmf_convergence_self_mode(p5):
         gc.dmf_convergence_study(phi, lambda t: 0.0, 1.0, (4, 12), w)
     with pytest.raises(gc.ValidationError):
         gc.dmf_convergence_study(phi, 0.0, 1.0, (8,), w)
+
+
+# --- the array heat audit against its pointwise reference -----------------
+
+
+def _audit_specs():
+    """The fixtures with their canonical windows and the 4 x 4 and 7 x 7
+    grids with the window off their outer ring, at laplacian scale 1 or
+    2/3, under every bc, with no potential, a constant one and a vertex
+    function."""
+    rng = gc.Lcg64(71)
+    regions = [(make(), None) for make in FIXTURES.values()]
+    regions += [(grid_graph(k), grid_interior(k)) for k in (4, 7)]
+    for n, (g, interior) in enumerate(regions):
+        w = gc.canonical_window(g) if interior is None else gc.build_window(g, interior)
+        q = gc.VertexFunction(g, {v: rng.uniform(0.0, 2.0) for v in g.vertices})
+        cfg = gc.CalculusConfig(laplacian_scale=(1.0, 2.0 / 3.0)[n % 2])
+        for potential in (None, 0.7, q):
+            yield gc.OperatorSpec(g, "none", potential, cfg)
+            yield gc.OperatorSpec(w, "dirichlet", potential, cfg)
+            yield gc.OperatorSpec(w, "neumann", potential, cfg)
+
+
+def _assert_audit_matches_reference(traj, spec):
+    got = dataclasses.astuple(gc.heat_identities_report(traj, spec))
+    want = dataclasses.astuple(pointwise_heat_identities_report(traj, spec))
+    assert repr(got) == repr(want), spec.bc  # repr tells -0.0 from 0.0
+
+
+def _pow_rounds_apart(rng):
+    """A draw whose square x ** 2 (the C library's pow) is not x * x."""
+    while True:
+        x = rng.uniform(-1.0, 1.0)
+        if x**2 != x * x:
+            return x
+
+
+def _off_flow_states(spec, rng, count):
+    """Closure states that are not a heat flow: random neumann boundary
+    values the reflection does not reproduce, signed zeros on a dirichlet
+    boundary and at some interior vertices, and values whose pow square is
+    not their product square."""
+    states = []
+    for n in range(count):
+        values = {x: rng.uniform(-1.0, 1.0) for x in spec.interior}
+        values[spec.interior[0]] = _pow_rounds_apart(rng)
+        values[spec.interior[n % len(spec.interior)]] = -0.0
+        for i, b in enumerate(spec.boundary):
+            values[b] = rng.uniform(-1.0, 1.0) if spec.bc == "neumann" else (-0.0 if i % 2 else 0.0)
+        states.append(gc.VertexFunction(spec.graph, values))
+    return states
+
+
+def test_heat_identities_match_pointwise_reference():
+    rng = gc.Lcg64(73)
+    times = grid(0.1, 10)
+    for spec in _audit_specs():
+        f = gc.VertexFunction(spec.graph, {x: rng.uniform(-1.0, 1.0) for x in spec.interior})
+        _assert_audit_matches_reference(gc.spectral_heat_solve(spec, f, times), spec)
+        states = _off_flow_states(spec, rng, 5)
+        _assert_audit_matches_reference(gc.Trajectory(tuple(times[:5]), tuple(states), "test"), spec)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    connected_graphs(),
+    st.sampled_from(gc.spectral.BOUNDARY_CONDITIONS),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_heat_identities_match_pointwise_reference_property(g, bc, with_potential, seed):
+    rng = gc.Lcg64(seed)
+    potential = (
+        gc.VertexFunction(g, {v: rng.uniform(-1.0, 2.0) for v in g.vertices})
+        if with_potential
+        else None
+    )
+    spec = gc.OperatorSpec(g if bc == "none" else gc.canonical_window(g), bc, potential)
+    f = gc.VertexFunction(g, {x: rng.uniform(-1.0, 1.0) for x in spec.interior})
+    _assert_audit_matches_reference(gc.spectral_heat_solve(spec, f, grid(0.05, 5)), spec)
+    states = _off_flow_states(spec, rng, 4)
+    _assert_audit_matches_reference(gc.Trajectory(tuple(grid(0.03, 3)), tuple(states), "test"), spec)
+
+
+def test_heat_identities_error_paths_match_pointwise_reference(p5):
+    w = gc.build_window(p5, ["b", "c", "d"])
+    spec = gc.OperatorSpec(w, "dirichlet")
+    good = gc.VertexFunction(p5, {"a": 0.0, "b": 1.0, "c": 0.5, "d": 1.0, "e": 0.0})
+    cases = {
+        "boundary data": (
+            gc.VertexFunction(p5, {"a": 0.0, "b": 1.0, "c": 0.5, "d": 1.0, "e": 0.125}),
+            gc.ValidationError,
+            "dirichlet data must vanish on the boundary, f(e) = 0.125",
+        ),
+        "missing interior vertex": (
+            gc.VertexFunction(p5, {"a": 0.0, "b": 1.0, "d": 1.0, "e": 0.0}),
+            gc.DomainError,
+            "function not defined at 'c'",
+        ),
+        "missing boundary vertex": (
+            gc.VertexFunction(p5, {"b": 1.0, "c": 0.5, "d": 1.0, "e": 0.0}),
+            gc.DomainError,
+            "function not defined at 'a'",
+        ),
+    }
+    for name, (bad, kind, message) in cases.items():
+        traj = gc.Trajectory((0.0, 0.01, 0.02), (good, bad, good), "test")
+        for audit in (gc.heat_identities_report, pointwise_heat_identities_report):
+            with pytest.raises(kind) as info:
+                audit(traj, spec)
+            assert type(info.value) is kind and str(info.value) == message, (name, audit)
+
+
+def test_heat_identities_overflow_is_numerical_error(p5, recwarn):
+    # a square past the float range used to escape as Python's OverflowError
+    # from x ** 2; a mass, form or gap that is not finite is reported instead
+    # of auditing inf - inf
+    spec = gc.OperatorSpec(p5, "none")
+    for big in (1e200, 1e154):
+        u = gc.VertexFunction(p5, {v: big if v == "c" else 0.0 for v in p5.vertices})
+        traj = gc.Trajectory((0.0, 0.01, 0.02), (u, u, u), "test")
+        with pytest.raises(gc.NumericalError, match="not finite"):
+            gc.heat_identities_report(traj, spec)
+    assert not recwarn.list

@@ -165,6 +165,23 @@ def test_render_trajectory_csv_bytes_are_pinned():
     )
 
 
+def test_render_vertex_function_csv_bytes_are_pinned():
+    # rows in file order whatever the insertion order, with -0.0, subnormals
+    # and .17g values exactly as before
+    g = gc.Graph(["b", "a", "c", "d", "e"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    f = gc.VertexFunction(g, {"e": 1e300, "c": 5e-324, "a": 0.1, "b": -0.0, "d": -2.5e-310})
+    assert gc.render_vertex_function_csv(f) == (
+        "vertex,value\n"
+        "b,-0\n"
+        "a,0.10000000000000001\n"
+        "c,4.9406564584124654e-324\n"
+        "d,-2.5000000000000171e-310\n"
+        "e,1.0000000000000001e+300\n"
+    )
+    partial = gc.VertexFunction(g, {"d": 2.0 / 3.0, "b": 1.0})
+    assert gc.render_vertex_function_csv(partial) == "vertex,value\nb,1\nd,0.66666666666666663\n"
+
+
 def test_render_json_layouts_are_pinned():
     obj = {
         "empty_dict": {},

@@ -160,6 +160,31 @@ def test_cholesky_solve_matches_lapack():
         linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_qr_and_projection_match_lapack():
+    rng = gc.Lcg64(47)
+    M = gc.symmetric_matrix(gc.OperatorSpec(grid_graph(6), "none"))
+    for n, j in ((1, 1), (5, 2), (36, 3), (36, 36)):
+        B = np.array([[rng.normal() for _ in range(j)] for _ in range(n)])
+        Q, R = linalg.qr(B)
+        Q_ref, R_ref = np.linalg.qr(B)
+        assert Q.shape == (n, j) and np.array_equal(R, np.triu(R))
+        assert np.allclose(np.abs(np.diag(R)), np.abs(np.diag(R_ref)), rtol=0, atol=1e-12)
+        assert np.max(np.abs(Q @ R - B)) <= 1e-12
+        assert np.max(np.abs(Q.T @ Q - np.eye(j))) <= 1e-12
+        assert np.max(np.abs(Q @ Q.T - Q_ref @ Q_ref.T)) <= 1e-12  # the same span
+        if n == 36:
+            assert np.max(np.abs(linalg.project(M, Q) - Q.T @ M @ Q)) <= 1e-12
+    # a column in the span of the ones before it leaves a diagonal entry at
+    # roundoff, which the Courant-Fischer sampler's 1e-8 rank test skips
+    B = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 3.0], [2.0, 4.0, -1.0]])
+    _, R = linalg.qr(B)
+    assert abs(R[1, 1]) < 1e-8 < min(abs(R[0, 0]), abs(R[2, 2]))
+    _, R = linalg.qr(np.zeros((3, 2)))
+    assert np.array_equal(R, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="rows"):
+        linalg.qr(np.zeros((2, 3)))
+
+
 def _dotted(node):
     parts = []
     while isinstance(node, ast.Attribute):
@@ -192,6 +217,11 @@ def test_no_blas_in_linalg_and_no_lapack_solvers_elsewhere():
     for path in sorted(SRC.glob("*.py")):
         if path.name != "linalg.py":
             assert not _numpy_uses(path) & banned, path.name
+    # the operator and its audits: the Courant-Fischer subspaces use
+    # linalg.qr and linalg.project, and evolution multiplies no matrices
+    for name in ("spectral.py", "evolution.py"):
+        assert not {n for n in _numpy_uses(SRC / name) if n.startswith("np.linalg")}, name
+    assert "@" not in _numpy_uses(SRC / "evolution.py")
 
 
 def _region_type_checks(path):

@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphcalc as gc
 
 from conftest import FIXTURES
-from helpers import eig_oracle, grid_graph, grid_interior
+from helpers import (
+    connected_graphs,
+    eig_oracle,
+    grid_graph,
+    grid_interior,
+    pointwise_apply_operator,
+    pointwise_courant_fischer,
+    pointwise_rayleigh_quotient,
+)
 
 SCALES = (1.0, 2.0 / 3.0)
 
@@ -370,3 +380,141 @@ def test_eigh_agrees_with_lapack():
         assert np.allclose(vals, eig_oracle(A), atol=1e-10)
         assert np.allclose(A @ vecs, vecs @ np.diag(vals), atol=1e-10)
         assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-10)
+
+
+# --- the array operator against its pointwise reference -------------------
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _reference_specs():
+    """Every fixture with its canonical window and the 4 x 4 and 7 x 7 grids
+    with the window off their outer ring, at laplacian scale 1 or 2/3: bc
+    none, dirichlet and neumann, each with no potential, a constant one and
+    a vertex function."""
+    rng = gc.Lcg64(61)
+    regions = [(make(), None) for make in FIXTURES.values()]
+    regions += [(grid_graph(k), grid_interior(k)) for k in (4, 7)]
+    for n, (g, interior) in enumerate(regions):
+        w = gc.canonical_window(g) if interior is None else gc.build_window(g, interior)
+        cfg = gc.CalculusConfig(laplacian_scale=SCALES[n % 2])
+        for potential in _potentials(g, rng):
+            yield gc.OperatorSpec(g, "none", potential, cfg)
+            yield gc.OperatorSpec(w, "dirichlet", potential, cfg)
+            yield gc.OperatorSpec(w, "neumann", potential, cfg)
+
+
+def _test_function(spec, rng, signed_zeros=False):
+    """Random interior values; boundary values the bc ignores (random for
+    neumann, signed zeros for dirichlet).  signed_zeros puts 0.0 and -0.0 at
+    some interior vertices too."""
+    values = {x: rng.uniform(-1.0, 1.0) for x in spec.interior}
+    if signed_zeros:
+        for i, x in enumerate(spec.interior[::2]):
+            values[x] = -0.0 if i % 2 else 0.0
+    for i, b in enumerate(spec.boundary):
+        values[b] = rng.uniform(-1.0, 1.0) if spec.bc == "neumann" else (-0.0 if i % 2 else 0.0)
+    return gc.VertexFunction(spec.graph, values)
+
+
+def _assert_operator_matches_reference(spec, f):
+    got, want = gc.apply_operator(spec, f), pointwise_apply_operator(spec, f)
+    assert list(got.values) == list(want.values)
+    assert _bits(got.values.values()) == _bits(want.values.values()), spec.bc
+    if any(f.values[x] != 0.0 for x in spec.interior):
+        got_rq = gc.rayleigh_quotient(f, spec)
+        assert type(got_rq) is float
+        assert got_rq.hex() == pointwise_rayleigh_quotient(f, spec).hex(), spec.bc
+
+
+def _assert_courant_fischer_matches_reference(es, j, **kw):
+    got = gc.courant_fischer_check(es, j, **kw)
+    want = pointwise_courant_fischer(es, j, **kw)
+    assert _bits([got.lambda_j, got.span_max, got.span_gap]) == _bits(
+        [want.lambda_j, want.span_max, want.span_gap]
+    ), (es.spec.bc, j)
+    assert (got.j, got.samples, got.subspaces, got.seed) == (want.j, want.samples, want.subspaces, want.seed)
+    if math.isinf(want.subspace_worst_excess):
+        assert got.subspace_worst_excess == want.subspace_worst_excess
+    else:
+        assert abs(got.subspace_worst_excess - want.subspace_worst_excess) <= 1e-12, (es.spec.bc, j)
+
+
+def test_operator_and_quotient_match_pointwise_reference():
+    rng = gc.Lcg64(67)
+    for spec in _reference_specs():
+        for signed_zeros in (False, True):
+            _assert_operator_matches_reference(spec, _test_function(spec, rng, signed_zeros))
+
+
+def test_courant_fischer_matches_pointwise_reference():
+    for spec in _reference_specs():
+        es = gc.eigensystem(spec)
+        for j in sorted({1, min(3, len(es)), len(es)}):
+            _assert_courant_fischer_matches_reference(es, j, seed=7, samples=12, subspaces=4)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    connected_graphs(),
+    st.sampled_from(gc.spectral.BOUNDARY_CONDITIONS),
+    st.sampled_from(("none", "constant", "function")),
+    st.integers(0, 2**32),
+)
+def test_operator_and_courant_fischer_match_pointwise_reference_property(g, bc, kind, seed):
+    rng = gc.Lcg64(seed)
+    potential = {
+        "none": None,
+        "constant": rng.uniform(-1.0, 2.0),
+        "function": gc.VertexFunction(g, {v: rng.uniform(-1.0, 2.0) for v in g.vertices}),
+    }[kind]
+    region = g if bc == "none" else gc.canonical_window(g)
+    spec = gc.OperatorSpec(region, bc, potential)
+    _assert_operator_matches_reference(spec, _test_function(spec, rng))
+    es = gc.eigensystem(spec)
+    j = 1 + rng.randint(len(es))
+    _assert_courant_fischer_matches_reference(es, j, seed=seed, samples=10, subspaces=3)
+
+
+def _raised(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # noqa: BLE001 - the test compares whatever is raised
+        return type(exc), str(exc)
+    return None
+
+
+def test_operator_error_paths_match_pointwise_reference(p5):
+    w = gc.build_window(p5, ["b", "c", "d"])
+    spec = gc.OperatorSpec(w, "dirichlet")
+    cases = {
+        "zero": gc.VertexFunction(p5, {"b": 0.0, "c": -0.0, "d": 0.0}),
+        "zero with boundary data": gc.VertexFunction(p5, {"a": 0.5, "b": 0.0, "c": 0.0, "d": 0.0}),
+        "boundary data": gc.VertexFunction(p5, {"a": 0.0, "b": 1.0, "c": 0.5, "d": 1.0, "e": -0.25}),
+        "missing interior vertex": gc.VertexFunction(p5, {"b": 1.0, "d": 1.0}),
+    }
+    expected = {
+        "zero": (gc.ValidationError, "rayleigh quotient of the zero function"),
+        "zero with boundary data": (gc.ValidationError, "rayleigh quotient of the zero function"),
+        "boundary data": (
+            gc.ValidationError,
+            "dirichlet data must vanish on the boundary, f(e) = -0.25",
+        ),
+        "missing interior vertex": (gc.DomainError, "function not defined at 'c'"),
+    }
+    for name, f in cases.items():
+        got = _raised(gc.rayleigh_quotient, f, spec)
+        assert got == _raised(pointwise_rayleigh_quotient, f, spec) == expected[name], name
+        if name != "zero":
+            want = _raised(pointwise_apply_operator, spec, f)
+            assert want is not None, name
+            assert _raised(gc.apply_operator, spec, f) == want, name
+    # a vertex with no neighbor has no laplacian stencil
+    g = gc.Graph(["a", "b", "z"], [("a", "b")])
+    lonely = gc.OperatorSpec(g, "none", 0.5)
+    f = gc.VertexFunction(g, {"a": 1.0, "b": -1.0, "z": 2.0})
+    want = (gc.ValidationError, "vertex 'z' is isolated")
+    assert _raised(gc.apply_operator, lonely, f) == _raised(pointwise_apply_operator, lonely, f) == want
+    assert _raised(gc.rayleigh_quotient, f, lonely) == _raised(pointwise_rayleigh_quotient, f, lonely) == want
