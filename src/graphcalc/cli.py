@@ -234,8 +234,7 @@ def cmd_spectrum(args, inputs, cfg):
     }
     if args.functions:
         payload["functions"] = {
-            str(k + 1): {x: phi.value(x) for x in phi.domain}
-            for k, phi in enumerate(es.functions)
+            str(k + 1): dict(phi.values) for k, phi in enumerate(es.functions)
         }
     return payload
 

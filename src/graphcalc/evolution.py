@@ -11,26 +11,18 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .calculus import (
-    DEFAULT_CONFIG,
-    CalculusConfig,
-    VectorField,
-    closure_energy,
-    directional_derivative,
-    laplacian,
-)
+from .calculus import DEFAULT_CONFIG, CalculusConfig, VectorField, directional_derivative
 from .errors import DomainError, IndefiniteStepError, NumericalError, ValidationError
-from .graph import Graph, SubgraphWindow, VertexFunction, gather, scatter
+from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, scatter
 from .linalg import cholesky, cholesky_solve, eigvalsh
 from .spectral import (
     EigenSystem,
     OperatorSpec,
     _apply_rows,
-    _column_sums,
     _expand,
     _extend_to_closure,
     _heat_factors,
-    _on_closure,
+    _laplacian_rows,
     _potential_rows,
     check_dirichlet_data,
     eigensystem,
@@ -149,12 +141,12 @@ def heat_identities_report(traj: Trajectory, spec: OperatorSpec) -> HeatIdentiti
         # float_power is the C library's pow, as Python's ** is; np.power
         # and u * u round some squares differently
         u_sq = np.float_power(u, 2.0)
-        masses = _column_sums(u_sq * deg)
-        forms = _column_sums(u * lu * deg)
-        grad_sq = _column_sums(np.float_power(lu, 2.0) * deg)
+        masses = column_sums(u_sq * deg)
+        forms = column_sums(u * lu * deg)
+        grad_sq = column_sums(np.float_power(lu, 2.0) * deg)
         grad = states[lay.dst] - states[lay.src]
-        pair_energy = _column_sums(grad * grad)  # closure_energy of each state
-        qterm = _column_sums(_potential_rows(spec)[:, None] * u_sq * deg)
+        pair_energy = column_sums(grad * grad)  # closure_energy of each state
+        qterm = column_sums(_potential_rows(spec.potential, spec.interior)[:, None] * u_sq * deg)
         gaps = np.abs(forms - (0.5 * spec.config.laplacian_scale * pair_energy + qterm))
     if not np.isfinite([masses, forms, grad_sq, gaps]).all():
         raise NumericalError("heat audit overflowed: a mass, form or gap is not finite")
@@ -199,11 +191,11 @@ FieldProvider = Union[VectorField, Callable[[float], VectorField]]
 
 
 class _PairRates:
-    """Rates w(x, y) / d_x on the graph's layout pairs; rhs sums over pairs by
-    bincount, not BLAS."""
+    """Rates w(x, y) / d_x on the graph's layout pairs; rhs sums over pairs
+    with the layout's sums, not BLAS."""
 
     def __init__(self, g: Graph):
-        lay = g.layout
+        lay = self.layout = g.layout
         self.src, self.dst, self.deg = lay.src, lay.dst, lay.deg
         self.src_deg = lay.deg[lay.src]
         names = g.vertices
@@ -230,8 +222,7 @@ class _PairRates:
         return self.values(w) / self.src_deg
 
     def rhs(self, rates: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        change = rates * (vec[self.dst] - vec[self.src])
-        return np.bincount(self.src, weights=change, minlength=len(self.deg))
+        return self.layout.sums(rates * (vec[self.dst] - vec[self.src]))
 
 
 def transport_solve(
@@ -288,15 +279,6 @@ def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[fl
 # discrete Morse-type flow
 
 
-def _j_value(
-    u: VertexFunction, lam: dict[str, float], w: SubgraphWindow, cfg: CalculusConfig
-) -> float:
-    g = w.graph
-    quad = 0.25 * cfg.laplacian_scale * closure_energy(u, w)
-    mass = sum(lam[x] * u.value(x) ** 2 * g.degree(x) for x in w.interior)
-    return quad - 0.5 * mass
-
-
 @dataclass(frozen=True)
 class DMFStepReport:
     """One implicit step with its certificate numbers."""
@@ -334,13 +316,15 @@ def dmf_step(
     positive definite, which 1/h + mu_1 - max(lam) > 0 guarantees; anything
     else raises IndefiniteStepError.  A warning (not an error) is attached
     when max(lam) exceeds mu_1, since J itself then loses coercivity even
-    though small enough steps remain solvable.
+    though small enough steps remain solvable.  A certificate norm or
+    energy outside the float range raises NumericalError.
     """
     if h <= 0:
         raise ValidationError("step size must be positive")
     spec = OperatorSpec(w, "dirichlet", None, cfg)
-    lam_vals = {x: potential_value(lam, x) for x in w.interior}
-    lam_max = max(lam_vals.values())
+    inner, lay = w.interior, w.layout
+    lam_rows = _potential_rows(lam, inner)
+    lam_max = max(lam_rows.tolist())
     if mu_first is None:
         mu_first = _mu_first(spec)
     margin = 1.0 / h + mu_first - lam_max
@@ -355,47 +339,50 @@ def dmf_step(
             "is not coercive and the flow tracks a saddle of J"
         )
 
-    u0 = extend_to_boundary(spec, u_prev)
-    g = w.graph
-    inner = w.interior
-    sqd = np.sqrt(w.layout.deg[: len(inner)])
-    m = symmetric_matrix(spec)
-    a = m + np.diag(1.0 / h - np.array([lam_vals[x] for x in inner]))
-    b = sqd * gather(u0, inner) / h
+    check_dirichlet_data(spec, u_prev)
+    k = len(inner)
+    v0 = _extend_to_closure(spec, gather(u_prev, inner))
+    deg = lay.deg[:k]
+    sqd = np.sqrt(deg)
+    a = symmetric_matrix(spec) + np.diag(1.0 / h - lam_rows)
+    b = sqd * v0[:k] / h
     try:
         factor = cholesky(a)
     except NumericalError as exc:
         raise IndefiniteStepError(f"step operator not positive definite: {exc}") from None
-    y = cholesky_solve(factor, b)
-    resid = np.sum(a * y, axis=1) - b
-    bn = math.sqrt(float(np.sum(b * b)))
-    solve_res = math.sqrt(float(np.sum(resid * resid))) / max(bn, 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        y = cholesky_solve(factor, b)
+        resid = np.sum(a * y, axis=1) - b
+        bn = math.sqrt(float(np.sum(b * b)))
+        solve_res = math.sqrt(float(np.sum(resid * resid))) / max(bn, 1e-300)
     if bn == 0.0:
         y = np.zeros_like(y)
         solve_res = 0.0
     if solve_res > SOLVE_RESIDUAL_TOL:
         raise NumericalError(f"linear solve residual {solve_res} above {SOLVE_RESIDUAL_TOL}")
 
-    u1 = _on_closure(spec, y / sqd)
+    # the certificate on closure arrays: each sum adds its terms in interior
+    # or pair order from zero, and float_power squares as Python's ** does
+    def j_value(v: np.ndarray) -> float:
+        """J(v) = (scale/4) (closure energy of v) - (1/2) (lam v, v)."""
+        d = v[lay.dst] - v[lay.src]
+        mass = column_sums(lam_rows * np.float_power(v[:k], 2.0) * deg)
+        return 0.25 * cfg.laplacian_scale * column_sums(d * d) - 0.5 * mass
 
-    el_sq = 0.0
-    for x in inner:
-        r = (
-            (u1.value(x) - u0.value(x)) / h
-            - laplacian(u1, x, cfg)
-            - lam_vals[x] * u1.value(x)
-        )
-        el_sq += r * r * g.degree(x)
-    el_residual = math.sqrt(el_sq)
-
-    j_prev = _j_value(u0, lam_vals, w, cfg)
-    j_next = _j_value(u1, lam_vals, w, cfg)
-    dist = sum((u1.value(x) - u0.value(x)) ** 2 * g.degree(x) for x in inner)
+    v1 = _extend_to_closure(spec, y / sqd)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        step = v1[:k] - v0[:k]
+        r = step / h - _laplacian_rows(spec, v1) - lam_rows * v1[:k]
+        el_residual = math.sqrt(column_sums(r * r * deg))
+        j_prev, j_next = j_value(v0), j_value(v1)
+        dist = column_sums(np.float_power(step, 2.0) * deg)
     f_prev = j_prev
     f_next = dist / (2.0 * h) + j_next
+    if not all(map(math.isfinite, (el_residual, solve_res, j_prev, j_next, f_next))):
+        raise NumericalError("dmf step overflowed: a norm or energy is not finite")
     cert = f_next <= f_prev + 1e-12 * max(1.0, abs(f_prev))
     return DMFStepReport(
-        u_next=u1,
+        u_next=scatter(w.graph, w.closure, v1),
         step=h,
         lambda_max=lam_max,
         el_residual=el_residual,

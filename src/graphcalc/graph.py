@@ -15,7 +15,7 @@ vertex function to and from those arrays.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -124,12 +124,6 @@ class Graph:
         """Undirected edges, each once, endpoints in file order."""
         return self._edges
 
-    @property
-    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only index arrays (src, dst) of the ordered adjacent pairs,
-        sources in file order, targets in neighbor order: the layout's pairs."""
-        return self.layout.src, self.layout.dst
-
     @cached_property
     def layout(self) -> "RegionLayout":
         """The graph's region layout, rows in file order.  Built on first use."""
@@ -207,8 +201,8 @@ class RegionLayout:
     boundary, as in region.closure.  deg holds each row's ambient degree.
     src and dst are the rows of the ordered adjacent pairs with both ends in
     the closure, sorted by source row and then in neighbor order; the first
-    interior_pairs of them leave an interior vertex.  The arrays are
-    read-only.
+    interior_pairs of them leave one of the interior_rows interior vertices,
+    and so cover every neighbor of each.  The arrays are read-only.
     """
 
     rows: dict[str, int]
@@ -216,6 +210,47 @@ class RegionLayout:
     src: np.ndarray
     dst: np.ndarray
     interior_pairs: int
+    interior_rows: int
+    _slots: dict = field(default_factory=dict, init=False, repr=False)  # by column count
+
+    def __post_init__(self):
+        self._slots[1] = self.src[: self.interior_pairs]  # the slots of one column
+
+    def sums(self, pair_values: np.ndarray) -> np.ndarray:
+        """Each interior row's sum of pair_values over the pairs leaving it,
+        added in neighbor order from zero, as a pointwise sum over the
+        neighbors adds them.
+
+        pair_values holds one value per interior pair (1-D; one sum per
+        interior row) or one row per interior pair with one column per
+        function (2-D; one row of sums per interior row).
+        """
+        k = self.interior_rows
+        if pair_values.ndim == 1:
+            return np.bincount(self._slots[1], weights=pair_values, minlength=k)
+        m = pair_values.shape[1]
+        if m not in self._slots:
+            self._slots[m] = (self._slots[1][:, None] * m + np.arange(m)).ravel()
+        sums = np.bincount(self._slots[m], weights=pair_values.ravel(), minlength=k * m)
+        return sums.reshape(k, m)
+
+    def check_interior_degrees(self) -> None:
+        """ValidationError naming the first interior vertex with no
+        neighbor, whose sums would be divided by a zero degree."""
+        deg = self.deg[: self.interior_rows]
+        if not deg.all():
+            raise ValidationError(f"vertex {list(self.rows)[int(deg.argmin())]!r} is isolated")
+
+
+def column_sums(stack: np.ndarray) -> Union[float, np.ndarray]:
+    """The sum down each column of a stack, adding the rows in order from
+    zero as Python's sum adds its terms (np.sum pairs up the rows of a
+    single column).  A 1-D stack sums to one float."""
+    one = stack.ndim == 1  # a short 1-D array adds fastest as Python floats
+    total = 0.0 if one else np.zeros(stack.shape[1:])
+    for row in stack.tolist() if one else stack:
+        total += row
+    return total
 
 
 def _region_layout(g: Graph, interior: tuple[str, ...], closure: tuple[str, ...]) -> RegionLayout:
@@ -225,7 +260,8 @@ def _region_layout(g: Graph, interior: tuple[str, ...], closure: tuple[str, ...]
     dst = np.array([j for r in nbr_rows for j in r], dtype=np.intp)
     deg = np.array([len(g._nbrs[x]) for x in closure], dtype=float)
     deg.flags.writeable = src.flags.writeable = dst.flags.writeable = False
-    return RegionLayout(rows, deg, src, dst, sum(map(len, nbr_rows[: len(interior)])))
+    k = len(interior)
+    return RegionLayout(rows, deg, src, dst, sum(map(len, nbr_rows[:k])), k)
 
 
 def build_window(g: Graph, interior: Iterable[str]) -> SubgraphWindow:

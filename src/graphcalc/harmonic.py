@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import AntipodalPointsError, DomainError, ValidationError
-from .graph import Graph, Region, SubgraphWindow
+from .graph import Graph, Region, SubgraphWindow, column_sums
 from .rng import Lcg64
 
 ANTIPODAL_MARGIN = 1e-6
@@ -239,11 +239,9 @@ def harmonic_heat_flow(
     if not u0.defined_on(w.closure):
         raise ValidationError("initial map must be defined on the window closure")
     closure, k, lay = w.closure, len(w.interior), w.layout
+    lay.check_interior_degrees()
     deg = lay.deg[:k, None]
-    if not deg.all():
-        raise ValidationError(f"vertex {w.interior[int(deg.argmin())]!r} is isolated")
     src, dst, inner = lay.src, lay.dst, lay.interior_pairs
-    slots = (3 * src[:inner, None] + np.arange(3)).ravel()
     pts = np.array([u0.point(x).xyz for x in closure])
     dots, theta = _pair_geometry(pts, src, dst)
     energy = initial = _pair_energy(theta)
@@ -261,8 +259,7 @@ def harmonic_heat_flow(
         p, t = pts[src[:inner]], theta[:inner]
         v = pts[dst[:inner]] - dots[:inner, None] * p
         ratio = np.divide(t, np.sqrt(_row_dots(v, v)), out=np.zeros_like(t), where=t >= 1e-15)
-        logs = (ratio[:, None] * v).ravel()
-        fv = -np.bincount(slots, weights=logs, minlength=3 * k).reshape(k, 3) / deg
+        fv = -lay.sums(ratio[:, None] * v) / deg
         residual = float(np.sqrt(_row_dots(fv, fv)).max(initial=0.0))
         if residual <= tol:
             status = "converged"
@@ -316,22 +313,18 @@ def _seed_map(boundary_map: SphereMap, w: SubgraphWindow) -> SphereMap:
     moving each interior vertex to the normalized sum of its closure
     neighbors.
 
-    Sums run with bincount from zero, in boundary order and in neighbor
-    order over the window layout's pairs, so they add what a sum of the
-    points' arrays adds, in the same order.
+    Sums run from zero, in boundary order and in neighbor order over the
+    window layout's pairs, so they add what a sum of the points' arrays
+    adds, in the same order.
     """
     k, lay = len(w.interior), w.layout
     boundary = [boundary_map.point(b) for b in w.boundary]
     bnd = np.array([p.xyz for p in boundary]).reshape(-1, 3)
-    base = _normalized_rows(
-        np.bincount(np.tile(np.arange(3), len(bnd)), weights=bnd.ravel(), minlength=3)[None, :]
-    )
+    base = _normalized_rows(column_sums(bnd)[None, :])
     pts = np.concatenate([np.repeat(base, k, axis=0), bnd])
-    src, dst = lay.src[: lay.interior_pairs], lay.dst[: lay.interior_pairs]
-    slots = (3 * src[:, None] + np.arange(3)).ravel()
+    dst = lay.dst[: lay.interior_pairs]
     for _ in range(SEED_SWEEPS):
-        sums = np.bincount(slots, weights=pts[dst].ravel(), minlength=3 * k).reshape(k, 3)
-        pts[:k] = _normalized_rows(sums)
+        pts[:k] = _normalized_rows(lay.sums(pts[dst]))
     points = dict(zip(w.boundary, boundary))
     points.update((x, SpherePoint._unit(tuple(r))) for x, r in zip(w.interior, pts[:k].tolist()))
     return SphereMap(w.graph, points)

@@ -7,7 +7,6 @@ the CLI puts its '# manifest: ...' comment lines above them.
 """
 
 import csv
-import io as _io
 import json
 import math
 from pathlib import Path
@@ -207,9 +206,6 @@ def render_trajectory_csv(times, states) -> str:
 
 
 def render_sphere_map_csv(u: SphereMap) -> str:
-    buf = _io.StringIO()
-    buf.write("vertex,x,y,z\n")
-    for v in u.domain:
-        p = u.point(v).xyz
-        buf.write(f"{v},{format_float(p[0])},{format_float(p[1])},{format_float(p[2])}\n")
-    return buf.getvalue()
+    """vertex,x,y,z rows in u's domain order (file order)."""
+    rows = ["{},{:.17g},{:.17g},{:.17g}\n".format(x, *p.xyz) for x, p in u.points.items()]
+    return "vertex,x,y,z\n" + "".join(rows)

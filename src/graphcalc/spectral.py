@@ -18,13 +18,13 @@ indices are 1-based in reports: values[0] is the first eigenvalue.
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian
 from .errors import DomainError, NonpositiveSpectrumError, NumericalError, ValidationError
-from .graph import Graph, Region, VertexFunction, gather, scatter
+from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter
 from .linalg import eigh, eigvalsh, project, qr
 from .rng import Lcg64
 
@@ -87,7 +87,7 @@ def symmetric_matrix(spec: OperatorSpec) -> np.ndarray:
     scale = spec.config.laplacian_scale
     deg = lay.deg
     M = np.zeros((k, k))
-    M[np.diag_indices(k)] = [scale + spec.potential_at(x) for x in spec.interior]
+    M[np.diag_indices(k)] = scale + _potential_rows(spec.potential, spec.interior)
     src, dst = lay.src[: lay.interior_pairs], lay.dst[: lay.interior_pairs]
     i, j = src[dst < k], dst[dst < k]
     M[i, j] = -scale / np.sqrt(deg[i] * deg[j])
@@ -111,16 +111,6 @@ def _reflection_rows(spec: OperatorSpec) -> list[np.ndarray]:
     return [d[d < k] for d in np.split(dst, np.searchsorted(src, np.arange(k + 1, n)))]
 
 
-def _column_sums(stack: np.ndarray) -> np.ndarray:
-    """The sum down each column, adding the rows in order from zero as
-    Python's sum adds its terms.  (np.sum pairs up the rows of a single
-    column.)"""
-    total = np.zeros(stack.shape[1:])
-    for row in stack:
-        total += row
-    return total
-
-
 def _extend_to_closure(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
     """Interior rows (one per interior vertex) stacked over boundary rows.
 
@@ -134,41 +124,46 @@ def _extend_to_closure(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
     if spec.bc == "neumann":
         for r, inb in enumerate(_reflection_rows(spec), k):
             if inb.size:
-                out[r] = _column_sums(rows[inb]) / inb.size
+                out[r] = column_sums(rows[inb]) / inb.size
     return out
 
 
-def _potential_rows(spec: OperatorSpec) -> np.ndarray:
-    """Q at each interior row, read once per vertex."""
-    return np.array([spec.potential_at(x) for x in spec.interior], dtype=float)
+def _potential_rows(potential: StaticPotential, xs: Sequence[str]) -> np.ndarray:
+    """A static potential at each of xs, as potential_value reads it."""
+    if isinstance(potential, VertexFunction):
+        return gather(potential, xs)
+    return np.full(len(xs), 0.0 if potential is None else float(potential))
+
+
+def _laplacian_rows(spec: OperatorSpec, ext: np.ndarray) -> np.ndarray:
+    """The laplacian on the interior rows of a closure array.
+
+    ext has one row per closure vertex, as _extend_to_closure returns it:
+    one function (1-D) or one column per function.  The layout sums each
+    interior row's neighbor differences in neighbor order from zero, so
+    every entry equals the pointwise laplacian bit for bit.
+    """
+    lay = spec.region.layout
+    lay.check_interior_degrees()
+    k, inner = len(spec.interior), lay.interior_pairs
+    sums = lay.sums(ext[lay.dst[:inner]] - ext[lay.src[:inner]])
+    deg = lay.deg[:k] if ext.ndim == 1 else lay.deg[:k, None]
+    return (spec.config.laplacian_scale * sums) / deg
 
 
 def _apply_rows(spec: OperatorSpec, ext: np.ndarray) -> np.ndarray:
-    """L = -laplacian + Q on the interior rows of a closure stack.
-
-    ext has one row per closure vertex, as _extend_to_closure returns it,
-    and one column per function.  Each interior row's neighbor differences
-    are summed by np.bincount over (pair, column) slots, which adds them in
-    neighbor order from zero, so every entry equals the pointwise laplacian
-    bit for bit.
-    """
-    lay = spec.region.layout
-    k, m = len(spec.interior), ext.shape[1]
-    deg = lay.deg[:k, None]
-    if not deg.all():
-        raise ValidationError(f"vertex {spec.interior[int(deg.argmin())]!r} is isolated")
-    src, dst = lay.src[: lay.interior_pairs], lay.dst[: lay.interior_pairs]
-    slots = (src[:, None] * m + np.arange(m)).ravel()
-    sums = np.bincount(slots, weights=(ext[dst] - ext[src]).ravel(), minlength=k * m)
-    q = _potential_rows(spec)
-    return -(spec.config.laplacian_scale * sums.reshape(k, m)) / deg + q[:, None] * ext[:k]
+    """L = -laplacian + Q on the interior rows of a closure stack with one
+    column per function."""
+    lap = _laplacian_rows(spec, ext)
+    q = _potential_rows(spec.potential, spec.interior)
+    return -lap + q[:, None] * ext[: len(q)]
 
 
 def _weighted_sums(spec: OperatorSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a, b) in the degree-weighted inner product for each column of two
     interior stacks, with the terms a b d_x added as weighted_inner adds
     them."""
-    return _column_sums(a * b * spec.region.layout.deg[: len(a), None])
+    return column_sums(a * b * spec.region.layout.deg[: len(a), None])
 
 
 def check_dirichlet_data(spec: OperatorSpec, f: VertexFunction) -> None:
@@ -182,18 +177,12 @@ def check_dirichlet_data(spec: OperatorSpec, f: VertexFunction) -> None:
             raise ValidationError(f"dirichlet data must vanish on the boundary, f({b}) = {value}")
 
 
-def _on_closure(spec: OperatorSpec, column: np.ndarray) -> VertexFunction:
-    """The function with these interior values (one per interior vertex),
-    extended to the boundary as the spec's bc says."""
-    return scatter(spec.graph, spec.closure, _extend_to_closure(spec, column))
-
-
 def extend_to_boundary(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
     """f on the closure: its interior values, and boundary values from the
     bc (zero for dirichlet, where given data must vanish; the mean of the
     interior neighbors for neumann)."""
     check_dirichlet_data(spec, f)
-    return _on_closure(spec, gather(f, spec.interior))
+    return scatter(spec.graph, spec.closure, _extend_to_closure(spec, gather(f, spec.interior)))
 
 
 def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:

@@ -383,3 +383,33 @@ def pointwise_heat_identities_report(
         initial_mass=masses[0],
         final_mass=masses[-1],
     )
+
+
+def pointwise_dmf_certificate(
+    rep: gc.DMFStepReport, u_prev: gc.VertexFunction, lam, w: gc.SubgraphWindow, cfg
+) -> dict:
+    """The certificate numbers of one dmf_step, recomputed per vertex from its
+    result with the pointwise laplacian, closure_energy and ** squares."""
+    g, h, inner = w.graph, rep.step, w.interior
+    u0 = gc.spectral.extend_to_boundary(gc.OperatorSpec(w, "dirichlet", None, cfg), u_prev)
+    u1 = rep.u_next
+    lam_vals = {x: gc.spectral.potential_value(lam, x) for x in inner}
+
+    def j_value(u):
+        quad = 0.25 * cfg.laplacian_scale * gc.closure_energy(u, w)
+        mass = sum(lam_vals[x] * u.value(x) ** 2 * g.degree(x) for x in inner)
+        return quad - 0.5 * mass
+
+    el_sq = 0.0
+    for x in inner:
+        r = (u1.value(x) - u0.value(x)) / h - gc.laplacian(u1, x, cfg) - lam_vals[x] * u1.value(x)
+        el_sq += r * r * g.degree(x)
+    j_prev, j_next = j_value(u0), j_value(u1)
+    dist = sum((u1.value(x) - u0.value(x)) ** 2 * g.degree(x) for x in inner)
+    return {
+        "el_residual": math.sqrt(el_sq),
+        "j_prev": j_prev,
+        "j_next": j_next,
+        "f_prev": j_prev,
+        "f_next": dist / (2.0 * h) + j_next,
+    }

@@ -261,6 +261,17 @@ def test_identity_suite_zero_trials(k4):
     )
 
 
+def test_weighted_norm_sq_overflow_is_numerical_error(p3):
+    # a square past the float range used to escape as Python's bare
+    # OverflowError (34, 'Numerical result out of range')
+    big = gc.VertexFunction(p3, {"a": 1.0, "b": 1e200, "c": 0.0})
+    with pytest.raises(gc.NumericalError, match="^weighted norm overflowed: "):
+        gc.weighted_norm_sq(big, p3.vertices)
+    # in range, the ** squares are kept: 1e154 squares to a finite 1e308
+    near = gc.VertexFunction(p3, {"a": 1e154, "b": 1.0, "c": 0.1})
+    assert gc.weighted_norm_sq(near, p3.vertices) == 1e154**2 + 2.0 + 0.1**2 < math.inf
+
+
 def test_identity_suite_isolated_vertex_message():
     # the first isolated vertex in file order, as the pointwise stencil names it
     g = gc.Graph(["a", "b", "z", "c", "y"], [("a", "b"), ("b", "c")])

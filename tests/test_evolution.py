@@ -14,6 +14,7 @@ from helpers import (
     connected_graphs,
     grid_graph,
     grid_interior,
+    pointwise_dmf_certificate,
     pointwise_heat_identities_report,
     random_connected_graph,
 )
@@ -374,6 +375,23 @@ def test_dmf_step_indefinite_raises(p3):
     # an overstated mu_1 passes the margin check; the Cholesky pivot catches it
     with pytest.raises(gc.IndefiniteStepError, match="pivot 1"):
         gc.dmf_step(u0, 1.0, 5.0, w, mu_first=10.0)
+
+
+def test_dmf_step_certificate_matches_pointwise_reference():
+    # the array certificate adds every term in the order the per-vertex
+    # reference adds it, so each number agrees bit for bit
+    rng = gc.Lcg64(11)
+    for k in (3, 5, 7):
+        g = grid_graph(k)
+        w = gc.build_window(g, grid_interior(k))
+        u = gc.VertexFunction(g, {x: rng.uniform(-1.0, 1.0) for x in w.interior})
+        q = gc.VertexFunction(g, {x: rng.uniform(-2.0, 0.5) for x in g.vertices})
+        for lam in (None, 0.0, -0.7, 0.4, q):
+            for cfg in (gc.DEFAULT_CONFIG, gc.CalculusConfig(2.0 / 3.0)):
+                for h in (0.125, 0.5):
+                    rep = gc.dmf_step(u, h, lam, w, cfg)
+                    want = pointwise_dmf_certificate(rep, u, lam, w, cfg)
+                    assert {name: getattr(rep, name) for name in want} == want, (k, lam, h)
 
 
 def test_dmf_step_saddle_warning(p3):

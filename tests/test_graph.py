@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphcalc as gc
-from graphcalc.graph import gather, scatter
+from graphcalc.graph import column_sums, gather, scatter
 
 from helpers import brute_monge, connected_graphs, floyd_warshall, grid_graph
 from conftest import FIXTURES, make_c4, make_p5
@@ -27,11 +27,11 @@ def test_edges_listed_once_in_file_order(c4):
 def test_pair_arrays_follow_neighbor_order_and_are_built_lazily():
     for make in list(FIXTURES.values()) + [lambda: gc.Graph(["a", "b", "z"], [("a", "b")])]:
         g = make()
-        assert "pair_arrays" not in vars(g)
-        src, dst = g.pair_arrays
+        assert "layout" not in vars(g)
+        src, dst = g.layout.src, g.layout.dst
         want = [(g.index[x], g.index[y]) for x in g.vertices for y in g.neighbors(x)]
         assert list(zip(src.tolist(), dst.tolist())) == want
-        assert g.pair_arrays[0] is src
+        assert g.layout.src is src and g.layout.interior_pairs == len(src)
         with pytest.raises(ValueError):
             src[0] = 0
         with pytest.raises(ValueError):
@@ -59,12 +59,38 @@ def test_region_layout_rows_degrees_and_closure_pairs():
         want = [(lay.rows[x], lay.rows[y]) for x in closure for y in g.neighbors(x) if y in lay.rows]
         assert list(zip(lay.src.tolist(), lay.dst.tolist())) == want
         assert lay.interior_pairs == sum(1 for i, _ in want if i < k)
+        assert lay.interior_rows == k
         for a in (lay.deg, lay.src, lay.dst):
             with pytest.raises(ValueError):
                 a[0] = 0
-    for make in FIXTURES.values():
-        g = make()
-        assert g.pair_arrays[0] is g.layout.src and g.pair_arrays[1] is g.layout.dst
+
+
+def test_layout_sums_add_each_neighborhood_in_order():
+    # the one neighbor-sum kernel: per interior row, the values of the pairs
+    # leaving it added in neighbor order from zero, as a Python loop adds them
+    rng = np.random.default_rng(5)
+    for region in _regions():
+        lay, k = region.layout, len(region.interior)
+        pairs = list(zip(lay.src[: lay.interior_pairs].tolist(), lay.dst.tolist()))
+        one = rng.standard_normal(len(pairs)) * 10.0 ** rng.integers(-8, 8, len(pairs))
+        stack = rng.standard_normal((len(pairs), 4))
+        want_one, want_stack = [0.0] * k, [[0.0] * 4 for _ in range(k)]
+        total_one, total_stack = 0.0, [0.0] * 4
+        for p, (i, _) in enumerate(pairs):
+            want_one[i] += float(one[p])
+            total_one += float(one[p])
+            for c in range(4):
+                want_stack[i][c] += float(stack[p, c])
+                total_stack[c] += float(stack[p, c])
+        assert lay.sums(one).tolist() == want_one
+        assert lay.sums(stack).tolist() == want_stack
+        assert column_sums(one) == total_one
+        assert column_sums(stack).tolist() == total_stack
+        if lay.deg[:k].all():
+            lay.check_interior_degrees()
+        else:
+            with pytest.raises(gc.ValidationError, match="^vertex 'z' is isolated$"):
+                lay.check_interior_degrees()
 
 
 def test_gather_and_scatter(p5):

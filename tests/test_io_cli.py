@@ -182,6 +182,30 @@ def test_render_vertex_function_csv_bytes_are_pinned():
     assert gc.render_vertex_function_csv(partial) == "vertex,value\nb,1\nd,0.66666666666666663\n"
 
 
+def test_render_sphere_map_csv_bytes_are_pinned():
+    # rows in file order whatever the insertion order, each coordinate .17g
+    # exactly as before, with -0.0 and subnormals
+    g = gc.Graph(["b", "a", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    u = gc.SphereMap(
+        g,
+        {
+            "d": gc.SpherePoint(0.0, 5e-324, 1.0),
+            "a": gc.SpherePoint(1, 1, 1),
+            "b": gc.SpherePoint(-0.0, 1.0, 0.0),
+            "c": gc.SpherePoint(0.1, -0.2, 0.3),
+        },
+    )
+    assert gc.render_sphere_map_csv(u) == (
+        "vertex,x,y,z\n"
+        "b,-0,1,0\n"
+        "a,0.57735026918962584,0.57735026918962584,0.57735026918962584\n"
+        "c,0.2672612419124244,-0.53452248382484879,0.80178372573727308\n"
+        "d,0,4.9406564584124654e-324,1\n"
+    )
+    partial = gc.SphereMap(g, {"c": gc.SpherePoint(0, 0, -2)})
+    assert gc.render_sphere_map_csv(partial) == "vertex,x,y,z\nc,0,0,-1\n"
+
+
 def test_render_json_layouts_are_pinned():
     obj = {
         "empty_dict": {},
@@ -754,6 +778,27 @@ def test_cli_heat_overflow_is_numerical_error(tmp_path, capsys):
     assert doc["error"]["type"] == "NumericalError"
     assert doc["error"]["exit_code"] == 2
     # the JSON error is the only signal: no numpy overflow warnings
+    assert [str(w.message) for w in caught] == []
+    assert err == ""
+
+
+def test_cli_dmf_overflow_is_numerical_error(tmp_path, capsys):
+    # squares past the float range used to escape as Python's OverflowError
+    # from ** 2; a step norm or energy that is not finite is reported instead
+    path = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("b,1e160\n")
+    argv = ["dmf", path, str(fn), "--interior", "b", "--t-final", "1", "--steps", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "NumericalError"
+    assert doc["error"]["message"].startswith("dmf step overflowed: ")
+    assert doc["error"]["exit_code"] == 2
     assert [str(w.message) for w in caught] == []
     assert err == ""
 

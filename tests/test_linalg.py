@@ -254,3 +254,29 @@ def test_region_type_is_told_apart_only_by_operator_spec():
         ("spectral.py", "OperatorSpec.__post_init__")
     }, sorted(sites)
     assert len(sites) <= 1, sorted(sites)
+
+
+def _isolated_raises(path):
+    """Lines of every raise whose message says a vertex '... is isolated'."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str) and "is isolated" in c.value
+            for c in ast.walk(node.exc)
+        )
+    ]
+
+
+def test_neighbor_sums_and_isolated_checks_only_in_graph():
+    """Every array neighbor sum goes through RegionLayout.sums and every
+    isolated-vertex error is raised in graph.py, so the summation order and
+    the message are decided in one module."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "graph.py":
+            assert "np.bincount" not in _numpy_uses(path), path.name
+            assert not _isolated_raises(path), (path.name, _isolated_raises(path))
+    assert "np.bincount" in _numpy_uses(SRC / "graph.py")
+    assert _isolated_raises(SRC / "graph.py")
