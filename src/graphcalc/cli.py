@@ -12,6 +12,7 @@ print a one-object JSON diagnostic to standard output.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -390,7 +391,11 @@ def cmd_monge(args, inputs, cfg):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use and then reused:
+    parse_args keeps no state between calls, and the scale from the
+    environment is read in main, not stored here."""
     p = _Parser(prog="graphcalc", description="discrete calculus on finite graphs")
     p.add_argument("--version", action="version", version=f"graphcalc {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

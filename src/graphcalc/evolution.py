@@ -5,6 +5,7 @@ All solvers return plain grids of vertex functions so identity checks can
 recompute every quantity from scratch instead of trusting solver internals.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -296,9 +297,22 @@ class DMFStepReport:
     warnings: tuple[str, ...]
 
 
-def _mu_first(spec: OperatorSpec) -> float:
-    """First Dirichlet eigenvalue of -laplacian on the window."""
-    return float(eigvalsh(symmetric_matrix(spec))[0])
+class _StepSystem:
+    """One step size and potential (on the interior rows) with the
+    Euler-Lagrange matrix ((1/h) - lap - lam), conjugated by sqrt(deg) as
+    symmetric_matrix is, and its Cholesky factor, computed on first use.
+    dmf_run keeps one for a whole run when the potential is static."""
+
+    def __init__(self, operator: np.ndarray, h: float, lam_rows: np.ndarray):
+        self.h, self.lam_rows = h, lam_rows
+        self.matrix = operator + np.diag(1.0 / h - lam_rows)
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        try:
+            return cholesky(self.matrix)
+        except NumericalError as exc:
+            raise IndefiniteStepError(f"step operator not positive definite: {exc}") from None
 
 
 def dmf_step(
@@ -322,11 +336,23 @@ def dmf_step(
     if h <= 0:
         raise ValidationError("step size must be positive")
     spec = OperatorSpec(w, "dirichlet", None, cfg)
-    inner, lay = w.interior, w.layout
-    lam_rows = _potential_rows(lam, inner)
-    lam_max = max(lam_rows.tolist())
+    w.layout.check_interior_degrees()
+    lam_rows = _potential_rows(lam, w.interior)
+    operator = symmetric_matrix(spec)
     if mu_first is None:
-        mu_first = _mu_first(spec)
+        mu_first = float(eigvalsh(operator)[0])
+    return _dmf_step(u_prev, spec, mu_first, _StepSystem(operator, h, lam_rows))
+
+
+def _dmf_step(
+    u_prev: VertexFunction, spec: OperatorSpec, mu_first: float, system: _StepSystem
+) -> DMFStepReport:
+    """dmf_step with mu_1 and the step system given; the window's interior
+    degrees are already checked."""
+    w, cfg = spec.region, spec.config
+    h, lam_rows = system.h, system.lam_rows
+    inner, lay = w.interior, w.layout
+    lam_max = max(lam_rows.tolist())
     margin = 1.0 / h + mu_first - lam_max
     if margin <= 0:
         raise IndefiniteStepError(
@@ -344,15 +370,10 @@ def dmf_step(
     v0 = _extend_to_closure(spec, gather(u_prev, inner))
     deg = lay.deg[:k]
     sqd = np.sqrt(deg)
-    a = symmetric_matrix(spec) + np.diag(1.0 / h - lam_rows)
     b = sqd * v0[:k] / h
-    try:
-        factor = cholesky(a)
-    except NumericalError as exc:
-        raise IndefiniteStepError(f"step operator not positive definite: {exc}") from None
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        y = cholesky_solve(factor, b)
-        resid = np.sum(a * y, axis=1) - b
+        y = cholesky_solve(system.factor, b)
+        resid = np.sum(system.matrix * y, axis=1) - b
         bn = math.sqrt(float(np.sum(b * b)))
         solve_res = math.sqrt(float(np.sum(resid * resid))) / max(bn, 1e-300)
     if bn == 0.0:
@@ -464,15 +485,20 @@ def dmf_run(
         raise ValidationError("need at least one step")
     h = t_final / n_steps
     spec = OperatorSpec(w, "dirichlet", None, cfg)
-    mu_first = _mu_first(spec)
+    w.layout.check_interior_degrees()
+    operator = symmetric_matrix(spec)
+    mu_first = float(eigvalsh(operator)[0])
     u = extend_to_boundary(spec, phi)
     times = [0.0]
     states = [u]
     reports: list[DMFStepReport] = []
     warnings: list[str] = []
+    time_dependent = _is_time_dependent(potential)
     for n in range(1, n_steps + 1):
-        lam = _potential_at(potential, (n - 1) * h)
-        rep = dmf_step(u, h, lam, w, cfg, mu_first=mu_first)
+        if n == 1 or time_dependent:  # a static potential keeps one factor
+            lam = _potential_at(potential, (n - 1) * h)
+            system = _StepSystem(operator, h, _potential_rows(lam, w.interior))
+        rep = _dmf_step(u, spec, mu_first, system)
         reports.append(rep)
         for wmsg in rep.warnings:
             if wmsg not in warnings:

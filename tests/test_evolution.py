@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +401,71 @@ def test_dmf_step_saddle_warning(p3):
     rep = gc.dmf_step(u0, 0.1, 1.5, w)  # above mu_1 = 1, still solvable
     assert rep.warnings
     assert "not coercive" in rep.warnings[0]
+
+
+def _report_bits(rep):
+    """Every field of a DMFStepReport, floats as hex, the state as its items."""
+    out = []
+    for field in dataclasses.fields(rep):
+        x = getattr(rep, field.name)
+        if isinstance(x, gc.VertexFunction):
+            x = [(v, y.hex()) for v, y in x.values.items()]
+        elif isinstance(x, float):
+            x = x.hex()
+        out.append((field.name, x))
+    return out
+
+
+def test_dmf_run_matches_public_steps(monkeypatch):
+    # dmf_run builds the step matrix once per potential value and, for a
+    # static potential, factors it once; every step still equals the public
+    # dmf_step bit for bit
+    import graphcalc.evolution as evolution
+
+    k = 5
+    g = grid_graph(k)
+    w = gc.build_window(g, grid_interior(k))
+    rng = gc.Lcg64(19)
+    phi = gc.VertexFunction(g, {x: rng.uniform(-1.0, 1.0) for x in w.interior})
+    q = gc.VertexFunction(g, {x: rng.uniform(-1.0, 0.5) for x in g.vertices})
+    linear = lambda t: 0.3 - 0.5 * t  # what the CLI's 'linear:0.3,-0.5' builds
+    factored = []
+    cholesky = evolution.cholesky
+
+    def counted_cholesky(a):
+        factored.append(len(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(evolution, "cholesky", counted_cholesky)
+    n_steps, t_final = 8, 1.0
+    for potential, lams, factorizations in (
+        (0.4, [0.4] * n_steps, 1),
+        (q, [q] * n_steps, 1),
+        (linear, [linear(n * (t_final / n_steps)) for n in range(n_steps)], n_steps),
+    ):
+        for cfg in (gc.DEFAULT_CONFIG, gc.CalculusConfig(2.0 / 3.0)):
+            factored.clear()
+            run = gc.dmf_run(phi, potential, t_final, n_steps, w, cfg)
+            assert len(factored) == factorizations
+            u = run.states[0]
+            for lam, rep, state in zip(lams, run.reports, run.states[1:]):
+                want = gc.dmf_step(u, t_final / n_steps, lam, w, cfg)
+                assert _report_bits(rep) == _report_bits(want)
+                assert rep.u_next is state
+                u = want.u_next
+
+
+def test_dmf_isolated_interior_vertex_raises_before_the_solve(capfd):
+    g = gc.Graph(["a", "b", "z"], [("a", "b")])
+    w = gc.build_window(g, ["z"])
+    f = gc.VertexFunction(g, {"z": 1.0})
+    calls = (lambda: gc.dmf_step(f, 0.1, 0.0, w), lambda: gc.dmf_run(f, 0.0, 1.0, 2, w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy divide warning would fail here
+        for call in calls:
+            with pytest.raises(gc.ValidationError, match="^vertex 'z' is isolated$"):
+                call()
+    assert capfd.readouterr().err == ""
 
 
 def test_dmf_run_frozen_p3(p3):

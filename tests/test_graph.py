@@ -93,6 +93,18 @@ def test_layout_sums_add_each_neighborhood_in_order():
                 lay.check_interior_degrees()
 
 
+def test_builtin_sum_adds_floats_left_to_right():
+    # graph.column_sums, and the pointwise references in tests/helpers.py
+    # that the array kernels match bit for bit, add floats in order from
+    # zero as CPython 3.10 and 3.11's builtin sum does; 3.12 compensates
+    assert sum([0.1] * 10) == 0.9999999999999999, (
+        "builtin sum compensates float rounding on this interpreter, so the "
+        "bit-for-bit agreement of graph.column_sums and the array kernels with "
+        "the pointwise references in tests/helpers.py no longer holds"
+    )
+    assert column_sums(np.full(10, 0.1)) == sum([0.1] * 10)
+
+
 def test_gather_and_scatter(p5):
     f = gc.VertexFunction(p5, {"e": -0.0, "b": 2.5, "c": 5e-324})
     assert gather(f, ("c", "e", "b")).tolist() == [5e-324, -0.0, 2.5]

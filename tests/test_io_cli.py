@@ -339,12 +339,8 @@ def test_cli_graph_payload(tmp_path, capsys):
 CSV_NOTES = {"heat": [], "transport": [], "dmf": ["audit"], "harmonic": ["result"]}
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["graph", "spectrum", "cheeger", "minimax", "heat", "transport", "dmf", "harmonic",
-     "identities", "monge"],
-)
-def test_every_document_leads_with_its_manifest(tmp_path, capsys, command):
+def one_call_per_command(tmp_path):
+    """A valid argv for every subcommand, on P3."""
     gpath = write_graph_file(tmp_path, make_p3())
     fn = tmp_path / "f.csv"
     fn.write_text("a,0\nb,1\nc,0\n")
@@ -364,8 +360,17 @@ def test_every_document_leads_with_its_manifest(tmp_path, capsys, command):
         "harmonic": ["--interior", "b", "--boundary", str(bmap)],
         "identities": ["--seed", "7", "--trials", "3"],
         "monge": ["--sources", "a", "--targets", "c"],
-    }[command]
-    argv = [command, gpath, *extra]
+    }
+    return {command: [command, gpath, *rest] for command, rest in extra.items()}
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["graph", "spectrum", "cheeger", "minimax", "heat", "transport", "dmf", "harmonic",
+     "identities", "monge"],
+)
+def test_every_document_leads_with_its_manifest(tmp_path, capsys, command):
+    argv = one_call_per_command(tmp_path)[command]
     rc, out = run_cli(capsys, argv)
     assert rc == 0, out
     if command in CSV_NOTES:
@@ -826,6 +831,34 @@ def test_cli_version_exit_zero(capsys):
     assert cli.main(["--version"]) == 0
     out = capsys.readouterr().out
     assert gc.__version__ in out
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; usage errors, --version and a
+    # rejected --scale leave nothing behind that a later call could see
+    monkeypatch.delenv(cli.SCALE_ENV, raising=False)
+    valid = list(one_call_per_command(tmp_path).values())
+    gpath, fn = valid[0][1], str(tmp_path / "f.csv")
+    errors = [
+        ["heat", gpath, fn, "--t-final", "1"],  # usage error: --steps missing
+        ["--version"],
+        ["graph", gpath, "--scale", "0.5"],
+    ]
+    calls = errors + valid + errors
+    env = {k: v for k, v in os.environ.items() if k != cli.SCALE_ENV}
+    fresh = {}
+    for argv in errors + valid:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphcalc.cli", *argv], capture_output=True, env=env
+        )
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout)
+    cli.build_parser.cache_clear()
+    for argv in calls:
+        rc, out = run_cli(capsys, argv)
+        assert (rc, out.encode()) == fresh[tuple(argv)], argv
+    assert [fresh[tuple(argv)][0] for argv in errors] == [1, 0, 1]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
 
 
 def test_cli_runs_are_byte_identical(tmp_path, capsys):
