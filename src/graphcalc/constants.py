@@ -4,8 +4,16 @@ Cheeger constants come from exhaustive subset enumeration (exact small-
 integer arithmetic; float comparisons of cut/volume ratios are faithful
 because correctly rounded quotients of integers this small cannot collide).
 One pass over the 2^(n-1) complement pairs serves both h and g
-(`cheeger_constants`); subsets and neighbourhoods are bitmasks counted with
-`np.bitwise_count`, which needs numpy 2.0 or later.
+(`cheeger_constants`).  Subsets and neighbourhoods are bitmasks counted with
+`np.bitwise_count`, which needs numpy 2.0 or later.  The masks split into a
+low part, the first L = log2(_CHUNK) + 1 vertices, and a high part.  Tables
+over the low parts that contain vertex 0 (volume, edges inside, and the
+union of neighbourhoods inside and outside) are built by doubling: the
+entries with vertex k are those without it plus k.  Each pattern of the high
+vertices is one chunk of _CHUNK masks, and turns the tables into the chunk's
+cuts and boundaries with a few whole-array operations.  Each running minimum
+keeps one witness, the lexicographically smallest tied subset, found by
+stripping every tied mask's lowest vertex until one mask is left.
 Poincare constants come from the spectral module: the closed-window energy
 sum over ordered adjacent pairs equals twice the scale-1 quadratic form of
 the negative laplacian, so the sharp constant against the degree-weighted
@@ -13,17 +21,19 @@ mass is twice the relevant eigenvalue.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig
 from .errors import ValidationError
-from .graph import Graph, SubgraphWindow, VertexFunction, volume
+from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, volume
 from .linalg import eigvalsh
 
 ENUMERATION_VERTEX_CAP = 24
-_CHUNK = 1 << 18
+_CHUNK = 1 << 18  # masks per chunk, a power of two
 
 
 @dataclass(frozen=True)
@@ -67,45 +77,63 @@ def cut_report(g: Graph, subset) -> CutReport:
 def _enumerate_cuts(g: Graph):
     """Yield (masks, h, g_of_S, g_of_comp) per chunk of subset bitmasks.
 
-    Masks always contain vertex 0, one representative per complement pair;
-    both orientations' vertex-boundary counts are produced so the g constant
-    sees every subset.  Each vertex's neighbourhood is a bitmask, so for a
-    vertex v the neighbours inside S and outside S are popcounts of
-    nbr[v] & S and nbr[v] & ~S; volumes come from one degree-sum table per
-    mask byte.
+    Masks always contain vertex 0, one representative per complement pair,
+    in increasing order; both orientations' vertex-boundary counts are
+    produced so the g constant sees every subset.  A chunk is one pattern of
+    the vertices from L on, over every low part of the tables.  Each chunk's
+    arrays are written over the last one's.
     """
     n = len(g)
-    deg = g.layout.deg.astype(np.int64)
-    total = int(deg.sum())
-    nbr = np.array([sum(1 << g.index[w] for w in g.neighbors(v)) for v in g.vertices], np.uint32)
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    vol_tables = [(byte_bits[:, : d.size] * d).sum(axis=1) for d in np.split(deg, range(8, n, 8))]
-    full = (1 << n) - 1
-    count = 1 << (n - 1)  # odd masks 1, 3, ..., 2^n - 1
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        masks = 1 + 2 * np.arange(start, stop, dtype=np.uint32)
-        masks = masks[masks != full]
-        if masks.size == 0:
-            continue
-        vol = sum(t[(masks >> (8 * b)) & 0xFF] for b, t in enumerate(vol_tables))
-        comp = ~masks
-        cut = np.zeros(masks.size, dtype=np.int32)
-        bdry_out = np.zeros(masks.size, dtype=np.int32)  # |delta S|
-        bdry_in = np.zeros(masks.size, dtype=np.int32)  # |delta (S complement)|
-        for v in range(n):
-            inside = (masks & (1 << v)).astype(bool)
-            nbrs_in = np.bitwise_count(masks & nbr[v])
-            nbrs_out = np.bitwise_count(comp & nbr[v])
-            cut += nbrs_out * inside  # edges leaving S at v
-            bdry_out += (nbrs_in > 0) & ~inside  # v outside S, next to S
-            bdry_in += (nbrs_out > 0) & inside  # v in S, next to the complement
-        m = np.minimum(vol, total - vol)
-        yield masks, cut / m, bdry_out / m, bdry_in / m
-
-
-def _mask_key(mask: int, g: Graph) -> tuple[int, ...]:
-    return tuple(i for i in range(len(g)) if mask >> i & 1)
+    deg = [g.degree(v) for v in g.vertices]
+    nbr = [sum(1 << g.index[w] for w in g.neighbors(v)) for v in g.vertices]
+    total = sum(deg)
+    low_n = min(n, _CHUNK.bit_length())
+    size = 1 << (low_n - 1)
+    # per low part S: its mask, its volume, the edges inside it, and the OR
+    # of the neighbourhoods of its vertices and of the low vertices outside
+    # it; entry j + s adds vertex k to entry j < s = 2^(k-1).  Volumes and
+    # edge counts fit int16: at the cap they are at most 24 * 23 = 552
+    low = np.empty(size, np.uint32)
+    vol = np.empty(size, np.int16)
+    inner = np.empty(size, np.int16)
+    reach_in = np.empty(size, np.uint32)
+    reach_out = np.empty(size, np.uint32)
+    low[0], vol[0], inner[0], reach_in[0], reach_out[0] = 1, deg[0], 0, nbr[0], 0
+    for k in range(1, low_n):
+        s = 1 << (k - 1)
+        np.bitwise_or(low[:s], 1 << k, out=low[s : 2 * s])
+        np.add(vol[:s], deg[k], out=vol[s : 2 * s])
+        np.add(inner[:s], np.bitwise_count(low[:s] & nbr[k]), out=inner[s : 2 * s])
+        np.bitwise_or(reach_in[:s], nbr[k], out=reach_in[s : 2 * s])
+        reach_out[s : 2 * s] = reach_out[:s]
+        reach_out[:s] |= nbr[k]
+    # edges from each high vertex into the low part
+    into_low = [np.bitwise_count(low & nbr[v]) for v in range(low_n, n)]
+    patterns = 1 << (n - low_n)
+    masks_out = np.empty(size, np.uint32)
+    ratios = np.empty((3, size))
+    for pattern in range(patterns):
+        high = pattern << low_n
+        ins = [v for v in range(low_n, n) if high >> v & 1]
+        outs = [v for v in range(low_n, n) if not high >> v & 1]
+        t = slice(size - (pattern == patterns - 1))  # the full set ends the last chunk
+        masks = np.bitwise_or(low[t], high, out=masks_out[t])
+        vol_s = vol[t] + sum(deg[v] for v in ins)
+        cut = inner[t] + sum((nbr[v] & high).bit_count() for v in ins) // 2
+        for v in ins:
+            cut += into_low[v - low_n][t]
+        cut *= -2
+        cut += vol_s  # edges leaving S: its volume less twice the edges inside
+        reach = reach_in[t] | reduce(or_, (nbr[v] for v in ins), 0)
+        bdry_out = np.bitwise_count(reach & ~masks)  # |delta S|
+        reach = reach_out[t] | reduce(or_, (nbr[v] for v in outs), 0)
+        bdry_in = np.bitwise_count(reach & masks)  # |delta (S complement)|
+        m = np.minimum(vol_s, total - vol_s)
+        h, g_s, g_c = ratios[:, t]
+        np.divide(cut, m, out=h)
+        np.divide(bdry_out, m, out=g_s)
+        np.divide(bdry_in, m, out=g_c)
+        yield masks, h, g_s, g_c
 
 
 def _mask_vertices(mask: int, g: Graph) -> tuple[str, ...]:
@@ -123,27 +151,41 @@ def _check_enumerable(g: Graph) -> None:
         raise ValidationError("cheeger constants need a graph without isolated vertices")
 
 
+def _lex_smallest(masks: np.ndarray) -> int:
+    """The mask whose vertex indices, ascending, form the lexicographically
+    smallest tuple.  Each round strips every mask's lowest vertex and keeps
+    the masks whose stripped vertex is smallest; a mask with none left is a
+    prefix of the others, strips 0 and so wins."""
+    rest = masks
+    while masks.size > 1 and rest.any():
+        bit = rest & -rest
+        keep = bit == bit.min()
+        masks, rest = masks[keep], (rest ^ bit)[keep]
+    return int(masks[0])
+
+
 class _RunningMin:
-    """Smallest ratio seen so far and every mask that attains it."""
+    """Smallest ratio seen so far and the lexicographically smallest mask
+    that attains it."""
 
     def __init__(self):
         self.best: Optional[float] = None
-        self.candidates: list[int] = []
+        self.mask: Optional[int] = None
 
     def update(self, *pairs) -> None:
         """Take one chunk as (ratios, masks) pairs of equal length."""
         lo = min(float(ratios.min()) for ratios, _ in pairs)
         if self.best is None or lo < self.best:
-            self.best = lo
-            self.candidates = []
-        if lo <= self.best:
-            for ratios, masks in pairs:
-                self.candidates.extend(int(m) for m in masks[ratios == self.best])
+            self.best, self.mask = lo, None
+        if lo == self.best:
+            tied = [masks[ratios == lo] for ratios, masks in pairs]
+            if self.mask is not None:
+                tied.append(np.array([self.mask], np.uint32))
+            self.mask = _lex_smallest(np.concatenate(tied))
 
     def witness(self, g: Graph) -> CutReport:
-        assert self.best is not None and self.candidates
-        winner = min(self.candidates, key=lambda m: _mask_key(m, g))
-        return cut_report(g, _mask_vertices(winner, g))
+        assert self.mask is not None
+        return cut_report(g, _mask_vertices(self.mask, g))
 
 
 def cheeger_constants(g: Graph) -> tuple[float, CutReport, float, CutReport]:
@@ -175,13 +217,8 @@ def cheeger_g(g: Graph) -> tuple[float, CutReport]:
     return g_value, g_report
 
 
-def weighted_median(g: Graph, f: VertexFunction) -> float:
-    """Smallest value m with deg-weight of {f <= m} at least half the total.
-
-    Minimizes the degree-weighted absolute deviation; when a whole interval
-    of minimizers exists the smaller endpoint is returned.
-    """
-    pairs = sorted((f.value(v), g.degree(v)) for v in g.vertices)
+def _median(vals: np.ndarray, deg: np.ndarray) -> float:
+    pairs = sorted(zip(vals.tolist(), deg.tolist()))
     total = sum(w for _, w in pairs)
     acc = 0
     for value, w in pairs:
@@ -191,17 +228,33 @@ def weighted_median(g: Graph, f: VertexFunction) -> float:
     return pairs[-1][0]
 
 
+def weighted_median(g: Graph, f: VertexFunction) -> float:
+    """Smallest value m with deg-weight of {f <= m} at least half the total.
+
+    Minimizes the degree-weighted absolute deviation; when a whole interval
+    of minimizers exists the smaller endpoint is returned.
+    """
+    return _median(gather(f, g.vertices), g.layout.deg)
+
+
 def cheeger_functional(g: Graph, f: VertexFunction) -> float:
     """Edge-variation to deviation ratio at the optimal centering constant.
 
     numerator: sum over undirected edges of |f(y) - f(x)|
     denominator: min over c of sum_x |f(x) - c| d_x, attained at the
     degree-weighted median.  Indicator functions of subsets reproduce the
-    subset ratio h(S) exactly.
+    subset ratio h(S) exactly.  Both sums add in edge and vertex order.
     """
-    num = sum(abs(f.value(y) - f.value(x)) for x, y in g.edges())
-    m = weighted_median(g, f)
-    den = sum(abs(f.value(v) - m) * g.degree(v) for v in g.vertices)
+    try:
+        vals = gather(f, g.vertices)
+    except ValidationError:
+        # name the vertex that the edge sum reaches first
+        gather(f, [v for x, y in g.edges() for v in (y, x)])
+        raise
+    ends = np.array([(g.index[x], g.index[y]) for x, y in g.edges()], np.intp).reshape(-1, 2)
+    num = column_sums(np.abs(vals[ends[:, 1]] - vals[ends[:, 0]]))
+    m = _median(vals, g.layout.deg)
+    den = column_sums(np.abs(vals - m) * g.layout.deg)
     if den == 0.0:
         raise ValidationError("functional needs a nonconstant function")
     return num / den

@@ -10,6 +10,7 @@ of the array kernels built on it.
 import itertools
 import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 from hypothesis import strategies as st
@@ -58,6 +59,27 @@ def brute_cheeger(g: gc.Graph, kind: str):
     return best, witness
 
 
+def mask_key(mask: int, n: int) -> tuple[int, ...]:
+    """The vertex indices of a subset bitmask, ascending."""
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def lex_smallest_reference(candidates, n: int) -> int:
+    """The tied mask a Cheeger witness is read from: the one whose index
+    tuple is smallest, as min over Python key tuples."""
+    return min((int(m) for m in candidates), key=lambda m: mask_key(m, n))
+
+
+def complete_graph(n: int) -> gc.Graph:
+    names = [f"v{i}" for i in range(n)]
+    return gc.Graph(names, [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)])
+
+
+def cycle_graph(n: int) -> gc.Graph:
+    names = [f"v{i}" for i in range(n)]
+    return gc.Graph(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
+
+
 def all_simple_paths(g: gc.Graph, src: str, dst: str):
     path = [src]
     seen = {src}
@@ -100,11 +122,12 @@ def eig_oracle(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(matrix)
 
 
-def grid_graph(k: int) -> gc.Graph:
-    """k x k grid with vertices r{i}c{j} in row-major order."""
-    names = [f"r{i}c{j}" for i in range(k) for j in range(k)]
-    edges = [(f"r{i}c{j}", f"r{i}c{j + 1}") for i in range(k) for j in range(k - 1)]
-    edges += [(f"r{i}c{j}", f"r{i + 1}c{j}") for i in range(k - 1) for j in range(k)]
+def grid_graph(k: int, cols: Optional[int] = None) -> gc.Graph:
+    """k x k grid, or k x cols, with vertices r{i}c{j} in row-major order."""
+    cols = k if cols is None else cols
+    names = [f"r{i}c{j}" for i in range(k) for j in range(cols)]
+    edges = [(f"r{i}c{j}", f"r{i}c{j + 1}") for i in range(k) for j in range(cols - 1)]
+    edges += [(f"r{i}c{j}", f"r{i + 1}c{j}") for i in range(k - 1) for j in range(cols)]
     return gc.Graph(names, edges)
 
 
@@ -413,3 +436,25 @@ def pointwise_dmf_certificate(
         "f_prev": j_prev,
         "f_next": dist / (2.0 * h) + j_next,
     }
+
+
+def pointwise_weighted_median(g: gc.Graph, f: gc.VertexFunction) -> float:
+    """weighted_median read per vertex through f.value."""
+    pairs = sorted((f.value(v), g.degree(v)) for v in g.vertices)
+    total = sum(w for _, w in pairs)
+    acc = 0
+    for value, w in pairs:
+        acc += w
+        if 2 * acc >= total:
+            return value
+    return pairs[-1][0]
+
+
+def pointwise_cheeger_functional(g: gc.Graph, f: gc.VertexFunction) -> float:
+    """cheeger_functional with per-edge and per-vertex Python sums."""
+    num = sum(abs(f.value(y) - f.value(x)) for x, y in g.edges())
+    m = pointwise_weighted_median(g, f)
+    den = sum(abs(f.value(v) - m) * g.degree(v) for v in g.vertices)
+    if den == 0.0:
+        raise gc.ValidationError("functional needs a nonconstant function")
+    return num / den

@@ -1,14 +1,27 @@
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphcalc as gc
 from graphcalc import constants
 
 from conftest import FIXTURES, make_c4, make_k2, make_k4, make_p3, make_star4
-from helpers import brute_cheeger, connected_graphs, random_connected_graph
+from helpers import (
+    brute_cheeger,
+    complete_graph,
+    connected_graphs,
+    cycle_graph,
+    grid_graph,
+    lex_smallest_reference,
+    pointwise_cheeger_functional,
+    pointwise_weighted_median,
+    random_connected_graph,
+)
 
 SMALL = {
     "p3": make_p3,
@@ -75,6 +88,87 @@ def test_cheeger_matches_brute_force_larger(monkeypatch, grid4, octahedron):
             _assert_matches_brute_force(g, want)
 
 
+@pytest.mark.parametrize("chunk", [constants._CHUNK, 8])
+def test_cheeger_many_ties_match_brute_force(monkeypatch, chunk):
+    # every subset of a given size ties on a complete graph, and every arc
+    # of a given length on a cycle, so the witness rule decides the result
+    monkeypatch.setattr(constants, "_CHUNK", chunk)
+    for g in [complete_graph(n) for n in range(5, 11)] + [cycle_graph(n) for n in range(8, 13)]:
+        _assert_matches_brute_force(g)
+
+
+def test_cheeger_chunk_invariance(monkeypatch):
+    # chunks of 8 and 64 masks leave 8 to 12 and 5 to 9 high vertices
+    rng = gc.Lcg64(59)
+    real = constants._CHUNK
+    for n in range(12, 17):
+        g = random_connected_graph(rng, n, n)
+        got = []
+        for chunk in (8, 64, real):
+            monkeypatch.setattr(constants, "_CHUNK", chunk)
+            got.append(gc.cheeger_constants(g))
+        assert got[0] == got[1] == got[2], n
+
+
+def test_cheeger_frozen_values_at_enumeration_cap():
+    grid = grid_graph(4, 6)
+    assert len(grid) == gc.ENUMERATION_VERTEX_CAP
+    h, hrep, gv, grep = gc.cheeger_constants(grid)
+    assert h == 2 / 19 and gv == 2 / 19
+    assert hrep.subset == tuple(f"r{i}c{j}" for i in range(4) for j in range(3))
+    assert grep.subset == (
+        ("r0c0", "r0c1", "r0c2", "r0c3", "r1c0", "r1c1", "r1c2")
+        + ("r2c0", "r2c1", "r2c2", "r3c0", "r3c1")
+    )
+    assert (hrep.h_value, grep.g_value) == (h, gv)
+    k24 = complete_graph(24)
+    h, hrep, gv, grep = gc.cheeger_constants(k24)
+    assert h == 12 / 23 and gv == 1 / 23
+    half = tuple(f"v{i}" for i in range(12))
+    assert hrep.subset == half and grep.subset == half
+
+
+def test_running_min_keeps_one_witness(monkeypatch):
+    monkeypatch.setattr(constants, "_CHUNK", 8)
+    update = constants._RunningMin.update
+    updates = []
+
+    def checked(self, *pairs):
+        update(self, *pairs)
+        assert vars(self).keys() == {"best", "mask"}
+        assert type(self.mask) is int
+        updates.append(self.mask)
+
+    monkeypatch.setattr(constants._RunningMin, "update", checked)
+    gc.cheeger_constants(cycle_graph(10))
+    assert len(updates) == 2 * (1 << 9) // 8
+
+
+def test_lex_smallest_matches_reference():
+    rng = np.random.default_rng(67)
+    cases = [
+        [0b011, 0b111],  # (0, 1) against (0, 1, 2): the prefix wins
+        [0b111, 0b011],
+        [0b0111, 0b1011, 0b0011],
+        [0b101, 0b011, 0b110],
+        [0b1],
+        [1 << 23],
+        [0b1011, 0b1011],
+    ]
+    for _ in range(400):
+        n = int(rng.integers(1, 25))
+        cases.append(rng.integers(1, 1 << n, int(rng.integers(1, 40))).tolist())
+    for _ in range(100):
+        # a mask and its extensions by vertices above its highest
+        m = int(rng.integers(1, 1 << 12))
+        top = m.bit_length()
+        extra = rng.integers(1, 1 << (24 - top), int(rng.integers(1, 6))) << top
+        cases.append(rng.permutation([m] + [m | int(e) for e in extra]).tolist())
+    for case in cases:
+        masks = np.array(case, np.uint32)
+        assert constants._lex_smallest(masks) == lex_smallest_reference(case, 24), case
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(connected_graphs())
 def test_cheeger_constants_property(g):
@@ -131,6 +225,49 @@ def test_weighted_median():
     g = gc.VertexFunction(k2, {"a": 0.0, "b": 1.0})
     # exact tie: smaller endpoint of the minimizing interval
     assert gc.weighted_median(k2, g) == 0.0
+
+
+def _assert_functional_matches_pointwise(g, f):
+    assert gc.weighted_median(g, f).hex() == pointwise_weighted_median(g, f).hex()
+    try:
+        want = pointwise_cheeger_functional(g, f).hex()
+    except gc.ValidationError as e:
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            gc.cheeger_functional(g, f)
+    else:
+        assert gc.cheeger_functional(g, f).hex() == want
+
+
+def test_functional_matches_pointwise_reference_on_fixtures():
+    rng = gc.Lcg64(71)
+    for g in map(lambda make: make(), FIXTURES.values()):
+        for _ in range(10):
+            _assert_functional_matches_pointwise(g, gc.random_function(g, rng))
+        # ties at the median, and a constant function
+        for k in (1, 2, 3):
+            f = gc.VertexFunction(g, {v: float(i % k) for i, v in enumerate(g.vertices)})
+            _assert_functional_matches_pointwise(g, f)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32))
+def test_functional_matches_pointwise_reference_property(g, seed):
+    rng = gc.Lcg64(seed)
+    _assert_functional_matches_pointwise(g, gc.random_function(g, rng))
+    levels = {v: float(rng.randint(3)) for v in g.vertices}
+    _assert_functional_matches_pointwise(g, gc.VertexFunction(g, levels))
+
+
+def test_functional_partial_function_names_first_edge_vertex():
+    # the edge sum reaches c before the vertex order reaches a
+    g = gc.Graph(["a", "b", "c"], [("b", "c"), ("a", "b")])
+    f = gc.VertexFunction(g, {"b": 1.0})
+    with pytest.raises(gc.DomainError, match="'c'"):
+        pointwise_cheeger_functional(g, f)
+    with pytest.raises(gc.DomainError, match="'c'"):
+        gc.cheeger_functional(g, f)
+    with pytest.raises(gc.DomainError, match="'a'"):
+        gc.weighted_median(g, f)
 
 
 def test_cheeger_functional_validation(c4):
