@@ -84,9 +84,6 @@ from .spectral import (
     barta_bound,
     courant_fischer_check,
     eigensystem,
-    green_function,
-    heat_kernel,
-    heat_kernel_eval,
     rayleigh_quotient,
     symmetric_matrix,
 )

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .graph import Graph, Region, SubgraphWindow, VertexFunction, gather
+from .graph import Graph, Region, SubgraphWindow, VertexFunction, build_window, gather
 from .rng import Lcg64
 
 ALLOWED_SCALES = (1.0, 2.0 / 3.0)
@@ -403,27 +403,7 @@ def random_antisymmetric_field(
 def canonical_window(g: Graph) -> SubgraphWindow:
     """Deterministic proper window: grow a BFS ball from the first vertex to
     about half the graph.  Used by the randomized identity suite."""
-    from collections import deque
-
-    target = max(1, (len(g) + 1) // 2)
-    if len(g) == 1:
-        target = 1
-    root = g.vertices[0]
-    picked = [root]
-    seen = {root}
-    queue = deque([root])
-    while queue and len(picked) < target:
-        v = queue.popleft()
-        for wv in g.neighbors(v):
-            if wv not in seen:
-                seen.add(wv)
-                picked.append(wv)
-                queue.append(wv)
-                if len(picked) >= target:
-                    break
-    from .graph import build_window
-
-    return build_window(g, picked)
+    return build_window(g, list(g.bfs(g.vertices[0]))[: (len(g) + 1) // 2])
 
 
 def _uniforms(rng: Lcg64, k: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from .calculus import DEFAULT_CONFIG, CalculusConfig
 from .errors import ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, volume
 from .linalg import eigvalsh
+from .spectral import OperatorSpec, symmetric_matrix
 
 ENUMERATION_VERTEX_CAP = 24
 _CHUNK = 1 << 18  # masks per chunk, a power of two
@@ -271,8 +272,6 @@ def poincare_dirichlet_constant(
     scale-1 quadratic form, so c = 2 mu_1 and the first Dirichlet
     eigenfunction attains equality.
     """
-    from .spectral import OperatorSpec, symmetric_matrix
-
     mu = eigvalsh(symmetric_matrix(OperatorSpec(w, "dirichlet", None, cfg)))
     return 2.0 * float(mu[0]) / cfg.laplacian_scale
 
@@ -283,8 +282,6 @@ def poincare_neumann_constant(g: Graph, cfg: CalculusConfig = DEFAULT_CONFIG) ->
     The mean is degree-weighted, so the constant is twice the smallest
     nonzero eigenvalue of the negative laplacian.  Needs a connected graph.
     """
-    from .spectral import OperatorSpec, symmetric_matrix
-
     if not g.is_connected():
         raise ValidationError("neumann poincare constant needs a connected graph")
     if len(g) < 2:

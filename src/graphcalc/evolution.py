@@ -20,9 +20,8 @@ from .spectral import (
     EigenSystem,
     OperatorSpec,
     _apply_rows,
-    _expand,
     _extend_to_closure,
-    _heat_factors,
+    _heat,
     _laplacian_rows,
     _potential_rows,
     check_dirichlet_data,
@@ -84,7 +83,7 @@ def spectral_heat_solve(
     ts = _check_time_grid(times)
     check_dirichlet_data(spec, f)
     es = eigensystem(spec)
-    states = _expand(es, f, _heat_factors(es, ts))
+    states = _heat(es, f, ts)
     return Trajectory(ts, tuple(states), "spectral")
 
 
@@ -336,9 +335,8 @@ def dmf_step(
     if h <= 0:
         raise ValidationError("step size must be positive")
     spec = OperatorSpec(w, "dirichlet", None, cfg)
-    w.layout.check_interior_degrees()
-    lam_rows = _potential_rows(lam, w.interior)
     operator = symmetric_matrix(spec)
+    lam_rows = _potential_rows(lam, w.interior)
     if mu_first is None:
         mu_first = float(eigvalsh(operator)[0])
     return _dmf_step(u_prev, spec, mu_first, _StepSystem(operator, h, lam_rows))
@@ -485,7 +483,6 @@ def dmf_run(
         raise ValidationError("need at least one step")
     h = t_final / n_steps
     spec = OperatorSpec(w, "dirichlet", None, cfg)
-    w.layout.check_interior_degrees()
     operator = symmetric_matrix(spec)
     mu_first = float(eigvalsh(operator)[0])
     u = extend_to_boundary(spec, phi)
@@ -548,7 +545,7 @@ def _max_weighted_gap(pairs, w: SubgraphWindow) -> float:
 
 
 def _run_error_vs_reference(run: DMFRun, es: EigenSystem, phi: VertexFunction) -> float:
-    refs = _expand(es, phi, _heat_factors(es, run.times))
+    refs = _heat(es, phi, run.times)
     return _max_weighted_gap(zip(run.states, refs), run.window)
 
 

@@ -129,20 +129,27 @@ class Graph:
         """The graph's region layout, rows in file order.  Built on first use."""
         return _region_layout(self, self.vertices, self.vertices)
 
-    def is_connected(self, within: Optional[Iterable[str]] = None) -> bool:
-        verts = list(self.vertices) if within is None else [self.check_vertex(v) for v in within]
-        if not verts:
-            return False
-        allowed = set(verts)
-        seen = {verts[0]}
-        queue = deque([verts[0]])
+    def bfs(self, root: str, within: Optional[Iterable[str]] = None) -> dict[str, Optional[str]]:
+        """Breadth-first search from root, neighbors in file order.
+
+        Maps each reached vertex, in the order reached, to the vertex it was
+        first reached from; the root maps to None.  With within, the search
+        stays inside it, though the root is always reached.
+        """
+        allowed = None if within is None else set(within)
+        parent: dict[str, Optional[str]] = {self.check_vertex(root): None}
+        queue = deque([root])
         while queue:
             v = queue.popleft()
             for w in self._nbrs[v]:
-                if w in allowed and w not in seen:
-                    seen.add(w)
+                if w not in parent and (allowed is None or w in allowed):
+                    parent[w] = v
                     queue.append(w)
-        return len(seen) == len(allowed)
+        return parent
+
+    def is_connected(self, within: Optional[Iterable[str]] = None) -> bool:
+        verts = list(self.vertices) if within is None else [self.check_vertex(v) for v in within]
+        return bool(verts) and len(self.bfs(verts[0], verts)) == len(set(verts))
 
 
 def volume(g: Graph, region: Iterable[str]) -> int:
@@ -155,21 +162,14 @@ def graph_distance(g: Graph, x0: str, x1: str) -> Optional[int]:
 
     Returns 0 for x0 == x1 and None when x1 is unreachable from x0.
     """
-    g.check_vertex(x0)
-    g.check_vertex(x1)
-    if x0 == x1:
-        return 0
-    dist = {x0: 0}
-    queue = deque([x0])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if w == x1:
-                    return dist[w]
-                queue.append(w)
-    return None
+    parent = g.bfs(x0)
+    if g.check_vertex(x1) not in parent:
+        return None
+    hops = 0
+    while parent[x1] is not None:
+        x1 = parent[x1]
+        hops += 1
+    return hops
 
 
 @dataclass(frozen=True)

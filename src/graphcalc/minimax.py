@@ -44,20 +44,6 @@ def _induced_neighbor_adjacency(g: Graph, x: str) -> tuple[list[str], dict[str, 
     return nbrs, adj
 
 
-def _neighborhood_connected(nbrs: list[str], adj: dict[str, list[str]]) -> bool:
-    if not nbrs:
-        return False
-    seen = {nbrs[0]}
-    stack = [nbrs[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nbrs)
-
-
 def _simple_paths(adj: dict[str, list[str]], src: str, dst: str):
     """All simple src-dst paths in deterministic file order, as tuples."""
     out: list[tuple[str, ...]] = []
@@ -92,9 +78,9 @@ def _first_dip(arc: tuple[str, ...], f: VertexFunction, level: float) -> Optiona
 
 
 def _minimax_witness(g: Graph, f: VertexFunction, x: str) -> Optional[MinimaxWitness]:
+    """Two ridge arcs at x, whose degree is at least 4 and whose
+    neighborhood is connected, as classify_vertex checks first."""
     nbrs, adj = _induced_neighbor_adjacency(g, x)
-    if len(nbrs) < 4 or not _neighborhood_connected(nbrs, adj):
-        return None
     fx = f.value(x)
     highs = [v for v in nbrs if f.value(v) >= fx]
     for i, x0 in enumerate(nbrs):
@@ -149,7 +135,7 @@ def classify_vertex(g: Graph, f: VertexFunction, x: str) -> VertexClassification
         )
     if g.degree(x) < 4:
         notes.append("degree below 4: minimax structure impossible")
-    elif not _neighborhood_connected(*_induced_neighbor_adjacency(g, x)):
+    elif not g.is_connected(within=g.neighbors(x)):
         notes.append("neighborhood not connected: minimax structure impossible")
     else:
         witness = _minimax_witness(g, f, x)
@@ -206,8 +192,7 @@ def _hypothesis_warnings(g: Graph, z: str) -> list[str]:
     out = []
     if g.degree(z) < 4:
         out.append(f"vertex {z!r} has degree {g.degree(z)} < 4")
-    nbrs, adj = _induced_neighbor_adjacency(g, z)
-    if not _neighborhood_connected(nbrs, adj):
+    if not g.is_connected(within=g.neighbors(z)):
         out.append(f"neighborhood of {z!r} is not connected")
     return out
 
@@ -218,29 +203,15 @@ def _reroute(
     """Replace path[k] by a strictly-below-level detour between its path
     neighbors, avoiding every current path vertex.  BFS, file order."""
     pred, succ = path[k - 1], path[k + 1]
-    blocked = set(path)
-    parent = {pred: None}
-    queue = [pred]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in g.neighbors(v):
-            if w in parent:
-                continue
-            if w == succ:
-                detour = [succ]
-                u = v
-                while u is not None:
-                    detour.append(u)
-                    u = parent[u]
-                detour.reverse()
-                return path[: k - 1] + detour + path[k + 2 :]
-            if w in blocked or f.value(w) >= level:
-                continue
-            parent[w] = v
-            queue.append(w)
-    return None
+    on_path = set(path)
+    below = [w for w in g.vertices if w not in on_path and f.value(w) < level]
+    parent = g.bfs(pred, below + [succ])
+    if succ not in parent:
+        return None
+    detour = [succ]
+    while parent[detour[-1]] is not None:
+        detour.append(parent[detour[-1]])
+    return path[: k - 1] + detour[::-1] + path[k + 2 :]
 
 
 def find_minimax(g: Graph, f: VertexFunction, z0: str, z1: str) -> MinimaxSearchResult:

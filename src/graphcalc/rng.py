@@ -10,6 +10,8 @@ multiplier/increment:
 Doubles are produced from the top 53 bits of the state, uniform in [0, 1).
 """
 
+import math
+
 MASK64 = (1 << 64) - 1
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -46,8 +48,6 @@ class Lcg64:
 
     def normal(self) -> float:
         """Standard normal via Box-Muller on two uniform draws."""
-        import math
-
         u1 = self.uniform()
         u2 = self.uniform()
         while u1 <= 1e-300:

@@ -83,6 +83,7 @@ class OperatorSpec:
 def symmetric_matrix(spec: OperatorSpec) -> np.ndarray:
     """Degree-conjugated matrix of L on the interior, exactly symmetric."""
     lay = spec.region.layout
+    lay.check_interior_degrees()
     k = len(spec.interior)
     scale = spec.config.laplacian_scale
     deg = lay.deg
@@ -249,12 +250,19 @@ def _expand(es: EigenSystem, f: VertexFunction, factors) -> list[VertexFunction]
     return out
 
 
-def _heat_factors(es: EigenSystem, times) -> list[np.ndarray]:
-    """The factor rows exp(-lambda t) of _expand, one per time; one that
+def _heat(es: EigenSystem, f: VertexFunction, times) -> list[VertexFunction]:
+    """_expand with the factor rows exp(-lambda t), one per time; a row that
     overflows is left to _expand to report."""
     lam = np.array(es.values)
     with np.errstate(over="ignore"):
-        return [np.exp(-lam * t) for t in times]
+        return _expand(es, f, [np.exp(-lam * t) for t in times])
+
+
+def _kernel(es: EigenSystem, m: np.ndarray) -> np.ndarray:
+    """Phi diag(m) Phi^T over the interior, Phi holding one eigenfunction per
+    column; a factor m is as in _expand."""
+    phi = es.vectors[: len(es.spec.interior)]
+    return phi @ (m[:, None] * phi.T)
 
 
 def _quotients(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
@@ -386,14 +394,11 @@ class HeatKernel:
     def __init__(self, es: EigenSystem):
         self.es = es
         self.interior = es.spec.interior
-        self._phi = es.vectors[: len(self.interior)].T  # rows indexed by eigenfunction
-        self._vals = np.array(es.values)
 
     def matrix(self, t: float) -> np.ndarray:
-        if t < 0:
+        if not t >= 0:
             raise ValidationError("heat kernel needs t >= 0")
-        w = np.exp(-self._vals * t)
-        return self._phi.T @ (w[:, None] * self._phi)
+        return _kernel(self.es, np.exp(-np.array(self.es.values) * t))
 
     def value(self, t: float, x: str, y: str) -> float:
         i, j = _interior_rows(self.es.spec, "heat kernel", x, y)
@@ -405,17 +410,9 @@ class HeatKernel:
         The reconstruction is degree-weighted (the measure the
         eigenfunctions are orthonormal against), so it reproduces f at t = 0.
         """
-        if t < 0:
+        if not t >= 0:
             raise ValidationError("heat kernel needs t >= 0")
-        return _expand(self.es, f, _heat_factors(self.es, [t]))[0]
-
-
-def heat_kernel(es: EigenSystem) -> HeatKernel:
-    return HeatKernel(es)
-
-
-def heat_kernel_eval(es: EigenSystem, t: float, x: str, y: str) -> float:
-    return HeatKernel(es).value(t, x, y)
+        return _heat(self.es, f, [t])[0]
 
 
 class GreenFunction:
@@ -427,10 +424,8 @@ class GreenFunction:
                 raise NonpositiveSpectrumError(k + 1, lam)
         self.es = es
         self.interior = es.spec.interior
-        phi = es.vectors[: len(self.interior)].T
-        vals = np.array(es.values)
-        self._G = phi.T @ (phi / vals[:, None])
-        self._inv = 1.0 / vals
+        self._inv = 1.0 / np.array(es.values)
+        self._G = _kernel(es, self._inv)
 
     def value(self, x: str, y: str) -> float:
         return float(self._G[_interior_rows(self.es.spec, "green function", x, y)])
@@ -438,7 +433,3 @@ class GreenFunction:
     def apply(self, f: VertexFunction) -> VertexFunction:
         """Solve Lu = f; boundary values follow the spec's bc."""
         return _expand(self.es, f, [self._inv])[0]
-
-
-def green_function(es: EigenSystem) -> GreenFunction:
-    return GreenFunction(es)

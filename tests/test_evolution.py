@@ -75,7 +75,7 @@ def test_spectral_heat_matches_heat_kernel(p5):
     for bc in ("dirichlet", "neumann"):
         spec = gc.OperatorSpec(w, bc)
         traj = gc.spectral_heat_solve(spec, f, times)
-        hk = gc.heat_kernel(gc.eigensystem(spec))
+        hk = gc.HeatKernel(gc.eigensystem(spec))
         for t, u in zip(times, traj.states):
             want = hk.apply(t, f)
             assert u.domain == want.domain == p5.vertices

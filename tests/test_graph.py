@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -9,7 +11,13 @@ from hypothesis import strategies as st
 import graphcalc as gc
 from graphcalc.graph import column_sums, gather, scatter
 
-from helpers import brute_monge, connected_graphs, floyd_warshall, grid_graph
+from helpers import (
+    brute_monge,
+    connected_graphs,
+    floyd_warshall,
+    grid_graph,
+    random_connected_graph,
+)
 from conftest import FIXTURES, make_c4, make_p5
 
 
@@ -273,3 +281,66 @@ def test_connectivity_within_matches_networkx(g, data):
     for _ in range(5):
         within = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, unique=True))
         assert g.is_connected(within=within) == nx.is_connected(G.subgraph(within))
+
+
+def _bfs_reference(g, root, within=None):
+    """networkx's breadth-first predecessors from root, neighbors in file
+    order, over the subgraph on within and the root."""
+    G = _nx(g) if within is None else _nx(g).subgraph({root, *within})
+    order = nx.bfs_predecessors(G, root, sort_neighbors=lambda vs: sorted(vs, key=g.index.get))
+    return [(root, None), *order]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(connected_graphs(), st.data())
+def test_bfs_matches_networkx(g, data):
+    root = data.draw(st.sampled_from(g.vertices))
+    assert list(g.bfs(root).items()) == _bfs_reference(g, root)
+    for _ in range(5):
+        within = data.draw(st.lists(st.sampled_from(g.vertices), unique=True))
+        assert list(g.bfs(root, within).items()) == _bfs_reference(g, root, within)
+
+
+# per graph: n, canonical window interior, distances from v0 in file order,
+# and the monge matching of the first n // 2 vertices to the last n // 2
+BFS_CONSUMERS_FROZEN = [
+    (8, "v0 v1 v2 v6", (0, 1, 2, 3, 4, 5, 2, 3), (8, (1, 3, 4, 2))),
+    (12, "v0 v1 v2 v3 v4 v10", (0, 1, 1, 2, 1, 2, 2, 2, 2, 3, 1, 2), (8, (5, 2, 6, 4, 1, 3))),
+    (10, "v0 v1 v2 v7 v9", (0, 1, 2, 3, 4, 5, 6, 1, 4, 1), (9, (3, 5, 1, 4, 2))),
+    (8, "v0 v1 v2 v6", (0, 1, 1, 2, 2, 3, 1, 2), (4, (3, 4, 1, 2))),
+    (7, "v0 v1 v2 v4", (0, 1, 2, 3, 2, 2, 3), (6, (1, 2, 3))),
+    (9, "v0 v1 v2 v3 v4", (0, 1, 2, 2, 2, 2, 3, 4, 3), (11, (1, 2, 3, 4))),
+    (
+        14,
+        "v0 v1 v2 v3 v6 v9 v10",
+        (0, 1, 2, 1, 2, 3, 2, 3, 2, 2, 2, 3, 2, 3),
+        (12, (3, 4, 5, 2, 6, 7, 1)),
+    ),
+    (12, "v0 v1 v2 v3 v4 v6", (0, 1, 1, 2, 2, 3, 2, 2, 3, 4, 2, 3), (11, (1, 4, 2, 5, 3, 6))),
+]
+
+
+def test_bfs_consumers_frozen_on_random_graphs():
+    rng = gc.Lcg64(2024)
+    for n, interior, dist, monge in BFS_CONSUMERS_FROZEN:
+        g = random_connected_graph(rng, 6, 14)
+        assert len(g) == n
+        assert gc.canonical_window(g).interior == tuple(interior.split())
+        assert tuple(gc.graph_distance(g, "v0", v) for v in g.vertices) == dist
+        k = n // 2
+        assert gc.monge_cost(g, g.vertices[:k], g.vertices[n - k :]) == monge
+
+
+def test_only_graph_py_queues_vertices():
+    """Every breadth-first search is Graph.bfs, so the visiting order that
+    fixes canonical windows, detours and distances is decided once."""
+    src = Path(gc.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        uses = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and node.id == "deque"
+            or isinstance(node, ast.Attribute) and node.attr == "deque"
+            or isinstance(node, ast.alias) and node.name == "deque"
+        ]
+        assert bool(uses) == (path.name == "graph.py"), (path.name, uses)

@@ -673,6 +673,22 @@ def assert_one_json_validation_error(rc, out):
     assert doc["error"]["exit_code"] == 1
 
 
+def test_cli_isolated_vertex_spectrum_and_heat_are_json_errors(tmp_path):
+    path = write_graph_file(tmp_path, gc.Graph(["a", "b", "c"], [("a", "b")]))
+    fn = tmp_path / "f.csv"
+    fn.write_text("a,1\nb,0\nc,0.5\n")
+    for argv in (
+        ["spectrum", path, "--bc", "none", "--functions"],
+        ["heat", path, str(fn), "--t-final", "1", "--steps", "2"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphcalc.cli", *argv], capture_output=True
+        )
+        assert_one_json_validation_error(proc.returncode, proc.stdout)
+        assert json.loads(proc.stdout)["error"]["message"] == "vertex 'c' is isolated"
+        assert proc.stderr == b"", argv[0]
+
+
 @pytest.mark.parametrize("potential", ["linear:x,1", "sin:zz", "nan", "linear:1,inf"])
 def test_cli_dmf_bad_potential_is_json_error(tmp_path, capsys, potential):
     path = write_graph_file(tmp_path, make_p3())

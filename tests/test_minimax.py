@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import graphcalc as gc
 
 from conftest import FIXTURES
-from helpers import brute_bottleneck, connected_graphs, random_connected_graph
+from helpers import brute_bottleneck, connected_graphs, grid_graph, random_connected_graph
 
 
 def oct_saddle_function(g):
@@ -242,3 +242,33 @@ def test_bottleneck_level_is_the_joining_threshold(g, data):
     level, path = gc.bottleneck_level(g, f, z0, z1)
     assert level == t
     assert max(f.value(x) for x in path) == t
+
+
+def _triangulated_grid(k):
+    g = grid_graph(k)
+    diagonals = [(f"r{i}c{j}", f"r{i + 1}c{j + 1}") for i in range(k - 1) for j in range(k - 1)]
+    return gc.Graph(g.vertices, g.edges() + tuple(diagonals))
+
+
+# seed, the first and last strict local minima, level, vertex, path, warning
+# count; seeds 15, 42 and 160 reroute two or three times, 13 once before a
+# dead end
+MINIMAX_FROZEN = [
+    (13, "r0c4", "r4c3", 2.0, "r0c3", "r0c4 r0c3 r1c3 r2c3 r2c2 r3c2 r4c3", 1),
+    (14, "r2c4", "r4c5", 1.0, "r3c4", "r2c4 r3c4 r4c5", 0),
+    (15, "r2c5", "r6c6", 2.0, "r5c5", "r2c5 r2c4 r3c4 r4c4 r5c5 r6c6", 0),
+    (42, "r1c5", "r5c0", 2.0, "r4c0", "r1c5 r1c4 r1c3 r1c2 r1c1 r2c1 r2c0 r3c1 r4c1 r4c0 r5c0", 0),
+    (160, "r1c3", "r3c0", 2.0, "r1c0", "r1c3 r0c2 r0c1 r0c0 r1c0 r2c1 r3c1 r3c0", 0),
+]
+
+
+def test_find_minimax_frozen_on_triangulated_grids():
+    for seed, z0, z1, level, vertex, path, n_warnings in MINIMAX_FROZEN:
+        g = _triangulated_grid(4 + seed % 4)
+        rng = gc.Lcg64(seed)
+        f = gc.VertexFunction(g, {v: float(rng.randint(3)) for v in g.vertices})
+        minima = [v for v in g.vertices if gc.is_local_min(f, v, strict=True)]
+        assert (minima[0], minima[-1]) == (z0, z1)
+        res = gc.find_minimax(g, f, z0, z1)
+        assert (res.level, res.vertex, res.path) == (level, vertex, tuple(path.split()))
+        assert len(res.warnings) == n_warnings, seed

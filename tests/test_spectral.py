@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,16 +277,16 @@ def test_barta_positivity_validation(p5):
 def test_heat_kernel_frozen_p3(p3):
     w = gc.build_window(p3, ["b"])
     es = gc.eigensystem(gc.OperatorSpec(w, "dirichlet"))
-    hk = gc.heat_kernel(es)
+    hk = gc.HeatKernel(es)
     for t in (0.0, 0.1, 0.5, 1.0, 2.0):
         assert hk.value(t, "b", "b") == pytest.approx(math.exp(-t) / 2.0, abs=1e-12)
-    assert gc.heat_kernel_eval(es, 1.0, "b", "b") == hk.value(1.0, "b", "b")
+    assert gc.HeatKernel(es).value(1.0, "b", "b") == hk.value(1.0, "b", "b")
 
 
 def test_heat_kernel_symmetry_and_semigroup(p5):
     w = gc.build_window(p5, ["b", "c", "d"])
     es = gc.eigensystem(gc.OperatorSpec(w, "dirichlet"))
-    hk = gc.heat_kernel(es)
+    hk = gc.HeatKernel(es)
     deg = np.array([p5.degree(v) for v in w.interior], dtype=float)
     for t in (0.1, 0.5, 1.0):
         M = hk.matrix(t)
@@ -298,7 +299,7 @@ def test_heat_kernel_symmetry_and_semigroup(p5):
 def test_heat_kernel_reconstruction_and_validation(p5):
     w = gc.build_window(p5, ["b", "c", "d"])
     es = gc.eigensystem(gc.OperatorSpec(w, "dirichlet"))
-    hk = gc.heat_kernel(es)
+    hk = gc.HeatKernel(es)
     rng = gc.Lcg64(29)
     for _ in range(10):
         vals = {v: rng.uniform(-1.0, 1.0) for v in w.interior}
@@ -308,8 +309,14 @@ def test_heat_kernel_reconstruction_and_validation(p5):
             assert back.value(v) == pytest.approx(f.value(v), abs=1e-12)
         for b in w.boundary:
             assert back.value(b) == 0.0
-    with pytest.raises(gc.ValidationError):
-        hk.matrix(-0.5)
+    f = gc.VertexFunction(p5, {v: 1.0 for v in w.interior})
+    for t in (-0.5, math.nan):
+        for call in (lambda: hk.matrix(t), lambda: hk.value(t, "b", "c"), lambda: hk.apply(t, f)):
+            with pytest.raises(gc.ValidationError, match="heat kernel needs t >= 0"):
+                call()
+        # the interior check comes before the time check
+        with pytest.raises(gc.DomainError):
+            hk.value(t, "a", "b")
     with pytest.raises(gc.DomainError):
         hk.value(1.0, "a", "b")
 
@@ -319,7 +326,7 @@ def test_heat_kernel_solves_heat_equation(p5):
     w = gc.build_window(p5, ["b", "c", "d"])
     spec = gc.OperatorSpec(w, "dirichlet")
     es = gc.eigensystem(spec)
-    hk = gc.heat_kernel(es)
+    hk = gc.HeatKernel(es)
     f = gc.VertexFunction(p5, {"b": 1.0, "c": -0.5, "d": 0.25})
     t, eps = 0.7, 1e-5
     mid = hk.apply(t, f)
@@ -334,11 +341,11 @@ def test_heat_kernel_solves_heat_equation(p5):
 def test_green_function_frozen_and_inverse(p3, p5):
     w3 = gc.build_window(p3, ["b"])
     es3 = gc.eigensystem(gc.OperatorSpec(w3, "dirichlet"))
-    assert gc.green_function(es3).value("b", "b") == pytest.approx(0.5, abs=1e-14)
+    assert gc.GreenFunction(es3).value("b", "b") == pytest.approx(0.5, abs=1e-14)
 
     w = gc.build_window(p5, ["b", "c", "d"])
     spec = gc.OperatorSpec(w, "dirichlet", 0.2)
-    gf = gc.green_function(gc.eigensystem(spec))
+    gf = gc.GreenFunction(gc.eigensystem(spec))
     rng = gc.Lcg64(31)
     for _ in range(10):
         f = gc.VertexFunction(p5, {v: rng.uniform(-1.0, 1.0) for v in w.interior})
@@ -349,7 +356,7 @@ def test_green_function_frozen_and_inverse(p3, p5):
 
     # neumann: the solution extends to the boundary by the reflection rule
     spec = gc.OperatorSpec(w, "neumann", 0.2)
-    gf = gc.green_function(gc.eigensystem(spec))
+    gf = gc.GreenFunction(gc.eigensystem(spec))
     for _ in range(5):
         f = gc.VertexFunction(p5, {v: rng.uniform(-1.0, 1.0) for v in w.interior})
         u = gf.apply(f)
@@ -363,7 +370,7 @@ def test_green_function_frozen_and_inverse(p3, p5):
 def test_green_function_rejects_nonpositive_spectrum(c4):
     es = gc.eigensystem(gc.OperatorSpec(c4, "none"))
     with pytest.raises(gc.NonpositiveSpectrumError) as exc:
-        gc.green_function(es)
+        gc.GreenFunction(es)
     assert exc.value.index == 1
     assert exc.value.value == pytest.approx(0.0, abs=1e-12)
 
@@ -518,3 +525,17 @@ def test_operator_error_paths_match_pointwise_reference(p5):
     want = (gc.ValidationError, "vertex 'z' is isolated")
     assert _raised(gc.apply_operator, lonely, f) == _raised(pointwise_apply_operator, lonely, f) == want
     assert _raised(gc.rayleigh_quotient, f, lonely) == _raised(pointwise_rayleigh_quotient, f, lonely) == want
+
+
+def test_eigensolve_rejects_an_isolated_interior_vertex():
+    # its row of the degree-conjugated matrix would divide by a zero degree
+    g = gc.Graph(["a", "b", "c"], [("a", "b")])
+    calls = (
+        lambda: gc.eigensystem(gc.OperatorSpec(g, "none")),
+        lambda: gc.poincare_dirichlet_constant(gc.build_window(g, ["c"])),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy divide warning would fail here
+        for call in calls:
+            with pytest.raises(gc.ValidationError, match="^vertex 'c' is isolated$"):
+                call()

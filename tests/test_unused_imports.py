@@ -1,7 +1,9 @@
-"""Every name a graphcalc module imports is used in that module.
+"""Every name a graphcalc module imports is used in that module, and every
+import sits at module level.
 
 `__init__.py` imports names only to re-export them, and `jacobi.py` holds
-aliases that perfbench's layer tracer hooks by name, so both are skipped.
+aliases that perfbench's layer tracer hooks by name, so both are skipped by
+the unused-name check.
 """
 
 import ast
@@ -35,3 +37,27 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """Lines of every import inside a function body."""
+    tree = ast.parse(source)
+    return sorted(
+        {
+            f"line {node.lineno}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_checker_finds_a_function_import():
+    source = "import os\n\ndef f():\n    import math\n    return math.pi, os.sep\n"
+    assert function_imports(source) == ["line 4"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert function_imports(path.read_text()) == []
