@@ -14,7 +14,7 @@ import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, VectorField, directional_derivative
 from .errors import DomainError, IndefiniteStepError, NumericalError, ValidationError
-from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, scatter
+from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, scatter, scatter_rows
 from .linalg import cholesky, cholesky_solve, eigvalsh
 from .spectral import (
     EigenSystem,
@@ -247,7 +247,7 @@ def transport_solve(
 
     vec = gather(f0, g.vertices)
     times = [0.0]
-    states = [scatter(g, g.vertices, vec)]
+    vecs = [vec]
     for k in range(n_steps):
         t = k * dt
         r1, r2, r4 = rates_at(t), rates_at(t + dt / 2), rates_at(t + dt)
@@ -257,8 +257,8 @@ def transport_solve(
         k4 = pairs.rhs(r4, vec + dt * k3)
         vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         times.append((k + 1) * dt)
-        states.append(scatter(g, g.vertices, vec))
-    return Trajectory(tuple(times), tuple(states), "rk4")
+        vecs.append(vec)
+    return Trajectory(tuple(times), tuple(scatter_rows(g, g.vertices, np.array(vecs))), "rk4")
 
 
 def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[float, float]:

@@ -165,9 +165,14 @@ def graph_distance(g: Graph, x0: str, x1: str) -> Optional[int]:
     parent = g.bfs(x0)
     if g.check_vertex(x1) not in parent:
         return None
+    return _hops(parent, x1)
+
+
+def _hops(parent: dict[str, Optional[str]], x: str) -> int:
+    """The edges from a reached vertex x back to the root of a bfs parent map."""
     hops = 0
-    while parent[x1] is not None:
-        x1 = parent[x1]
+    while parent[x] is not None:
+        x = parent[x]
         hops += 1
     return hops
 
@@ -347,11 +352,21 @@ def scatter(g: Graph, xs: Sequence[str], vals: np.ndarray) -> VertexFunction:
     """The function with value vals[i] at xs[i], stored in file order.
     Neither xs (distinct vertices of g, such as a region's closure) nor vals
     is checked again."""
-    by_vertex = dict(zip(xs, vals.tolist()))
-    f = object.__new__(VertexFunction)
-    f.graph = g
-    f.values = {v: by_vertex[v] for v in g.vertices if v in by_vertex}
-    return f
+    return scatter_rows(g, xs, vals[None])[0]
+
+
+def scatter_rows(g: Graph, xs: Sequence[str], rows: np.ndarray) -> list[VertexFunction]:
+    """scatter of each row of a 2-D array, from one reordering of its
+    columns into file order and one tolist."""
+    pos = dict(zip(xs, range(len(xs))))
+    keys = [v for v in g.vertices if v in pos]
+    out = []
+    for vals in rows[:, [pos[v] for v in keys]].tolist():
+        f = object.__new__(VertexFunction)
+        f.graph = g
+        f.values = dict(zip(keys, vals))
+        out.append(f)
+    return out
 
 
 def monge_cost(
@@ -384,11 +399,11 @@ def monge_cost(
 
     dist = [[0] * n for _ in range(n)]
     for i, a in enumerate(A):
+        parent = g.bfs(a)
         for j, b in enumerate(B):
-            d = graph_distance(g, a, b)
-            if d is None:
+            if b not in parent:
                 raise ValidationError(f"no path from {a!r} to {b!r}")
-            dist[i][j] = d
+            dist[i][j] = _hops(parent, b)
 
     # suf[mask] = least cost of matching the last popcount(mask) sources to
     # the targets in mask.  Reconstruction walks sources in order and takes

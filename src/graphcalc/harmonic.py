@@ -8,6 +8,7 @@ discrete harmonic map with frozen boundary values.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -28,7 +29,10 @@ class SpherePoint:
     __slots__ = ("xyz",)
 
     def __init__(self, x: float, y: float, z: float):
-        n = math.sqrt(x * x + y * y + z * z)
+        sq = x * x + y * y + z * z
+        # hypot only where the squares overflow or lose bits to underflow:
+        # elsewhere it can differ from sqrt in the last bit
+        n = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(x, y, z)
         if n < 1e-12:
             raise ValidationError("cannot normalize a near-zero vector to the sphere")
         object.__setattr__(self, "xyz", (x / n, y / n, z / n))

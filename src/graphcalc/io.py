@@ -197,11 +197,22 @@ def render_vertex_function_csv(f: VertexFunction) -> str:
 
 
 def render_trajectory_csv(times, states) -> str:
-    """time,vertex,value rows, time-major, vertices in file order."""
+    """time,vertex,value rows, time-major, vertices in file order.
+
+    Each state fills a %-template of its domain's rows, built once per
+    domain; %.17g formats a float as format_float does.
+    """
     parts = ["time,vertex,value\n"]
+    templates: dict[tuple[str, ...], str] = {}
     for t, u in zip(times, states):
-        head = format_float(t)
-        parts += [f"{head},{x},{v:.17g}\n" for x, v in u.values.items()]  # in u.domain order
+        domain = tuple(u.values)  # in file order
+        template = templates.get(domain)
+        if template is None:
+            template = "".join(["%s," + x.replace("%", "%%") + ",%.17g\n" for x in domain])
+            templates[domain] = template
+        args = [format_float(t)] * (2 * len(domain))
+        args[1::2] = u.values.values()
+        parts.append(template % tuple(args))
     return "".join(parts)
 
 

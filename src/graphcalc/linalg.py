@@ -7,8 +7,13 @@ never a BLAS call, so its bits do not depend on the BLAS thread count.
 * eigh / eigvalsh: Householder tridiagonalization, Wilkinson-shifted
   implicit QL (Golub & Van Loan, Matrix Computations, 8.3; the tqli
   recurrences of Numerical Recipes) and back-transformation by the stored
-  reflectors.  eigvalsh runs the same QL without accumulating vectors, so
-  its values equal eigh's bit for bit.
+  reflectors.  eigh's QL records its Givens rotations and applies them to
+  the vectors afterwards in waves (Van Zee, van de Geijn & Quintana-Orti,
+  ACM TOMS 40(3), 2014): a wave holds rotations on disjoint row pairs, and
+  each row meets its rotations in the order QL made them, so every entry
+  gets the same operations in the same order as when the rotations are
+  applied one at a time, bit for bit.  eigvalsh runs the same QL without
+  recording, so its values equal eigh's bit for bit.
 * canonical eigenvectors: eigenvalues within CLUSTER_TOL (relative) of
   their sorted neighbour form one eigenspace, whose basis is brought to
   reduced column-echelon form (pivot rows in row order), orthonormalized in
@@ -77,13 +82,12 @@ def _tridiagonalize(A: np.ndarray):
     return np.diag(A).copy(), e, reflectors
 
 
-def _ql(d: list, e: list, vt) -> None:
+def _ql(d: list, e: list, rotations) -> None:
     """Implicit QL with Wilkinson shifts on the tridiagonal (d, e), in place.
 
     e[i] couples d[i] and d[i+1]; e[n-1] is 0.  On return d holds the
-    eigenvalues.  When vt is given, each rotation is applied to its rows
-    i, i+1, so its row k becomes the k-th eigenvector of the tridiagonal
-    when vt starts as the identity.
+    eigenvalues.  When rotations is a list, each Givens rotation extends it
+    by i, c, s in the order made; _rotate applies them.
     """
     n = len(d)
     for l in range(n):
@@ -122,12 +126,8 @@ def _ql(d: list, e: list, vt) -> None:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if vt is not None:
-                    lo, hi = vt[i], vt[i + 1]
-                    new_hi = s * lo + c * hi
-                    lo *= c
-                    lo -= s * hi
-                    hi[:] = new_hi
+                if rotations is not None:
+                    rotations += (i, c, s)
                 i -= 1
             else:
                 d[l] -= p
@@ -135,19 +135,56 @@ def _ql(d: list, e: list, vt) -> None:
                 e[m] = 0.0
 
 
+def _rotate(n: int, rotations: list) -> np.ndarray:
+    """The identity of order n with each rotation that _ql recorded, flat as
+    i, c, s, applied to its rows i and i+1: hi = s lo + c hi and
+    lo = c lo - s hi.
+
+    A rotation's wave is one more than the last wave that touched either of
+    its rows.  So the rotations of one wave touch disjoint row pairs, each
+    row meets its rotations in recorded order, and one fancy-indexed update
+    applies a whole wave.
+    """
+    last = [0] * n
+    waves = []
+    for i in rotations[::3]:
+        w = 1 + max(last[i], last[i + 1])
+        last[i] = last[i + 1] = w
+        waves.append(w)
+    order = np.argsort(waves, kind="stable")
+    table = np.array(rotations).reshape(-1, 3)[order]
+    lo_rows = table[:, 0].astype(np.intp)
+    hi_rows = lo_rows + 1
+    c, s = table[:, 1:2].copy(), table[:, 2:3].copy()
+    cuts = [0, *(np.flatnonzero(np.diff(np.array(waves)[order])) + 1).tolist(), len(waves)]
+    vt = np.eye(n)
+    for a, b in zip(cuts, cuts[1:]):
+        lo_a, hi_a, c_a, s_a = lo_rows[a:b], hi_rows[a:b], c[a:b], s[a:b]
+        lo, hi = vt[lo_a], vt[hi_a]
+        new_hi = s_a * lo
+        new_hi += c_a * hi
+        lo *= c_a
+        lo -= s_a * hi
+        vt[hi_a] = new_hi
+        vt[lo_a] = lo
+    return vt
+
+
 def eigh_unsorted(matrix, vectors: bool = True):
     """Eigenvalues of a symmetric matrix in QL order, and the eigenvectors
     as the rows of an array (None when vectors is False)."""
     A = _symmetric_copy(matrix)
-    n = A.shape[0]
     d, e, reflectors = _tridiagonalize(A)
     d, e = d.tolist(), e.tolist()
-    vt = np.eye(n) if vectors else None
-    _ql(d, e, vt)
-    if vectors:
-        for k, beta, v in reversed(reflectors):
-            tail = vt[:, k + 1 :]
-            tail -= (beta * np.sum(tail * v, axis=1))[:, None] * v[None, :]
+    if not vectors:
+        _ql(d, e, None)
+        return np.array(d), None
+    rotations = []
+    _ql(d, e, rotations)
+    vt = _rotate(len(d), rotations)
+    for k, beta, v in reversed(reflectors):
+        tail = vt[:, k + 1 :]
+        tail -= (beta * np.sum(tail * v, axis=1))[:, None] * v[None, :]
     return np.array(d), vt
 
 

@@ -18,17 +18,19 @@ indices are 1-based in reports: values[0] is the first eigenvalue.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian
 from .errors import DomainError, NonpositiveSpectrumError, NumericalError, ValidationError
-from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter
+from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter, scatter_rows
 from .linalg import eigh, eigvalsh, project, qr
 from .rng import Lcg64
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "none")
+EXPAND_CHUNK = 1 << 20  # elements of one (times, closure, modes) product in _expand
 
 StaticPotential = Union[None, float, VertexFunction]
 
@@ -223,31 +225,36 @@ def eigensystem(spec: OperatorSpec) -> EigenSystem:
     vals, vecs = eigh(M)
     vectors = _extend_to_closure(spec, vecs / np.sqrt(spec.region.layout.deg[: len(M)])[:, None])
     vectors.flags.writeable = False
-    funcs = tuple(scatter(spec.graph, spec.closure, col) for col in vectors.T)
+    funcs = tuple(scatter_rows(spec.graph, spec.closure, vectors.T))
     return EigenSystem(spec, tuple(float(v) for v in vals), funcs, vectors)
 
 
-def _expand(es: EigenSystem, f: VertexFunction, factors) -> list[VertexFunction]:
+def _expand(es: EigenSystem, f: VertexFunction, factors: np.ndarray) -> list[VertexFunction]:
     """sum_j m_j c_j phi_j on the closure, one function per factor row m.
 
     c = Phi^T (d f) over the interior with d the degree; a factor row is
-    phi(lambda), such as exp(-lambda t) or 1/lambda.  Only elementwise
-    products and np.sum, never BLAS, so the bits do not depend on the BLAS
-    thread count.  A value outside the float range is a NumericalError.
+    phi(lambda), such as exp(-lambda t) or 1/lambda, and factors holds one
+    per row.  Only elementwise products and np.sum, never BLAS, so the bits
+    do not depend on the BLAS thread count; the rows are expanded together,
+    EXPAND_CHUNK product elements at a time, each summed as a single row
+    would be.  A value outside the float range is a NumericalError naming
+    the first, in row order, then closure order.
     """
     spec = es.spec
-    data = gather(f, spec.interior) * spec.region.layout.deg[: len(spec.interior)]
-    coeffs = (es.vectors[: len(data)] * data[:, None]).sum(axis=0)
-    out = []
-    for m in factors:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            values = (es.vectors * (coeffs * m)).sum(axis=1)
-        finite = np.isfinite(values)
-        if not finite.all():
-            x = spec.closure[int(np.argmin(finite))]
-            raise NumericalError(f"eigen-expansion overflowed: value at {x!r} is not finite")
-        out.append(scatter(spec.graph, spec.closure, values))
-    return out
+    phi = es.vectors
+    values = np.empty((len(factors), len(phi)))
+    step = max(1, EXPAND_CHUNK // phi.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        data = gather(f, spec.interior) * spec.region.layout.deg[: len(spec.interior)]
+        coeffs = (phi[: len(data)] * data[:, None]).sum(axis=0)
+        for a in range(0, len(factors), step):
+            products = phi[None] * (coeffs * factors[a : a + step])[:, None]
+            values[a : a + step] = products.sum(axis=2)
+    finite = np.isfinite(values)
+    if not finite.all():
+        x = spec.closure[int(np.argmin(finite)) % len(phi)]
+        raise NumericalError(f"eigen-expansion overflowed: value at {x!r} is not finite")
+    return scatter_rows(spec.graph, spec.closure, values)
 
 
 def _heat(es: EigenSystem, f: VertexFunction, times) -> list[VertexFunction]:
@@ -255,7 +262,7 @@ def _heat(es: EigenSystem, f: VertexFunction, times) -> list[VertexFunction]:
     overflows is left to _expand to report."""
     lam = np.array(es.values)
     with np.errstate(over="ignore"):
-        return _expand(es, f, [np.exp(-lam * t) for t in times])
+        return _expand(es, f, np.exp(-lam * np.array(times, dtype=float)[:, None]))
 
 
 def _kernel(es: EigenSystem, m: np.ndarray) -> np.ndarray:
@@ -425,11 +432,15 @@ class GreenFunction:
         self.es = es
         self.interior = es.spec.interior
         self._inv = 1.0 / np.array(es.values)
-        self._G = _kernel(es, self._inv)
+
+    @cached_property
+    def _G(self) -> np.ndarray:
+        """The Green matrix, built on the first value call."""
+        return _kernel(self.es, self._inv)
 
     def value(self, x: str, y: str) -> float:
         return float(self._G[_interior_rows(self.es.spec, "green function", x, y)])
 
     def apply(self, f: VertexFunction) -> VertexFunction:
         """Solve Lu = f; boundary values follow the spec's bc."""
-        return _expand(self.es, f, [self._inv])[0]
+        return _expand(self.es, f, self._inv[None])[0]

@@ -4,7 +4,10 @@ Everything here recomputes results from first principles with none of the
 package's algorithmic shortcuts: Fractions instead of floats, exhaustive
 enumeration instead of heaps or bitmask chunking, numpy's LAPACK eigensolver
 instead of the package's QL solver, and the pointwise calculus API in place
-of the array kernels built on it.
+of the array kernels built on it.  The bulk paths keep their one-at-a-time
+forms here as bit-for-bit references: QL rotations applied as they are
+made, the heat expansion one time at a time, and the trajectory CSV one
+row at a time.
 """
 
 import itertools
@@ -16,6 +19,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 import graphcalc as gc
+from graphcalc import linalg
+from graphcalc.graph import gather, scatter
 
 
 def floyd_warshall(g: gc.Graph) -> dict:
@@ -120,6 +125,69 @@ def brute_monge(g: gc.Graph, sources, targets):
 
 def eig_oracle(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(matrix)
+
+
+def sequential_ql(d: list, e: list, vt: np.ndarray) -> None:
+    """linalg._ql with each Givens rotation applied to rows i and i+1 of vt
+    as it is made, one rotation at a time."""
+    n = len(d)
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > linalg.EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if iterations == linalg.MAX_QL_ITERATIONS:
+                raise gc.NumericalError(f"QL iteration did not converge for eigenvalue {l + 1}")
+            iterations += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            i = m - 1
+            while i >= l:
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow: the matrix splits at i + 1
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                lo, hi = vt[i], vt[i + 1]
+                new_hi = s * lo + c * hi
+                lo *= c
+                lo -= s * hi
+                hi[:] = new_hi
+                i -= 1
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+
+
+def sequential_eigh_unsorted(matrix):
+    """linalg.eigh_unsorted(matrix) with the QL rotations applied one at a
+    time."""
+    A = linalg._symmetric_copy(matrix)
+    d, e, reflectors = linalg._tridiagonalize(A)
+    d, e = d.tolist(), e.tolist()
+    vt = np.eye(len(d))
+    sequential_ql(d, e, vt)
+    for k, beta, v in reversed(reflectors):
+        tail = vt[:, k + 1 :]
+        tail -= (beta * np.sum(tail * v, axis=1))[:, None] * v[None, :]
+    return np.array(d), vt
 
 
 def grid_graph(k: int, cols: Optional[int] = None) -> gc.Graph:
@@ -458,3 +526,27 @@ def pointwise_cheeger_functional(g: gc.Graph, f: gc.VertexFunction) -> float:
     if den == 0.0:
         raise gc.ValidationError("functional needs a nonconstant function")
     return num / den
+
+
+def rowwise_heat(es: gc.EigenSystem, f: gc.VertexFunction, times) -> list:
+    """The heat expansion one time at a time: a factor row exp(-lambda t),
+    its product with the eigenvectors summed per closure vertex, and one
+    scatter per time."""
+    spec = es.spec
+    data = gather(f, spec.interior) * spec.region.layout.deg[: len(spec.interior)]
+    coeffs = (es.vectors[: len(data)] * data[:, None]).sum(axis=0)
+    lam = np.array(es.values)
+    out = []
+    for t in times:
+        values = (es.vectors * (coeffs * np.exp(-lam * t))).sum(axis=1)
+        out.append(scatter(spec.graph, spec.closure, values))
+    return out
+
+
+def per_row_render_trajectory_csv(times, states) -> str:
+    """render_trajectory_csv with one f-string per row."""
+    parts = ["time,vertex,value\n"]
+    for t, u in zip(times, states):
+        head = gc.format_float(t)
+        parts += [f"{head},{x},{v:.17g}\n" for x, v in u.values.items()]
+    return "".join(parts)

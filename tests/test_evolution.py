@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import graphcalc as gc
+from graphcalc import spectral
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from helpers import (
     pointwise_dmf_certificate,
     pointwise_heat_identities_report,
     random_connected_graph,
+    rowwise_heat,
 )
 
 
@@ -81,6 +83,31 @@ def test_spectral_heat_matches_heat_kernel(p5):
             assert u.domain == want.domain == p5.vertices
             for v in w.closure:
                 assert u.value(v).hex() == want.value(v).hex(), (bc, t, v)
+
+
+def test_spectral_heat_matches_rowwise_expansion_bit_for_bit(monkeypatch):
+    # all times expanded together, in one chunk or in several, equal the
+    # expansion one time at a time
+    times = [k / 7 for k in range(11)]
+    cases = []
+    for k in (4, 7):
+        g = grid_graph(k)
+        w = gc.build_window(g, grid_interior(k))
+        rng = gc.Lcg64(61 + k)
+        f = gc.VertexFunction(g, {v: rng.uniform(-1.0, 1.0) for v in g.vertices})
+        fw = f.restrict(w.interior)
+        cases += [(gc.OperatorSpec(g, "none", 0.3), f)]
+        cases += [(gc.OperatorSpec(w, bc), fw) for bc in ("dirichlet", "neumann")]
+    for chunk in (spectral.EXPAND_CHUNK, 1, 3 * 49 * 49 - 1):
+        monkeypatch.setattr(spectral, "EXPAND_CHUNK", chunk)
+        for spec, f in cases:
+            es = gc.eigensystem(spec)
+            got = gc.spectral_heat_solve(spec, f, times).states
+            for u, want in zip(got, rowwise_heat(es, f, times)):
+                assert u.domain == want.domain
+                assert [v.hex() for v in u.values.values()] == [
+                    v.hex() for v in want.values.values()
+                ], (chunk, spec.bc)
 
 
 def _expm_heat(spec, f, t):

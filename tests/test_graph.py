@@ -232,6 +232,21 @@ def test_monge_matches_permutation_oracle():
             assert sorted(assignment) == list(range(1, k + 1))
 
 
+def test_monge_runs_one_search_per_source(monkeypatch):
+    g = grid_graph(6)
+    bfs = gc.Graph.bfs
+    roots = []
+
+    def counting(self, root, within=None):
+        roots.append(root)
+        return bfs(self, root, within)
+
+    monkeypatch.setattr(gc.Graph, "bfs", counting)
+    sources, targets = g.vertices[:10], g.vertices[-10:]
+    assert gc.monge_cost(g, sources, targets) == (50, (1, 2, 3, 4, 9, 10, 5, 6, 7, 8))
+    assert roots == list(sources)
+
+
 def test_monge_validation(c4):
     with pytest.raises(gc.ValidationError):
         gc.monge_cost(c4, ["v0"], ["v1", "v2"])  # size mismatch

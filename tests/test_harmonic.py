@@ -45,6 +45,19 @@ def test_sphere_point_normalizes_and_validates():
     assert len({EZ, gc.SpherePoint(0, 0, 1)}) == 1
 
 
+def test_sphere_point_normalizes_past_the_float_range():
+    # the sum of squares overflows; hypot does not
+    assert gc.SpherePoint(1e200, 0.0, 0.0).xyz == (1.0, 0.0, 0.0)
+    x, y, z = gc.SpherePoint(1e308, -1e308, 0.5).xyz
+    assert x == -y == pytest.approx(math.sqrt(0.5), rel=1e-15) and 0.0 < z < 1e-300
+    # inside the normal range the norm is still sqrt of the sum of squares
+    rng = gc.Lcg64(59)
+    for _ in range(200):
+        v = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+        n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        assert gc.SpherePoint(*v).xyz == (v[0] / n, v[1] / n, v[2] / n)
+
+
 def test_sphere_distance():
     assert gc.sphere_distance(EX, EX) == 0.0
     assert gc.sphere_distance(EX, EY) == pytest.approx(math.pi / 2, abs=1e-15)

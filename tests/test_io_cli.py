@@ -14,6 +14,7 @@ import graphcalc as gc
 import graphcalc.cli as cli
 
 from conftest import make_c4, make_k2, make_octahedron, make_p3, make_p5
+from helpers import per_row_render_trajectory_csv
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -284,6 +285,36 @@ def test_vertex_function_csv_round_trip_is_exact(ids, data):
     back = gc.parse_vertex_function("# manifest: {}\n" + gc.render_vertex_function_csv(f), g)
     assert back.domain == f.domain
     assert [v.hex() for v in back.values.values()] == [v.hex() for v in f.values.values()]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(
+        VERTEX_IDS
+        | st.sampled_from(["%", "a%s", "%%d", "50%", "\\", "x\\n", "é", "∂u", "12", "007"]),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    ),
+    st.data(),
+)
+def test_render_trajectory_csv_matches_per_row_reference(ids, data):
+    # the states' domains differ in membership and in insertion order, so a
+    # template is reused only for an equal domain
+    g = gc.Graph(ids, [])
+    values = FINITE_FLOATS | st.sampled_from([-0.0, 5e-324, 1e308])
+    states = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        domain = data.draw(st.lists(st.sampled_from(ids), unique=True))
+        vals = data.draw(st.lists(values, min_size=len(domain), max_size=len(domain)))
+        states.append(gc.VertexFunction(g, dict(zip(domain, vals))))
+    times = sorted(data.draw(st.lists(FINITE_FLOATS, min_size=len(states), max_size=len(states))))
+    got = gc.render_trajectory_csv(times, states)
+    assert got == per_row_render_trajectory_csv(times, states)
+    # a state repeated after another domain renders from its own template
+    assert gc.render_trajectory_csv(times + times, states + states) == (
+        per_row_render_trajectory_csv(times + times, states + states)
+    )
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -784,23 +815,31 @@ def test_cli_nan_csv_cell_is_json_error(tmp_path, capsys):
 
 
 def test_cli_heat_overflow_is_numerical_error(tmp_path, capsys):
-    path = write_graph_file(tmp_path, make_p3())
-    fn = tmp_path / "f.csv"
-    fn.write_text("b,1\n")
-    argv = ["heat", path, str(fn), "--bc", "dirichlet", "--interior", "b",
-            "--potential", "-1000", "--t-final", "1", "--steps", "2"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = cli.main(argv)
-    out, err = capsys.readouterr()
-    assert rc == 2
-    doc = json.loads(out)
-    assert list(doc) == ["error"]
-    assert doc["error"]["type"] == "NumericalError"
-    assert doc["error"]["exit_code"] == 2
-    # the JSON error is the only signal: no numpy overflow warnings
-    assert [str(w.message) for w in caught] == []
-    assert err == ""
+    # the factor exp(-lambda t) overflows on P3; on P5 the data times the
+    # degree does, and the coefficient sums meet inf - inf
+    cases = [
+        (make_p3(), "b,1\n", ["--interior", "b", "--potential", "-1000"]),
+        (make_p5(), "b,1e308\nc,1e308\nd,1e308\n", ["--interior", "b,c,d"]),
+    ]
+    for k, (g, data, options) in enumerate(cases):
+        path = write_graph_file(tmp_path, g)
+        fn = tmp_path / f"f{k}.csv"
+        fn.write_text(data)
+        argv = ["heat", path, str(fn), "--bc", "dirichlet", *options]
+        argv += ["--t-final", "1", "--steps", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        doc = json.loads(out)
+        assert list(doc) == ["error"]
+        assert doc["error"]["type"] == "NumericalError"
+        assert doc["error"]["message"] == "eigen-expansion overflowed: value at 'b' is not finite"
+        assert doc["error"]["exit_code"] == 2
+        # the JSON error is the only signal: no numpy overflow warnings
+        assert [str(w.message) for w in caught] == [], k
+        assert err == ""
 
 
 def test_cli_dmf_overflow_is_numerical_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import ast
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ from hypothesis import given, settings
 import graphcalc as gc
 from graphcalc import linalg
 
-from helpers import connected_graphs, eig_oracle, grid_graph, grid_interior
+from conftest import FIXTURES
+from helpers import (
+    connected_graphs,
+    eig_oracle,
+    grid_graph,
+    grid_interior,
+    sequential_eigh_unsorted,
+)
 
 SRC = Path(gc.__file__).resolve().parent
 
@@ -57,6 +66,65 @@ def test_eigh_special_matrices():
     assert np.allclose(vals, eig_oracle(A), atol=1e-13)
     _check_eigenpairs(A, vals, vecs, 1e-13)
     assert np.array_equal(gc.eigvalsh(A), vals)
+
+
+def _tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+# a tridiagonal on which a QL rotation underflows to r == 0, so the matrix
+# splits inside a sweep (found by a seeded search over mixed scales)
+SPLIT = _tridiagonal([-2.0, 0.0, 3e-300, 1e-300, -0.0], [1e-200, 2e-300, -1.0, 4.0])
+
+
+def _reference_matrices():
+    for make in FIXTURES.values():
+        yield gc.symmetric_matrix(gc.OperatorSpec(make(), "none"))
+    for k in range(2, 15):
+        yield gc.symmetric_matrix(gc.OperatorSpec(grid_graph(k), "none"))
+    for k in (5, 9):
+        for spec in list(_grid_specs(k))[1:]:
+            yield gc.symmetric_matrix(spec)
+    rng = gc.Lcg64(53)
+    for n in (1, 2, 3, 5, 8, 13, 30, 60):
+        B = np.array([[rng.normal() for _ in range(n)] for _ in range(n)])
+        yield B + B.T
+    yield SPLIT
+    yield np.diag([3.0, -1.0, 2.0, -1.0, 0.5, 0.0])
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_eigh_matches_sequential_rotations_bit_for_bit(monkeypatch):
+    """The rotations applied in waves give the vectors of applying them one
+    at a time, bit for bit, and so does the sorted canonical eigh."""
+    zeros = []
+
+    def hypot(*args):
+        r = math.hypot(*args)
+        zeros.append(r == 0.0)
+        return r
+
+    with monkeypatch.context() as m:
+        proxy = SimpleNamespace(hypot=hypot, copysign=math.copysign, sqrt=math.sqrt)
+        m.setattr(linalg, "math", proxy)
+        linalg.eigh_unsorted(SPLIT)
+    assert any(zeros)
+    rotations = []
+    linalg._ql([3.0, -1.0, 2.0], [0.0, 0.0, 0.0], rotations)
+    assert rotations == []
+
+    mats = list(_reference_matrices())
+    got = [(linalg.eigh_unsorted(M), gc.eigh(M), gc.eigvalsh(M)) for M in mats]
+    monkeypatch.setattr(linalg, "eigh_unsorted", sequential_eigh_unsorted)
+    for M, ((vals, vt), (svals, vecs), plain) in zip(mats, got):
+        want_vals, want_vt = sequential_eigh_unsorted(M)
+        assert _bits(vals) == _bits(want_vals) and _bits(vt) == _bits(want_vt), len(M)
+        want_svals, want_vecs = gc.eigh(M)
+        assert _bits(svals) == _bits(want_svals) and _bits(vecs) == _bits(want_vecs), len(M)
+        assert _bits(plain) == _bits(want_svals), len(M)
 
 
 def test_eigh_input_errors(monkeypatch):
@@ -210,18 +278,43 @@ def _numpy_uses(path):
     return names
 
 
+def _matmul_sites(path):
+    """(function, line) of every @ operator in a module."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+# numpy calls that can hand a product to BLAS
+BLAS_CALLS = {"np.dot", "np.matmul", "np.einsum", "np.tensordot", "np.inner", "np.vdot"}
+
+
 def test_no_blas_in_linalg_and_no_lapack_solvers_elsewhere():
     uses = _numpy_uses(SRC / "linalg.py")
-    assert not {n for n in uses if n in ("@", "np.dot", "np.matmul") or n.startswith("np.linalg")}
+    assert not {n for n in uses if n == "@" or n.startswith("np.linalg")}
     banned = {"np.linalg.eigh", "np.linalg.eigvalsh", "np.linalg.solve"}
     for path in sorted(SRC.glob("*.py")):
         if path.name != "linalg.py":
             assert not _numpy_uses(path) & banned, path.name
-    # the operator and its audits: the Courant-Fischer subspaces use
-    # linalg.qr and linalg.project, and evolution multiplies no matrices
-    for name in ("spectral.py", "evolution.py"):
-        assert not {n for n in _numpy_uses(SRC / name) if n.startswith("np.linalg")}, name
+    # the eigensolve, the operator and its audits, and the flows: the
+    # Courant-Fischer subspaces use linalg.qr and linalg.project, evolution
+    # multiplies no matrices, and the one @ in spectral builds the dense
+    # kernel matrices
+    for name in ("linalg.py", "spectral.py", "evolution.py"):
+        uses = _numpy_uses(SRC / name)
+        assert not uses & BLAS_CALLS, (name, sorted(uses & BLAS_CALLS))
+        assert not {n for n in uses if n.startswith("np.linalg")}, name
     assert "@" not in _numpy_uses(SRC / "evolution.py")
+    assert [scope for scope, _ in _matmul_sites(SRC / "spectral.py")] == ["_kernel"]
 
 
 def _region_type_checks(path):

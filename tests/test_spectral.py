@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphcalc as gc
+from graphcalc import spectral
 
 from conftest import FIXTURES
 from helpers import (
@@ -365,6 +366,26 @@ def test_green_function_frozen_and_inverse(p3, p5):
             assert back.value(v) == pytest.approx(f.value(v), abs=1e-12)
         assert u.value("a") == pytest.approx(u.value("b"), abs=1e-14)
         assert u.value("e") == pytest.approx(u.value("d"), abs=1e-14)
+
+
+def test_green_matrix_is_built_on_first_value(p5, monkeypatch):
+    es = gc.eigensystem(gc.OperatorSpec(gc.build_window(p5, ["b", "c", "d"]), "dirichlet", 0.2))
+    f = gc.VertexFunction(p5, {"b": 1.0, "c": -2.0, "d": 0.5})
+    want = gc.GreenFunction(es).value("b", "d")
+    kernel = spectral._kernel
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(spectral, "_kernel", counting)
+    gf = gc.GreenFunction(es)
+    gf.apply(f)
+    assert calls == []
+    assert gf.value("b", "d").hex() == want.hex()
+    assert gf.value("c", "c") == gf.value("c", "c")
+    assert len(calls) == 1
 
 
 def test_green_function_rejects_nonpositive_spectrum(c4):
