@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -94,18 +95,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_scale(text: str) -> float:
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            val = float(num) / float(den)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ValidationError(f"cannot parse scale {text!r}") from e
-    else:
-        try:
-            val = float(s)
-        except ValueError as e:
-            raise ValidationError(f"cannot parse scale {text!r}") from e
+    num, slash, den = text.strip().partition("/")
+    try:
+        val = float(num) / float(den) if slash else float(num)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValidationError(f"cannot parse scale {text!r}") from e
     for allowed in ALLOWED_SCALES:
         if abs(val - allowed) < 1e-15:
             return allowed
@@ -153,32 +147,31 @@ def _split_names(text: str, what: str) -> list[str]:
     return names
 
 
-def _load_graph_arg(args, inputs: Inputs) -> Graph:
-    return parse_graph(inputs.read("graph", args.graph))
-
-
 def _finite_float(text: str) -> float:
     return _parse_float(text, "numeric option")
 
 
-def _static_potential(text: Optional[str], g: Graph, inputs: Inputs):
-    if text is None or text == "none":
+def _static_potential(text: str, g: Graph, inputs: Inputs):
+    if text == "none":
         return None
     if text.startswith("csv:"):
         return parse_vertex_function(inputs.read("potential", text[4:]), g)
     return _parse_float(text, "potential (a number, 'none' or 'csv:PATH')")
 
 
-def _time_potential(text: Optional[str], g: Graph, inputs: Inputs):
+def _linear(text: str, what: str):
+    """t -> a + b t from 'linear:a,b'; what names the option in messages."""
+    parts = text[len("linear:") :].split(",")
+    if len(parts) != 2:
+        raise ValidationError(f"linear {what} needs 'linear:a,b'")
+    a, b = (_parse_float(p, f"linear {what}") for p in parts)
+    return lambda t: a + b * t
+
+
+def _time_potential(text: str, g: Graph, inputs: Inputs):
     """Potential for the implicit flow: static forms plus linear:a,b and sin:a."""
-    if text is None:
-        return 0.0
     if text.startswith("linear:"):
-        parts = text[len("linear:") :].split(",")
-        if len(parts) != 2:
-            raise ValidationError("linear potential needs 'linear:a,b'")
-        a, b = (_parse_float(p, "linear potential") for p in parts)
-        return lambda t: a + b * t
+        return _linear(text, "potential")
     if text.startswith("sin:"):
         amp = _parse_float(text[len("sin:") :], "sin potential")
         return lambda t: amp * math.sin(t)
@@ -190,8 +183,7 @@ def _time_potential(text: Optional[str], g: Graph, inputs: Inputs):
 # subcommands
 
 
-def cmd_graph(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
+def cmd_graph(args, g, inputs, cfg):
     return {
         "vertices": len(g),
         "edges": len(g.edges()),
@@ -201,20 +193,25 @@ def cmd_graph(args, inputs, cfg):
     }
 
 
-def _spec_from_args(args, g: Graph, cfg: CalculusConfig, inputs: Inputs) -> OperatorSpec:
-    q = _static_potential(getattr(args, "potential", None), g, inputs)
-    if args.bc == "none":
-        if getattr(args, "interior", None):
+def _window(args, g: Graph):
+    """The --interior window of g, or g itself under --bc none.  dmf and
+    harmonic have no --bc, and argparse requires their --interior."""
+    bc = getattr(args, "bc", None)
+    if bc == "none":
+        if args.interior:
             raise ValidationError("--interior only applies to dirichlet/neumann")
-        return OperatorSpec(g, "none", q, cfg)
-    if not getattr(args, "interior", None):
-        raise ValidationError(f"--interior is required for bc={args.bc}")
-    w = build_window(g, _split_names(args.interior, "interior"))
-    return OperatorSpec(w, args.bc, q, cfg)
+        return g
+    if bc and not args.interior:
+        raise ValidationError(f"--interior is required for bc={bc}")
+    return build_window(g, _split_names(args.interior, "interior"))
 
 
-def cmd_spectrum(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
+def _spec_from_args(args, g: Graph, cfg: CalculusConfig, inputs: Inputs) -> OperatorSpec:
+    q = _static_potential(args.potential, g, inputs)
+    return OperatorSpec(_window(args, g), args.bc, q, cfg)
+
+
+def cmd_spectrum(args, g, inputs, cfg):
     spec = _spec_from_args(args, g, cfg, inputs)
     es = eigensystem(spec)
     inner = spec.interior
@@ -240,65 +237,33 @@ def cmd_spectrum(args, inputs, cfg):
     return payload
 
 
-def cmd_cheeger(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
+def cmd_cheeger(args, g, inputs, cfg):
     h, hrep, gv, grep = cheeger_constants(g)
-
-    def report(r):
-        return {
-            "subset": list(r.subset),
-            "edge_cut": r.edge_cut,
-            "boundary_vertices": r.boundary_vertices,
-            "volume_inside": r.volume_inside,
-            "volume_outside": r.volume_outside,
-        }
-
-    payload = {
-        "h": h,
-        "h_witness": report(hrep),
-        "g": gv,
-        "g_witness": report(grep),
-    }
+    payload = {"h": h, "h_witness": asdict(hrep), "g": gv, "g_witness": asdict(grep)}
     if args.function:
         f = parse_vertex_function(inputs.read("function", args.function), g)
         payload["functional_ratio"] = cheeger_functional(g, f)
     return payload
 
 
-def cmd_minimax(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
+def cmd_minimax(args, g, inputs, cfg):
     f = parse_vertex_function(inputs.read("function", args.function), g)
     level, path = bottleneck_level(g, f, args.src, args.dst)
     result = find_minimax(g, f, args.src, args.dst)
-    payload = {
-        "level": result.level,
-        "vertex": result.vertex,
-        "path": list(result.path),
-        "warnings": list(result.warnings),
-        "bottleneck": {"level": level, "path": list(path)},
-    }
+    payload = {**asdict(result), "bottleneck": {"level": level, "path": path}}
     which = args.classify or result.vertex
     if g.degree(which) <= NEIGHBORHOOD_CAP:
         cls = classify_vertex(g, f, which)
         payload["classification"] = {
             "vertex": cls.vertex,
-            "kinds": list(cls.kinds),
-            "notes": list(cls.notes),
-            "witness": None
-            if cls.witness is None
-            else {
-                "anchor_high": list(cls.witness.anchor_high),
-                "arc_plus": list(cls.witness.arc_plus),
-                "arc_minus": list(cls.witness.arc_minus),
-                "dip_plus": cls.witness.dip_plus,
-                "dip_minus": cls.witness.dip_minus,
-            },
+            "kinds": cls.kinds,
+            "notes": cls.notes,
+            "witness": None if cls.witness is None else asdict(cls.witness),
         }
     return payload
 
 
-def cmd_heat(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
+def cmd_heat(args, g, inputs, cfg):
     f = parse_vertex_function(inputs.read("function", args.function), g)
     spec = _spec_from_args(args, g, cfg, inputs)
     if args.t_final <= 0 or args.steps < 1:
@@ -309,8 +274,7 @@ def cmd_heat(args, inputs, cfg):
     return render_trajectory_csv(traj.times, traj.states), {}
 
 
-def cmd_transport(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
+def cmd_transport(args, g, inputs, cfg):
     f = parse_vertex_function(inputs.read("function", args.function), g)
     base = parse_vector_field(inputs.read("field", args.field), g, args.field_mode)
     if args.profile == "const":
@@ -318,21 +282,17 @@ def cmd_transport(args, inputs, cfg):
     elif args.profile == "sin":
         field = lambda t: base.scaled(math.sin(t))
     elif args.profile.startswith("linear:"):
-        parts = args.profile[len("linear:") :].split(",")
-        if len(parts) != 2:
-            raise ValidationError("linear profile needs 'linear:a,b'")
-        a, b = (_parse_float(p, "linear profile") for p in parts)
-        field = lambda t: base.scaled(a + b * t)
+        factor = _linear(args.profile, "profile")
+        field = lambda t: base.scaled(factor(t))
     else:
         raise ValidationError(f"unknown profile {args.profile!r}")
     traj = transport_solve(g, field, f, args.t_final, args.dt)
     return render_trajectory_csv(traj.times, traj.states), {}
 
 
-def cmd_dmf(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
+def cmd_dmf(args, g, inputs, cfg):
     f = parse_vertex_function(inputs.read("function", args.function), g)
-    w = build_window(g, _split_names(args.interior, "interior"))
+    w = _window(args, g)
     pot = _time_potential(args.potential, g, inputs)
     run = dmf_run(f, pot, args.t_final, args.steps, w, cfg)
     audit = {
@@ -346,13 +306,10 @@ def cmd_dmf(args, inputs, cfg):
     return render_trajectory_csv(run.times, run.states), {"audit": audit}
 
 
-def cmd_harmonic(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
-    w = build_window(g, _split_names(args.interior, "interior"))
+def cmd_harmonic(args, g, inputs, cfg):
+    w = _window(args, g)
     bmap = parse_sphere_map(inputs.read("boundary", args.boundary), g)
-    res = dirichlet_minimize(
-        bmap, w, tau=args.tau, tol=args.tol, max_steps=args.max_steps
-    )
+    res = dirichlet_minimize(bmap, w, tau=args.tau, tol=args.tol, max_steps=args.max_steps)
     if res.flow.status != "converged":
         raise NumericalError(
             f"flow did not converge: status {res.flow.status!r} after "
@@ -370,13 +327,11 @@ def cmd_harmonic(args, inputs, cfg):
     return render_sphere_map_csv(res.flow.map), {"result": summary}
 
 
-def cmd_identities(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
+def cmd_identities(args, g, inputs, cfg):
     return run_identity_suite(g, args.seed, args.trials, cfg)
 
 
-def cmd_monge(args, inputs, cfg):
-    g = _load_graph_arg(args, inputs)
+def cmd_monge(args, g, inputs, cfg):
     sources = _split_names(args.sources, "sources")
     targets = _split_names(args.targets, "targets")
     cost, assignment = monge_cost(g, sources, targets)
@@ -413,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--bc", choices=("dirichlet", "neumann", "none"), default="none")
     sp.add_argument("--interior", default=None, help="comma-separated interior vertices")
-    sp.add_argument("--potential", default=None, help="number, 'none' or 'csv:PATH'")
+    sp.add_argument("--potential", default="none", help="number, 'none' or 'csv:PATH'")
     sp.add_argument("--functions", action="store_true", help="include eigenfunctions")
     sp.set_defaults(func=cmd_spectrum)
 
@@ -435,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("function", help="initial data CSV")
     sp.add_argument("--bc", choices=("dirichlet", "neumann", "none"), default="none")
     sp.add_argument("--interior", default=None)
-    sp.add_argument("--potential", default=None)
+    sp.add_argument("--potential", default="none")
     sp.add_argument("--t-final", type=_finite_float, required=True, dest="t_final")
     sp.add_argument("--steps", type=int, required=True)
     sp.set_defaults(func=cmd_heat)
@@ -465,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--interior", required=True)
     sp.add_argument(
         "--potential",
-        default=None,
+        default="none",
         help="number, 'csv:PATH', 'linear:a,b' or 'sin:a'",
     )
     sp.add_argument("--t-final", type=_finite_float, required=True, dest="t_final")
@@ -515,7 +470,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         scale = parse_scale(scale_text) if scale_text is not None else 1.0
         cfg = CalculusConfig(laplacian_scale=scale)
         inputs = Inputs()
-        result = args.func(args, inputs, cfg)
+        g = parse_graph(inputs.read("graph", args.graph))
+        result = args.func(args, g, inputs, cfg)
         manifest = build_manifest(argv, cfg.laplacian_scale, inputs, getattr(args, "seed", None))
         if isinstance(result, dict):
             _emit(render_json({"manifest": manifest, **result}) + "\n", args.out)

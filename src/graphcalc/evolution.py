@@ -48,11 +48,7 @@ class Trajectory:
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValidationError("times and states must align")
-        if not self.times or self.times[0] != 0.0:
-            raise ValidationError("trajectory must start at time 0")
-        for a, b in zip(self.times, self.times[1:]):
-            if not b > a:
-                raise ValidationError("times must be strictly increasing")
+        _check_time_grid(self.times)
 
     def state_at(self, t: float) -> VertexFunction:
         for tk, u in zip(self.times, self.states):
@@ -231,7 +227,8 @@ def transport_solve(
     """Classical RK4 for f' (x) = (1/d_x) sum_y w(t, xy) (f(y) - f(x)).
 
     The driving field may be a fixed vector field or a callable of time.
-    t_final must be an integer number of steps of size dt.
+    t_final must be an integer number of steps of size dt.  A state outside
+    the float range is a NumericalError naming its first time and vertex.
     """
     if t_final <= 0 or dt <= 0:
         raise ValidationError("t_final and dt must be positive")
@@ -248,17 +245,25 @@ def transport_solve(
     vec = gather(f0, g.vertices)
     times = [0.0]
     vecs = [vec]
-    for k in range(n_steps):
-        t = k * dt
-        r1, r2, r4 = rates_at(t), rates_at(t + dt / 2), rates_at(t + dt)
-        k1 = pairs.rhs(r1, vec)
-        k2 = pairs.rhs(r2, vec + dt / 2 * k1)
-        k3 = pairs.rhs(r2, vec + dt / 2 * k2)
-        k4 = pairs.rhs(r4, vec + dt * k3)
-        vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        times.append((k + 1) * dt)
-        vecs.append(vec)
-    return Trajectory(tuple(times), tuple(scatter_rows(g, g.vertices, np.array(vecs))), "rk4")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for k in range(n_steps):
+            t = k * dt
+            r1, r2, r4 = rates_at(t), rates_at(t + dt / 2), rates_at(t + dt)
+            k1 = pairs.rhs(r1, vec)
+            k2 = pairs.rhs(r2, vec + dt / 2 * k1)
+            k3 = pairs.rhs(r2, vec + dt / 2 * k2)
+            k4 = pairs.rhs(r4, vec + dt * k3)
+            vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            times.append((k + 1) * dt)
+            vecs.append(vec)
+    states = np.array(vecs)
+    finite = np.isfinite(states)
+    if not finite.all():
+        k, i = divmod(int(np.argmin(finite)), len(g))
+        raise NumericalError(
+            f"transport overflowed: value at {g.vertices[i]!r} is not finite at time {times[k]!r}"
+        )
+    return Trajectory(tuple(times), tuple(scatter_rows(g, g.vertices, states)), "rk4")
 
 
 def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[float, float]:
@@ -368,8 +373,8 @@ def _dmf_step(
     v0 = _extend_to_closure(spec, gather(u_prev, inner))
     deg = lay.deg[:k]
     sqd = np.sqrt(deg)
-    b = sqd * v0[:k] / h
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        b = sqd * v0[:k] / h
         y = cholesky_solve(system.factor, b)
         resid = np.sum(system.matrix * y, axis=1) - b
         bn = math.sqrt(float(np.sum(b * b)))

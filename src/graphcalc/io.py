@@ -106,18 +106,27 @@ def _parse_float(cell: str, where: str) -> float:
     return val
 
 
+def _records(text: str, g: Graph, columns: str, keys: int):
+    """(k, row) for each data row k = 1, 2, ... of a CSV whose optional
+    header is columns.  Each row is checked as it is reached: it must have
+    one cell per column, and its first keys cells must be vertices of g."""
+    names = columns.split(",")
+    rows = _csv_rows(text)
+    if rows and [c.lower() for c in rows[0]] == names:
+        rows = rows[1:]
+    for k, row in enumerate(rows, start=1):
+        if len(row) != len(names):
+            raise ValidationError(f"row {k}: expected '{columns}', got {row!r}")
+        for v in row[:keys]:
+            if v not in g:
+                raise UnknownVertexError(f"row {k}: unknown vertex {v!r}")
+        yield k, row
+
+
 def parse_vertex_function(text: str, g: Graph) -> VertexFunction:
     """CSV with rows vertex,value; header row 'vertex,value' is optional."""
-    rows = _csv_rows(text)
-    if rows and [c.lower() for c in rows[0]] == ["vertex", "value"]:
-        rows = rows[1:]
     vals: dict[str, float] = {}
-    for k, row in enumerate(rows, start=1):
-        if len(row) != 2:
-            raise ValidationError(f"row {k}: expected 'vertex,value', got {row!r}")
-        v, cell = row
-        if v not in g:
-            raise UnknownVertexError(f"row {k}: unknown vertex {v!r}")
+    for k, (v, cell) in _records(text, g, "vertex,value", 1):
         if v in vals:
             raise ValidationError(f"row {k}: vertex {v!r} listed twice")
         vals[v] = _parse_float(cell, f"row {k}")
@@ -139,17 +148,8 @@ def parse_vector_field(text: str, g: Graph, mode: str = "exact") -> VectorField:
     """
     if mode not in FIELD_MODES:
         raise ValidationError(f"mode must be one of {FIELD_MODES}, got {mode!r}")
-    rows = _csv_rows(text)
-    if rows and [c.lower() for c in rows[0]] == ["from", "to", "value"]:
-        rows = rows[1:]
     entries: dict[tuple[str, str], float] = {}
-    for k, row in enumerate(rows, start=1):
-        if len(row) != 3:
-            raise ValidationError(f"row {k}: expected 'from,to,value', got {row!r}")
-        x, y, cell = row
-        for v in (x, y):
-            if v not in g:
-                raise UnknownVertexError(f"row {k}: unknown vertex {v!r}")
+    for k, (x, y, cell) in _records(text, g, "from,to,value", 2):
         if not g.has_edge(x, y):
             raise ValidationError(f"row {k}: {x!r} and {y!r} are not adjacent")
         if (x, y) in entries:
@@ -172,19 +172,11 @@ def parse_vector_field(text: str, g: Graph, mode: str = "exact") -> VectorField:
 
 def parse_sphere_map(text: str, g: Graph) -> SphereMap:
     """CSV with rows vertex,x,y,z; header optional.  Rows are normalized."""
-    rows = _csv_rows(text)
-    if rows and [c.lower() for c in rows[0]] == ["vertex", "x", "y", "z"]:
-        rows = rows[1:]
     pts: dict[str, SpherePoint] = {}
-    for k, row in enumerate(rows, start=1):
-        if len(row) != 4:
-            raise ValidationError(f"row {k}: expected 'vertex,x,y,z', got {row!r}")
-        v = row[0]
-        if v not in g:
-            raise UnknownVertexError(f"row {k}: unknown vertex {v!r}")
+    for k, (v, *cells) in _records(text, g, "vertex,x,y,z", 1):
         if v in pts:
             raise ValidationError(f"row {k}: vertex {v!r} listed twice")
-        coords = [_parse_float(c, f"row {k}") for c in row[1:]]
+        coords = [_parse_float(c, f"row {k}") for c in cells]
         pts[v] = SpherePoint(*coords)
     if not pts:
         raise ValidationError("no map rows found")

@@ -172,9 +172,13 @@ def _rotate(n: int, rotations: list) -> np.ndarray:
 
 def eigh_unsorted(matrix, vectors: bool = True):
     """Eigenvalues of a symmetric matrix in QL order, and the eigenvectors
-    as the rows of an array (None when vectors is False)."""
+    as the rows of an array (None when vectors is False).  A tridiagonal
+    form outside the float range is a NumericalError."""
     A = _symmetric_copy(matrix)
-    d, e, reflectors = _tridiagonalize(A)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        d, e, reflectors = _tridiagonalize(A)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise NumericalError("eigensolve overflowed: the tridiagonal form is not finite")
     d, e = d.tolist(), e.tolist()
     if not vectors:
         _ql(d, e, None)

@@ -1,9 +1,11 @@
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,6 +422,58 @@ def test_every_document_leads_with_its_manifest(tmp_path, capsys, command):
     assert manifest["argv"] == argv
 
 
+GOLDEN = Path(__file__).parent / "cli_golden.json"
+
+
+def golden_calls(tmp_path):
+    """one_call_per_command, and a minimax call whose classification has a witness."""
+    calls = one_call_per_command(tmp_path)
+    octahedron = write_graph_file(tmp_path, make_octahedron(), "octahedron.json")
+    saddle = tmp_path / "saddle.csv"
+    saddle.write_text("p1,0\nm1,0\np2,1\nm2,1\np3,1\nm3,1\n")
+    calls["minimax-witness"] = ["minimax", octahedron, str(saddle), "--src", "p1", "--dst", "m1"]
+    return calls
+
+
+def test_cli_documents_are_pinned(tmp_path, capsys):
+    # every subcommand's document, byte for byte, with the temporary
+    # directory written as <TMP>; the payloads built from result dataclasses
+    # (cheeger witnesses, minimax search and classification) are among them
+    want = json.loads(GOLDEN.read_text())
+    calls = golden_calls(tmp_path)
+    assert list(calls) == list(want)
+    for name, argv in calls.items():
+        rc, out = run_cli(capsys, argv)
+        assert rc == 0, out
+        assert out.replace(str(tmp_path), "<TMP>") == want[name], name
+
+
+def test_only_cli_main_reads_the_graph():
+    """main reads and parses the graph argument once and hands the graph to
+    every subcommand, so no other function in cli.py parses a graph or reads
+    the graph file."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        parses, reads = [], []
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "parse_graph":
+                parses.append(node.lineno)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "read"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == "graph"
+            ):
+                reads.append(node.lineno)
+        in_main = top.name == "main"
+        assert bool(parses) == in_main, (top.name, parses)
+        assert bool(reads) == in_main, (top.name, reads)
+
+
 def test_cli_spectrum_frozen(tmp_path, capsys):
     path = write_graph_file(tmp_path, make_c4())
     rc, out = run_cli(capsys, ["spectrum", path, "--functions"])
@@ -814,6 +868,24 @@ def test_cli_nan_csv_cell_is_json_error(tmp_path, capsys):
     assert_one_json_validation_error(*run_cli(capsys, argv))
 
 
+def numerical_error_message(capsys, argv):
+    """The message of the one JSON NumericalError that argv must end in.
+    The JSON error is the only signal: nothing, numpy warnings included,
+    may reach stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2, out
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "NumericalError"
+    assert doc["error"]["exit_code"] == 2
+    assert [str(w.message) for w in caught] == []
+    assert err == ""
+    return doc["error"]["message"]
+
+
 def test_cli_heat_overflow_is_numerical_error(tmp_path, capsys):
     # the factor exp(-lambda t) overflows on P3; on P5 the data times the
     # degree does, and the coefficient sums meet inf - inf
@@ -827,40 +899,45 @@ def test_cli_heat_overflow_is_numerical_error(tmp_path, capsys):
         fn.write_text(data)
         argv = ["heat", path, str(fn), "--bc", "dirichlet", *options]
         argv += ["--t-final", "1", "--steps", "2"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = cli.main(argv)
-        out, err = capsys.readouterr()
-        assert rc == 2
-        doc = json.loads(out)
-        assert list(doc) == ["error"]
-        assert doc["error"]["type"] == "NumericalError"
-        assert doc["error"]["message"] == "eigen-expansion overflowed: value at 'b' is not finite"
-        assert doc["error"]["exit_code"] == 2
-        # the JSON error is the only signal: no numpy overflow warnings
-        assert [str(w.message) for w in caught] == [], k
-        assert err == ""
+        message = numerical_error_message(capsys, argv)
+        assert message == "eigen-expansion overflowed: value at 'b' is not finite", k
 
 
 def test_cli_dmf_overflow_is_numerical_error(tmp_path, capsys):
     # squares past the float range used to escape as Python's OverflowError
-    # from ** 2; a step norm or energy that is not finite is reported instead
+    # from ** 2; a step norm or energy that is not finite is reported instead.
+    # With 1e308 and a small step the right-hand side u / h overflows too.
     path = write_graph_file(tmp_path, make_p3())
+    for k, (value, steps) in enumerate([("1e160", "2"), ("1e308", "1000")]):
+        fn = tmp_path / f"f{k}.csv"
+        fn.write_text(f"b,{value}\n")
+        argv = ["dmf", path, str(fn), "--interior", "b", "--t-final", "1", "--steps", steps]
+        assert numerical_error_message(capsys, argv).startswith("dmf step overflowed: ")
+
+
+def make_c5():
+    return gc.Graph([f"v{i}" for i in range(5)], [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)])
+
+
+def test_cli_transport_overflow_is_numerical_error(tmp_path, capsys):
+    # the RK4 stages overflow in the first step and the states turn to nan
+    path = write_graph_file(tmp_path, make_c5())
     fn = tmp_path / "f.csv"
-    fn.write_text("b,1e160\n")
-    argv = ["dmf", path, str(fn), "--interior", "b", "--t-final", "1", "--steps", "2"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = cli.main(argv)
-    out, err = capsys.readouterr()
-    assert rc == 2
-    doc = json.loads(out)
-    assert list(doc) == ["error"]
-    assert doc["error"]["type"] == "NumericalError"
-    assert doc["error"]["message"].startswith("dmf step overflowed: ")
-    assert doc["error"]["exit_code"] == 2
-    assert [str(w.message) for w in caught] == []
-    assert err == ""
+    fn.write_text("".join(f"v{i},{0.1 * i}\n" for i in range(5)))
+    field = tmp_path / "w.csv"
+    field.write_text("".join(f"v{i},v{(i + 1) % 5},1e308\n" for i in range(5)))
+    argv = ["transport", path, str(fn), "--field", str(field), "--t-final", "0.05", "--dt", "0.01"]
+    message = numerical_error_message(capsys, argv)
+    assert message == "transport overflowed: value at 'v0' is not finite at time 0.01"
+
+
+def test_cli_spectrum_overflow_is_numerical_error(tmp_path, capsys):
+    # the Householder reduction overflows; with 1e160 the eigenvalues used
+    # to come out as "nan" at exit 0
+    path = write_graph_file(tmp_path, make_c5())
+    for potential in ("1e308", "1e160"):
+        message = numerical_error_message(capsys, ["spectrum", path, "--potential", potential])
+        assert message == "eigensolve overflowed: the tridiagonal form is not finite"
 
 
 def test_cli_orthonormality_residual_matches_numpy(tmp_path, capsys):
