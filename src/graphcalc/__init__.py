@@ -112,6 +112,7 @@ from .minimax import (
 from .evolution import (
     IDENTITY_MAX_STEP,
     SOLVE_RESIDUAL_TOL,
+    TRANSPORT_MAX_VALUES,
     ConvergenceReport,
     DMFRun,
     DMFStepReport,

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, volume
 from .linalg import eigvalsh
 from .spectral import OperatorSpec, symmetric_matrix
@@ -253,9 +253,12 @@ def cheeger_functional(g: Graph, f: VertexFunction) -> float:
         gather(f, [v for x, y in g.edges() for v in (y, x)])
         raise
     ends = np.array([(g.index[x], g.index[y]) for x, y in g.edges()], np.intp).reshape(-1, 2)
-    num = column_sums(np.abs(vals[ends[:, 1]] - vals[ends[:, 0]]))
-    m = _median(vals, g.layout.deg)
-    den = column_sums(np.abs(vals - m) * g.layout.deg)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        num = column_sums(np.abs(vals[ends[:, 1]] - vals[ends[:, 0]]))
+        m = _median(vals, g.layout.deg)
+        den = column_sums(np.abs(vals - m) * g.layout.deg)
+    if not np.isfinite([num, den]).all():
+        raise NumericalError("cheeger functional overflowed: a sum is not finite")
     if den == 0.0:
         raise ValidationError("functional needs a nonconstant function")
     return num / den

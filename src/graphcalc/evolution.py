@@ -33,6 +33,7 @@ from .spectral import (
 
 SOLVE_RESIDUAL_TOL = 1e-12
 IDENTITY_MAX_STEP = 1e-2
+TRANSPORT_MAX_VALUES = 10**7  # states times vertices that one transport run may keep
 
 Potential = Union[float, VertexFunction, Callable[[float], Union[float, VertexFunction]]]
 
@@ -227,14 +228,21 @@ def transport_solve(
     """Classical RK4 for f' (x) = (1/d_x) sum_y w(t, xy) (f(y) - f(x)).
 
     The driving field may be a fixed vector field or a callable of time.
-    t_final must be an integer number of steps of size dt.  A state outside
-    the float range is a NumericalError naming its first time and vertex.
+    t_final must be an integer number of steps of size dt, and the run
+    keeps every state: more than TRANSPORT_MAX_VALUES values in all is a
+    ValidationError before the first step.  A state outside the float range
+    is a NumericalError naming its first time and vertex.
     """
     if t_final <= 0 or dt <= 0:
         raise ValidationError("t_final and dt must be positive")
     n_steps = round(t_final / dt)
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValidationError("t_final must be an integer multiple of dt")
+    if (n_steps + 1) * len(g) > TRANSPORT_MAX_VALUES:
+        raise ValidationError(
+            f"transport would keep {n_steps + 1} states of {len(g)} values, "
+            f"more than {TRANSPORT_MAX_VALUES} values in all"
+        )
     pairs = _PairRates(g)
     if isinstance(field, VectorField):
         fixed = pairs.rates(field)

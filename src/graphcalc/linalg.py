@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra without BLAS.
 
 Every dense eigensolve and the implicit-flow linear solve go through this
-module.  It uses elementwise numpy products and np.sum reductions only,
-never a BLAS call, so its bits do not depend on the BLAS thread count.
+module.  It uses elementwise numpy products and add reductions only
+(the .sum method, which skips np.sum's Python wrapper), never a BLAS call,
+so its bits do not depend on the BLAS thread count.
 
 * eigh / eigvalsh: Householder tridiagonalization, Wilkinson-shifted
   implicit QL (Golub & Van Loan, Matrix Computations, 8.3; the tqli
@@ -10,16 +11,21 @@ never a BLAS call, so its bits do not depend on the BLAS thread count.
   reflectors.  eigh's QL records its Givens rotations and applies them to
   the vectors afterwards in waves (Van Zee, van de Geijn & Quintana-Orti,
   ACM TOMS 40(3), 2014): a wave holds rotations on disjoint row pairs, and
-  each row meets its rotations in the order QL made them, so every entry
-  gets the same operations in the same order as when the rotations are
-  applied one at a time, bit for bit.  eigvalsh runs the same QL without
-  recording, so its values equal eigh's bit for bit.
+  each row meets its rotations in the order QL made them.  A wave is two
+  gathers, x = [lo; hi] * [c; c] plus y = [hi; lo] * [-s; s], and one
+  scatter of x + y; c lo + (-s) hi is c lo - s hi and the sum commutes,
+  so every entry is what applying the rotations one at a time gives, bit
+  for bit.  eigvalsh runs the same QL without recording, so its values
+  equal eigh's bit for bit.
 * canonical eigenvectors: eigenvalues within CLUSTER_TOL (relative) of
   their sorted neighbour form one eigenspace, whose basis is brought to
   reduced column-echelon form (pivot rows in row order), orthonormalized in
-  pivot order and signed so each pivot is positive.  A simple eigenvector
-  has its first entry above SIGN_TOL of its peak positive.  The basis then
-  depends on the eigenspace, not on the solver.
+  pivot order and signed so each pivot is positive.  All eigenspaces of one
+  dimension k go through these steps together, as one (eigenspaces, k, n)
+  stack whose reductions run over the same axes as for a single basis, so
+  each basis is the one it would be alone.  A simple eigenvector has its
+  first entry above SIGN_TOL of its peak positive.  The basis then depends
+  on the eigenspace, not on the solver.
 * cholesky / cholesky_solve: the symmetric positive-definite solve.
 * qr / project: a thin Householder QR, and the projection Q^T M Q onto
   the span of its columns.
@@ -62,7 +68,7 @@ def _tridiagonalize(A: np.ndarray):
     for k in range(n - 2):
         x = A[k, k + 1 :].copy()  # row k equals column k below the diagonal
         x0 = float(x[0])
-        sigma = float(np.sum(x[1:] * x[1:]))
+        sigma = float((x[1:] * x[1:]).sum())
         if sigma == 0.0:  # the column is already reduced
             e[k] = x0
             continue
@@ -72,8 +78,8 @@ def _tridiagonalize(A: np.ndarray):
         v = x / v0
         v[0] = 1.0
         block = A[k + 1 :, k + 1 :]
-        p = beta * np.sum(block * v, axis=1)
-        w = p - (0.5 * beta * float(np.sum(p * v))) * v
+        p = beta * (block * v).sum(axis=1)
+        w = p - (0.5 * beta * float((p * v).sum())) * v
         block -= v[:, None] * w[None, :] + w[:, None] * v[None, :]
         e[k] = mu
         reflectors.append((k, beta, v))
@@ -137,36 +143,42 @@ def _ql(d: list, e: list, rotations) -> None:
 
 def _rotate(n: int, rotations: list) -> np.ndarray:
     """The identity of order n with each rotation that _ql recorded, flat as
-    i, c, s, applied to its rows i and i+1: hi = s lo + c hi and
-    lo = c lo - s hi.
+    i, c, s, applied to its rows i and i+1: lo = c lo - s hi and
+    hi = c hi + s lo.
 
     A rotation's wave is one more than the last wave that touched either of
     its rows.  So the rotations of one wave touch disjoint row pairs, each
-    row meets its rotations in recorded order, and one fancy-indexed update
-    applies a whole wave.
+    row meets its rotations in recorded order, and one gathered update
+    applies a whole wave: its rows (lo rows, then hi rows) times P = [c; c]
+    plus its swapped rows (hi, then lo) times Q = [-s; s].
     """
     last = [0] * n
     waves = []
     for i in rotations[::3]:
-        w = 1 + max(last[i], last[i + 1])
+        w, u = last[i], last[i + 1]
+        w = 1 + (w if w > u else u)  # a max() call would double the loop's time
         last[i] = last[i + 1] = w
         waves.append(w)
-    order = np.argsort(waves, kind="stable")
-    table = np.array(rotations).reshape(-1, 3)[order]
-    lo_rows = table[:, 0].astype(np.intp)
-    hi_rows = lo_rows + 1
-    c, s = table[:, 1:2].copy(), table[:, 2:3].copy()
-    cuts = [0, *(np.flatnonzero(np.diff(np.array(waves)[order])) + 1).tolist(), len(waves)]
+    table = np.array(rotations).reshape(-1, 3)
+    lo = table[:, 0].astype(np.intp)
+    c, s = table[:, 1], table[:, 2]
+    waves = np.array(waves, dtype=np.intp)
+    key = np.concatenate([2 * waves, 2 * waves + 1])
+    order = np.argsort(key, kind="stable")
+    rows = np.concatenate([lo, lo + 1])[order]
+    swap = np.concatenate([lo + 1, lo])[order]
+    P = np.concatenate([c, c])[order][:, None]
+    Q = np.concatenate([-s, s])[order][:, None]
+    cuts = np.flatnonzero(np.diff(key[order] // 2, prepend=0, append=0)).tolist()
     vt = np.eye(n)
     for a, b in zip(cuts, cuts[1:]):
-        lo_a, hi_a, c_a, s_a = lo_rows[a:b], hi_rows[a:b], c[a:b], s[a:b]
-        lo, hi = vt[lo_a], vt[hi_a]
-        new_hi = s_a * lo
-        new_hi += c_a * hi
-        lo *= c_a
-        lo -= s_a * hi
-        vt[hi_a] = new_hi
-        vt[lo_a] = lo
+        wave = rows[a:b]
+        x = vt[wave]
+        x *= P[a:b]
+        y = vt[swap[a:b]]
+        y *= Q[a:b]
+        x += y
+        vt[wave] = x
     return vt
 
 
@@ -188,7 +200,7 @@ def eigh_unsorted(matrix, vectors: bool = True):
     vt = _rotate(len(d), rotations)
     for k, beta, v in reversed(reflectors):
         tail = vt[:, k + 1 :]
-        tail -= (beta * np.sum(tail * v, axis=1))[:, None] * v[None, :]
+        tail -= (beta * (tail * v).sum(axis=1))[:, None] * v[None, :]
     return np.array(d), vt
 
 
@@ -209,39 +221,41 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
         first = np.argmax(mags > SIGN_TOL * mags.max(axis=1, keepdims=True), axis=1)
         vt *= np.where(vt[np.arange(n), first] < 0.0, -1.0, 1.0)[:, None]
         tol = CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))))
-        cuts = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), n]
-        for a, b in zip(cuts, cuts[1:]):
-            if b - a > 1:
-                vt[a:b] = _canonical_basis(vt[a:b])
+        cuts = np.flatnonzero(np.diff(vals, prepend=-np.inf, append=np.inf) > tol)
+        starts, sizes = cuts[:-1], np.diff(cuts)
+        for k in set(sizes.tolist()) - {1}:  # np.unique would add 1.4 MB to a process's peak
+            rows = starts[sizes == k][:, None] + np.arange(k)
+            vt[rows] = _canonical_bases(vt[rows])
     return vals, np.ascontiguousarray(vt.T)
 
 
-def _canonical_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row space: reduced row-echelon form with
-    pivot columns in order, then Gram-Schmidt in pivot order.  Each echelon
-    row is 1 at its pivot and 0 at the others, so every pivot of the result
-    comes out positive."""
-    B = rows.copy()
-    k = len(B)
-    col = 0
+def _canonical_bases(B: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the row spaces of a stack B of k-row blocks, in
+    place: reduced row-echelon form with pivot columns in order, then
+    Gram-Schmidt in pivot order, block by block.  Each echelon row is 1 at
+    its pivot and 0 at the others, so every pivot of the result comes out
+    positive."""
+    m, k, n = B.shape
+    blocks = np.arange(m)
+    col = np.zeros((m, 1), np.intp)
     for j in range(k):
-        hits = np.flatnonzero(np.max(np.abs(B[j:, col:]), axis=0) > PIVOT_TOL)
-        if hits.size == 0:
+        hits = (np.abs(B[:, j:]).max(axis=1) > PIVOT_TOL) & (np.arange(n) >= col)
+        if not hits.any(axis=1).all():
             raise NumericalError("eigenspace basis lost rank in echelon reduction")
-        c = col + int(hits[0])
-        i = j + int(np.argmax(np.abs(B[j:, c])))
-        B[[j, i]] = B[[i, j]]
-        B[j] /= B[j, c]
-        others = np.arange(k) != j
-        B[others] -= B[others, c : c + 1] * B[j]
-        col = c + 1
-    Q = np.empty_like(B)
+        c = hits.argmax(axis=1)
+        i = j + np.abs(B[blocks, j:, c]).argmax(axis=1)
+        pivot = B[blocks, i]
+        B[blocks, i] = B[:, j]
+        pivot /= pivot[blocks, c][:, None]
+        B -= B[blocks, :, c][:, :, None] * pivot[:, None]
+        B[:, j] = pivot
+        col = c[:, None] + 1
     for j in range(k):
-        v = B[j]
+        v, Q = B[:, j], B[:, :j]
         for _ in range(2):  # a second pass restores orthogonality lost to rounding
-            v = v - np.sum(Q[:j] * np.sum(Q[:j] * v, axis=1)[:, None], axis=0)
-        Q[j] = v / math.sqrt(float(np.sum(v * v)))
-    return Q
+            v = v - (Q * (Q * v[:, None]).sum(axis=2)[:, :, None]).sum(axis=1)
+        B[:, j] = v / np.sqrt((v * v).sum(axis=1))[:, None]
+    return B
 
 
 def cholesky(matrix) -> np.ndarray:
@@ -254,7 +268,7 @@ def cholesky(matrix) -> np.ndarray:
     n = A.shape[0]
     L = np.zeros((n, n))
     for j in range(n):
-        col = A[j:, j] - np.sum(L[j:, :j] * L[j, :j], axis=1)
+        col = A[j:, j] - (L[j:, :j] * L[j, :j]).sum(axis=1)
         pivot = float(col[0])
         if not pivot > 0.0:
             raise NumericalError(f"matrix is not positive definite: pivot {j + 1} is {pivot}")
@@ -267,9 +281,9 @@ def cholesky_solve(L: np.ndarray, b) -> np.ndarray:
     n = L.shape[0]
     y = np.array(b, dtype=float)
     for i in range(n):
-        y[i] = (y[i] - float(np.sum(L[i, :i] * y[:i]))) / L[i, i]
+        y[i] = (y[i] - float((L[i, :i] * y[:i]).sum())) / L[i, i]
     for i in range(n - 1, -1, -1):
-        y[i] = (y[i] - float(np.sum(L[i + 1 :, i] * y[i + 1 :]))) / L[i, i]
+        y[i] = (y[i] - float((L[i + 1 :, i] * y[i + 1 :]).sum())) / L[i, i]
     return y
 
 

@@ -176,11 +176,41 @@ def sequential_ql(d: list, e: list, vt: np.ndarray) -> None:
                 e[m] = 0.0
 
 
+def frozen_tridiagonalize(A: np.ndarray):
+    """linalg._tridiagonalize as it was before its reductions became .sum
+    methods: np.sum throughout."""
+    n = A.shape[0]
+    e = np.zeros(n)
+    reflectors = []
+    for k in range(n - 2):
+        x = A[k, k + 1 :].copy()
+        x0 = float(x[0])
+        sigma = float(np.sum(x[1:] * x[1:]))
+        if sigma == 0.0:
+            e[k] = x0
+            continue
+        mu = math.sqrt(x0 * x0 + sigma)
+        v0 = x0 - mu if x0 <= 0.0 else -sigma / (x0 + mu)
+        beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
+        v = x / v0
+        v[0] = 1.0
+        block = A[k + 1 :, k + 1 :]
+        p = beta * np.sum(block * v, axis=1)
+        w = p - (0.5 * beta * float(np.sum(p * v))) * v
+        block -= v[:, None] * w[None, :] + w[:, None] * v[None, :]
+        e[k] = mu
+        reflectors.append((k, beta, v))
+    if n >= 2:
+        e[n - 2] = A[n - 2, n - 1]
+    return np.diag(A).copy(), e, reflectors
+
+
 def sequential_eigh_unsorted(matrix):
     """linalg.eigh_unsorted(matrix) with the QL rotations applied one at a
-    time."""
+    time, on frozen copies of the kernels (no linalg function but the input
+    check runs)."""
     A = linalg._symmetric_copy(matrix)
-    d, e, reflectors = linalg._tridiagonalize(A)
+    d, e, reflectors = frozen_tridiagonalize(A)
     d, e = d.tolist(), e.tolist()
     vt = np.eye(len(d))
     sequential_ql(d, e, vt)
@@ -188,6 +218,81 @@ def sequential_eigh_unsorted(matrix):
         tail = vt[:, k + 1 :]
         tail -= (beta * np.sum(tail * v, axis=1))[:, None] * v[None, :]
     return np.array(d), vt
+
+
+def per_wave_rotate(n: int, rotations: list) -> np.ndarray:
+    """linalg._rotate with four products per wave: the rows i and i+1 of
+    each wave are gathered apart and updated as hi = s lo + c hi and
+    lo = c lo - s hi."""
+    last = [0] * n
+    waves = []
+    for i in rotations[::3]:
+        w = 1 + max(last[i], last[i + 1])
+        last[i] = last[i + 1] = w
+        waves.append(w)
+    order = np.argsort(waves, kind="stable")
+    table = np.array(rotations).reshape(-1, 3)[order]
+    lo_rows = table[:, 0].astype(np.intp)
+    hi_rows = lo_rows + 1
+    c, s = table[:, 1:2].copy(), table[:, 2:3].copy()
+    cuts = [0, *(np.flatnonzero(np.diff(np.array(waves)[order])) + 1).tolist(), len(waves)]
+    vt = np.eye(n)
+    for a, b in zip(cuts, cuts[1:]):
+        lo_a, hi_a, c_a, s_a = lo_rows[a:b], hi_rows[a:b], c[a:b], s[a:b]
+        lo, hi = vt[lo_a], vt[hi_a]
+        new_hi = s_a * lo
+        new_hi += c_a * hi
+        lo *= c_a
+        lo -= s_a * hi
+        vt[hi_a] = new_hi
+        vt[lo_a] = lo
+    return vt
+
+
+def per_cluster_canonical_basis(rows: np.ndarray) -> np.ndarray:
+    """linalg._canonical_bases for one eigenspace at a time: the basis of
+    the row space of rows (k x n) in reduced row-echelon form with pivot
+    columns in order, then Gram-Schmidt in pivot order."""
+    B = rows.copy()
+    k = len(B)
+    col = 0
+    for j in range(k):
+        hits = np.flatnonzero(np.max(np.abs(B[j:, col:]), axis=0) > linalg.PIVOT_TOL)
+        if hits.size == 0:
+            raise gc.NumericalError("eigenspace basis lost rank in echelon reduction")
+        c = col + int(hits[0])
+        i = j + int(np.argmax(np.abs(B[j:, c])))
+        B[[j, i]] = B[[i, j]]
+        B[j] /= B[j, c]
+        others = np.arange(k) != j
+        B[others] -= B[others, c : c + 1] * B[j]
+        col = c + 1
+    Q = np.empty_like(B)
+    for j in range(k):
+        v = B[j]
+        for _ in range(2):
+            v = v - np.sum(Q[:j] * np.sum(Q[:j] * v, axis=1)[:, None], axis=0)
+        Q[j] = v / math.sqrt(float(np.sum(v * v)))
+    return Q
+
+
+def per_cluster_eigh(matrix):
+    """linalg.eigh with each eigenspace's canonical basis computed on its
+    own (per_cluster_canonical_basis)."""
+    vals, vt = linalg.eigh_unsorted(matrix)
+    order = np.argsort(vals, kind="stable")
+    vals, vt = vals[order], vt[order]
+    n = len(vals)
+    if n:
+        mags = np.abs(vt)
+        first = np.argmax(mags > linalg.SIGN_TOL * mags.max(axis=1, keepdims=True), axis=1)
+        vt *= np.where(vt[np.arange(n), first] < 0.0, -1.0, 1.0)[:, None]
+        tol = linalg.CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))))
+        cuts = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), n]
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a > 1:
+                vt[a:b] = per_cluster_canonical_basis(vt[a:b])
+    return vals, np.ascontiguousarray(vt.T)
 
 
 def grid_graph(k: int, cols: Optional[int] = None) -> gc.Graph:

@@ -1,7 +1,9 @@
 import ast
+import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -16,7 +18,7 @@ import graphcalc as gc
 import graphcalc.cli as cli
 
 from conftest import make_c4, make_k2, make_octahedron, make_p3, make_p5
-from helpers import per_row_render_trajectory_csv
+from helpers import grid_graph, grid_interior, per_row_render_trajectory_csv
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -440,12 +442,45 @@ def test_cli_documents_are_pinned(tmp_path, capsys):
     # directory written as <TMP>; the payloads built from result dataclasses
     # (cheeger witnesses, minimax search and classification) are among them
     want = json.loads(GOLDEN.read_text())
+    del want["sha256"]  # test_grid_documents_are_pinned_by_hash
     calls = golden_calls(tmp_path)
     assert list(calls) == list(want)
     for name, argv in calls.items():
         rc, out = run_cli(capsys, argv)
         assert rc == 0, out
         assert out.replace(str(tmp_path), "<TMP>") == want[name], name
+
+
+def grid_calls(tmp_path):
+    """Documents on the 7 x 7 grid and its window that carry eigenvectors or
+    values computed from them: the spectrum with its functions, heat under
+    both boundary conditions and a dmf run with a time-dependent potential."""
+    path = write_graph_file(tmp_path, grid_graph(7), "grid7.json")
+    inner = grid_interior(7)
+    fn = tmp_path / "grid7.csv"
+    fn.write_text("".join(f"{x},{math.sin(1.0 + i)!r}\n" for i, x in enumerate(inner)))
+    window = [str(fn), "--interior", ",".join(inner)]
+    heat = ["--t-final", "2", "--steps", "10"]
+    return {
+        "spectrum-none-7": ["spectrum", path, "--bc", "none", "--functions"],
+        "heat-dirichlet-7": ["heat", path, *window, "--bc", "dirichlet", *heat],
+        "heat-neumann-7": ["heat", path, *window, "--bc", "neumann", *heat],
+        "dmf-linear-7": ["dmf", path, *window, "--potential", "linear:0.25,0.5", "--t-final", "1",
+                         "--steps", "4"],
+    }
+
+
+def test_grid_documents_are_pinned_by_hash(tmp_path, capsys):
+    # the sha256 of each document, with the temporary directory written as
+    # <TMP>, so that a change in any bit of the eigensolve fails here
+    want = json.loads(GOLDEN.read_text())["sha256"]
+    calls = grid_calls(tmp_path)
+    assert list(calls) == list(want)
+    for name, argv in calls.items():
+        rc, out = run_cli(capsys, argv)
+        assert rc == 0, out
+        digest = hashlib.sha256(out.replace(str(tmp_path), "<TMP>").encode()).hexdigest()
+        assert digest == want[name], name
 
 
 def test_only_cli_main_reads_the_graph():
@@ -938,6 +973,52 @@ def test_cli_spectrum_overflow_is_numerical_error(tmp_path, capsys):
     for potential in ("1e308", "1e160"):
         message = numerical_error_message(capsys, ["spectrum", path, "--potential", potential])
         assert message == "eigensolve overflowed: the tridiagonal form is not finite"
+
+
+def test_cli_cheeger_functional_overflow_is_numerical_error(tmp_path, capsys):
+    # the edge differences overflow; the ratio used to come out as "nan" at
+    # exit 0, with numpy warnings on stderr
+    path = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("a,1e308\nb,-1e308\nc,0\n")
+    message = numerical_error_message(capsys, ["cheeger", path, "--function", str(fn)])
+    assert message == "cheeger functional overflowed: a sum is not finite"
+
+
+def test_cli_transport_state_bound_is_checked_before_stepping(tmp_path, capsys):
+    # 10^10 + 1 states of 5 values each: rejected before the first step,
+    # under an alarm so that a run that starts stepping fails instead of
+    # hanging
+    path = write_graph_file(tmp_path, make_c5())
+    fn = tmp_path / "f.csv"
+    fn.write_text("".join(f"v{i},{0.1 * i}\n" for i in range(5)))
+    field = tmp_path / "w.csv"
+    field.write_text("".join(f"v{i},v{(i + 1) % 5},1\n" for i in range(5)))
+    argv = ["transport", path, str(fn), "--field", str(field), "--t-final", "1e10", "--dt", "1"]
+
+    def stop(signum, frame):
+        raise TimeoutError("transport started stepping")
+
+    g = make_c5()
+    f = gc.VertexFunction(g, {x: 0.0 for x in g.vertices})
+    w = gc.VectorField(g, {(x, y): 1.0 for x in g.vertices for y in g.neighbors(x)})
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        rc = cli.main(argv)
+        steps = gc.TRANSPORT_MAX_VALUES // 5  # one state more than the bound allows
+        with pytest.raises(gc.ValidationError, match="more than 10000000 values in all"):
+            gc.transport_solve(g, w, f, float(steps), 1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "ValidationError"
+    assert doc["error"]["message"] == (
+        "transport would keep 10000000001 states of 5 values, more than 10000000 values in all"
+    )
 
 
 def test_cli_orthonormality_residual_matches_numpy(tmp_path, capsys):

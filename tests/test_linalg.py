@@ -12,10 +12,15 @@ from graphcalc import linalg
 
 from conftest import FIXTURES
 from helpers import (
+    complete_graph,
     connected_graphs,
+    cycle_graph,
     eig_oracle,
     grid_graph,
     grid_interior,
+    per_cluster_canonical_basis,
+    per_cluster_eigh,
+    per_wave_rotate,
     sequential_eigh_unsorted,
 )
 
@@ -125,6 +130,57 @@ def test_eigh_matches_sequential_rotations_bit_for_bit(monkeypatch):
         want_svals, want_vecs = gc.eigh(M)
         assert _bits(svals) == _bits(want_svals) and _bits(vecs) == _bits(want_vecs), len(M)
         assert _bits(plain) == _bits(want_svals), len(M)
+
+
+def _planted_clusters(seed):
+    """A seeded symmetric matrix whose spectrum holds eigenspaces of every
+    dimension from 1 to 7, two of some, in an order drawn from the seed."""
+    rng = gc.Lcg64(seed)
+    sizes = [1, 2, 2, 3, 3, 4, 5, 6, 7, 7, 1]
+    for i in range(len(sizes) - 1, 0, -1):  # Fisher-Yates
+        j = int(rng.uniform() * (i + 1))
+        sizes[i], sizes[j] = sizes[j], sizes[i]
+    vals = np.repeat([rng.normal() + 3.0 * t for t in range(len(sizes))], sizes)
+    n = len(vals)
+    Q, _ = linalg.qr(np.array([[rng.normal() for _ in range(n)] for _ in range(n)]))
+    M = (Q * vals) @ Q.T
+    return (M + M.T) / 2
+
+
+def test_batched_kernels_match_per_cluster_and_per_wave_bit_for_bit():
+    """Each wave's two gathers give the rotations' four products bit for
+    bit, and canonicalizing all eigenspaces of one dimension in one stack
+    gives each eigenspace's own basis bit for bit."""
+    mats = list(_reference_matrices())
+    for n in (5, 8, 12, 16):
+        for g in (complete_graph(n), cycle_graph(n)):
+            mats.append(gc.symmetric_matrix(gc.OperatorSpec(g, "none")))
+    planted = [_planted_clusters(seed) for seed in (61, 67, 71)]
+    dims = set()
+    for M in mats + planted:
+        d, e, _ = linalg._tridiagonalize(linalg._symmetric_copy(M))
+        d, e, rotations = d.tolist(), e.tolist(), []
+        linalg._ql(d, e, rotations)
+        assert _bits(linalg._rotate(len(d), rotations)) == _bits(per_wave_rotate(len(d), rotations))
+        vals, vecs = gc.eigh(M)
+        want_vals, want_vecs = per_cluster_eigh(M)
+        assert _bits(vals) == _bits(want_vals) and _bits(vecs) == _bits(want_vecs), len(M)
+    for M in planted:
+        vals = gc.eigvalsh(M)
+        cuts = np.flatnonzero(np.diff(vals, prepend=-np.inf, append=np.inf) > 1e-6)
+        dims.update(np.diff(cuts).tolist())
+    assert dims == set(range(1, 8))
+
+
+def test_lost_rank_is_a_numerical_error():
+    # the second block of the stack has rank 1, so its second pivot search
+    # finds nothing; the per-cluster form fails with the same message
+    stack = np.array([[[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]], [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]])
+    for run in (lambda: linalg._canonical_bases(stack.copy()),
+                lambda: per_cluster_canonical_basis(stack[1])):
+        with pytest.raises(gc.NumericalError) as err:
+            run()
+        assert str(err.value) == "eigenspace basis lost rank in echelon reduction"
 
 
 def test_eigh_input_errors(monkeypatch):
