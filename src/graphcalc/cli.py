@@ -175,8 +175,7 @@ def _time_potential(text: str, g: Graph, inputs: Inputs):
     if text.startswith("sin:"):
         amp = _parse_float(text[len("sin:") :], "sin potential")
         return lambda t: amp * math.sin(t)
-    val = _static_potential(text, g, inputs)
-    return 0.0 if val is None else val
+    return _static_potential(text, g, inputs)
 
 
 # ---------------------------------------------------------------------------

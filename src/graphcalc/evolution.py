@@ -17,25 +17,28 @@ from .errors import DomainError, IndefiniteStepError, NumericalError, Validation
 from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, scatter, scatter_rows
 from .linalg import cholesky, cholesky_solve, eigvalsh
 from .spectral import (
-    EigenSystem,
     OperatorSpec,
+    StaticPotential,
     _apply_rows,
+    _closure_rows,
     _extend_to_closure,
     _heat,
     _laplacian_rows,
     _potential_rows,
     check_dirichlet_data,
     eigensystem,
-    extend_to_boundary,
-    potential_value,
     symmetric_matrix,
 )
 
 SOLVE_RESIDUAL_TOL = 1e-12
 IDENTITY_MAX_STEP = 1e-2
 TRANSPORT_MAX_VALUES = 10**7  # states times vertices that one transport run may keep
+SADDLE_WARNING = (
+    "max(lambda) exceeds the first dirichlet eigenvalue; the step energy "
+    "is not coercive and the flow tracks a saddle of J"
+)
 
-Potential = Union[float, VertexFunction, Callable[[float], Union[float, VertexFunction]]]
+Potential = Union[StaticPotential, Callable[[float], StaticPotential]]
 
 
 @dataclass(frozen=True)
@@ -235,6 +238,8 @@ def transport_solve(
     """
     if t_final <= 0 or dt <= 0:
         raise ValidationError("t_final and dt must be positive")
+    if t_final / dt == math.inf:
+        raise ValidationError(f"transport would keep more than {TRANSPORT_MAX_VALUES} values in all")
     n_steps = round(t_final / dt)
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValidationError("t_final must be an integer multiple of dt")
@@ -316,6 +321,8 @@ class _StepSystem:
     dmf_run keeps one for a whole run when the potential is static."""
 
     def __init__(self, operator: np.ndarray, h: float, lam_rows: np.ndarray):
+        if not h > 0:  # t_final / n_steps can underflow to 0
+            raise ValidationError("step size must be positive")
         self.h, self.lam_rows = h, lam_rows
         self.matrix = operator + np.diag(1.0 / h - lam_rows)
 
@@ -345,40 +352,33 @@ def dmf_step(
     though small enough steps remain solvable.  A certificate norm or
     energy outside the float range raises NumericalError.
     """
-    if h <= 0:
-        raise ValidationError("step size must be positive")
     spec = OperatorSpec(w, "dirichlet", None, cfg)
     operator = symmetric_matrix(spec)
     lam_rows = _potential_rows(lam, w.interior)
     if mu_first is None:
         mu_first = float(eigvalsh(operator)[0])
-    return _dmf_step(u_prev, spec, mu_first, _StepSystem(operator, h, lam_rows))
+    system = _StepSystem(operator, h, lam_rows)
+    return _dmf_step(_closure_rows(spec, u_prev), spec, mu_first, system)[1]
 
 
 def _dmf_step(
-    u_prev: VertexFunction, spec: OperatorSpec, mu_first: float, system: _StepSystem
-) -> DMFStepReport:
-    """dmf_step with mu_1 and the step system given; the window's interior
-    degrees are already checked."""
+    v0: np.ndarray, spec: OperatorSpec, mu_first: float, system: _StepSystem
+) -> tuple[np.ndarray, DMFStepReport]:
+    """dmf_step from the closure rows v0 of u_prev, with mu_1 and the step
+    system given; the window's interior degrees are already checked.
+    Returns the closure rows of u_next with the step's report."""
     w, cfg = spec.region, spec.config
     h, lam_rows = system.h, system.lam_rows
-    inner, lay = w.interior, w.layout
+    lay = w.layout
     lam_max = max(lam_rows.tolist())
     margin = 1.0 / h + mu_first - lam_max
     if margin <= 0:
         raise IndefiniteStepError(
             f"step operator not positive definite: 1/h + mu_1 - max(lambda) = {margin}"
         )
-    warnings = []
-    if lam_max > mu_first:
-        warnings.append(
-            "max(lambda) exceeds the first dirichlet eigenvalue; the step energy "
-            "is not coercive and the flow tracks a saddle of J"
-        )
+    warnings = (SADDLE_WARNING,) if lam_max > mu_first else ()
 
-    check_dirichlet_data(spec, u_prev)
-    k = len(inner)
-    v0 = _extend_to_closure(spec, gather(u_prev, inner))
+    k = len(w.interior)
     deg = lay.deg[:k]
     sqd = np.sqrt(deg)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -413,7 +413,7 @@ def _dmf_step(
     if not all(map(math.isfinite, (el_residual, solve_res, j_prev, j_next, f_next))):
         raise NumericalError("dmf step overflowed: a norm or energy is not finite")
     cert = f_next <= f_prev + 1e-12 * max(1.0, abs(f_prev))
-    return DMFStepReport(
+    return v1, DMFStepReport(
         u_next=scatter(w.graph, w.closure, v1),
         step=h,
         lambda_max=lam_max,
@@ -424,7 +424,7 @@ def _dmf_step(
         f_prev=f_prev,
         f_next=f_next,
         certificate_ok=cert,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -477,10 +477,6 @@ def _is_time_dependent(v: Potential) -> bool:
     return callable(v) and not isinstance(v, VertexFunction)
 
 
-def _potential_at(v: Potential, t: float):
-    return v(t) if _is_time_dependent(v) else v
-
-
 def dmf_run(
     phi: VertexFunction,
     potential: Potential,
@@ -498,24 +494,17 @@ def dmf_run(
     spec = OperatorSpec(w, "dirichlet", None, cfg)
     operator = symmetric_matrix(spec)
     mu_first = float(eigvalsh(operator)[0])
-    u = extend_to_boundary(spec, phi)
-    times = [0.0]
-    states = [u]
+    v = _closure_rows(spec, phi)  # phi is read once; the steps pass rows on
+    states = [scatter(w.graph, w.closure, v)]
     reports: list[DMFStepReport] = []
-    warnings: list[str] = []
     time_dependent = _is_time_dependent(potential)
     for n in range(1, n_steps + 1):
         if n == 1 or time_dependent:  # a static potential keeps one factor
-            lam = _potential_at(potential, (n - 1) * h)
+            lam = potential((n - 1) * h) if time_dependent else potential
             system = _StepSystem(operator, h, _potential_rows(lam, w.interior))
-        rep = _dmf_step(u, spec, mu_first, system)
+        v, rep = _dmf_step(v, spec, mu_first, system)
         reports.append(rep)
-        for wmsg in rep.warnings:
-            if wmsg not in warnings:
-                warnings.append(wmsg)
-        u = rep.u_next
-        times.append(n * h)
-        states.append(u)
+        states.append(rep.u_next)
 
     dissipation = sum(r.f_next - r.j_next for r in reports)
     correction = sum(
@@ -528,13 +517,13 @@ def dmf_run(
     return DMFRun(
         window=w,
         config=cfg,
-        times=tuple(times),
+        times=(0.0, *(n * h for n in range(1, n_steps + 1))),
         states=tuple(states),
         reports=tuple(reports),
         dissipation=dissipation,
         audit_margin=margin,
         audit_ok=margin >= -1e-10 * scale,
-        warnings=tuple(warnings),
+        warnings=tuple(dict.fromkeys(m for r in reports for m in r.warnings)),
     )
 
 
@@ -557,11 +546,6 @@ def _max_weighted_gap(pairs, w: SubgraphWindow) -> float:
     return worst
 
 
-def _run_error_vs_reference(run: DMFRun, es: EigenSystem, phi: VertexFunction) -> float:
-    refs = _heat(es, phi, run.times)
-    return _max_weighted_gap(zip(run.states, refs), run.window)
-
-
 def dmf_convergence_study(
     phi: VertexFunction,
     potential: Potential,
@@ -581,9 +565,11 @@ def dmf_convergence_study(
         raise ValidationError("need at least two increasing step counts")
     runs = {n: dmf_run(phi, potential, t_final, n, w, cfg) for n in ns}
     if not _is_time_dependent(potential):
-        q = VertexFunction(w.graph, {x: -potential_value(potential, x) for x in w.interior})
+        q = scatter(w.graph, w.interior, -_potential_rows(potential, w.interior))
         es = eigensystem(OperatorSpec(w, "dirichlet", q, cfg))
-        errors = tuple(_run_error_vs_reference(runs[n], es, phi) for n in ns)
+        errors = tuple(
+            _max_weighted_gap(zip(runs[n].states, _heat(es, phi, runs[n].times)), w) for n in ns
+        )
         steps = tuple(t_final / n for n in ns)
         mode = "reference"
     else:

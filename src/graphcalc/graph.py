@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DisconnectedInteriorError,
     DomainError,
+    DuplicateEdgeError,
     NotAdjacentError,
     UnknownVertexError,
     ValidationError,
@@ -40,9 +41,8 @@ class Graph:
     vertices : sequence of str
         Vertex ids in stable order.  Duplicates are rejected.
     edges : iterable of (str, str)
-        Undirected edges.  Self-loops and repeated edges are rejected by the
-        file loader; the constructor assumes validated input but still
-        normalizes and checks membership.
+        Undirected edges.  An unknown endpoint, a self-loop or an edge
+        repeated in either orientation is rejected.
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
@@ -57,6 +57,8 @@ class Graph:
                 raise UnknownVertexError(f"edge endpoint not in vertex list: ({x}, {y})")
             if x == y:
                 raise ValidationError(f"self-loop at {x}")
+            if y in nbrs[x]:
+                raise DuplicateEdgeError(f"edge {x!r} -- {y!r} listed twice")
             nbrs[x].add(y)
             nbrs[y].add(x)
             edge_list.append((x, y))

@@ -262,19 +262,22 @@ def harmonic_heat_flow(
         # log maps along the pairs leaving the interior, as in sphere_log
         p, t = pts[src[:inner]], theta[:inner]
         v = pts[dst[:inner]] - dots[:inner, None] * p
-        ratio = np.divide(t, np.sqrt(_row_dots(v, v)), out=np.zeros_like(t), where=t >= 1e-15)
+        vn = np.sqrt(_row_dots(v, v))
+        ratio = np.divide(t, vn, out=np.zeros_like(t), where=(t >= 1e-15) & (vn > 0.0))
         fv = -lay.sums(ratio[:, None] * v) / deg
         residual = float(np.sqrt(_row_dots(fv, fv)).max(initial=0.0))
         if residual <= tol:
             status = "converged"
             break
-        # sphere_exp of every interior row, then SpherePoint's normalization
-        base, va = pts[:k], -tau * fv
-        va -= _row_dots(va, base)[:, None] * base
-        n = np.sqrt(_row_dots(va, va))[:, None]
-        move = n >= 1e-15
-        ahead = np.cos(n) * base + np.sin(n) * (va / np.where(move, n, 1.0))
-        ahead /= np.sqrt(_row_dots(ahead, ahead))[:, None]
+        # sphere_exp of every interior row, then SpherePoint's normalization;
+        # a step past the float range makes a nan trial, which is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            base, va = pts[:k], -tau * fv
+            va -= _row_dots(va, base)[:, None] * base
+            n = np.sqrt(_row_dots(va, va))[:, None]
+            move = n >= 1e-15
+            ahead = np.cos(n) * base + np.sin(n) * (va / np.where(move, n, 1.0))
+            ahead /= np.sqrt(_row_dots(ahead, ahead))[:, None]
         trial = np.concatenate([np.where(move, ahead, base), pts[k:]])
         trial_dots, trial_theta = _pair_geometry(trial, src, dst)
         e_trial = _pair_energy(trial_theta)

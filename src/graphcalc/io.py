@@ -15,7 +15,6 @@ from typing import Union
 from .calculus import VectorField
 from .errors import (
     DanglingEndpointError,
-    DuplicateEdgeError,
     GraphParseError,
     SelfLoopError,
     UnknownVertexError,
@@ -57,7 +56,6 @@ def parse_graph(text: str) -> Graph:
     if not isinstance(edges, list):
         raise GraphParseError("'edges' must be a list")
     vset = set(verts)
-    seen: set[frozenset] = set()
     pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
@@ -68,10 +66,6 @@ def parse_graph(text: str) -> Graph:
         for v in (a, b):
             if v not in vset:
                 raise DanglingEndpointError(f"edge endpoint {v!r} is not a vertex")
-        key = frozenset((a, b))
-        if key in seen:
-            raise DuplicateEdgeError(f"edge {a!r} -- {b!r} listed twice")
-        seen.add(key)
         pairs.append((a, b))
     return Graph(verts, pairs)
 

@@ -187,7 +187,8 @@ def eigh_unsorted(matrix, vectors: bool = True):
     as the rows of an array (None when vectors is False).  A tridiagonal
     form outside the float range is a NumericalError."""
     A = _symmetric_copy(matrix)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    # a square past the float range makes mu infinite and v0 zero
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         d, e, reflectors = _tridiagonalize(A)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise NumericalError("eigensolve overflowed: the tridiagonal form is not finite")
@@ -221,7 +222,8 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
         first = np.argmax(mags > SIGN_TOL * mags.max(axis=1, keepdims=True), axis=1)
         vt *= np.where(vt[np.arange(n), first] < 0.0, -1.0, 1.0)[:, None]
         tol = CLUSTER_TOL * max(1.0, float(np.max(np.abs(vals))))
-        cuts = np.flatnonzero(np.diff(vals, prepend=-np.inf, append=np.inf) > tol)
+        with np.errstate(over="ignore"):  # a gap past the float range is inf, still a cut
+            cuts = np.flatnonzero(np.diff(vals, prepend=-np.inf, append=np.inf) > tol)
         starts, sizes = cuts[:-1], np.diff(cuts)
         for k in set(sizes.tolist()) - {1}:  # np.unique would add 1.4 MB to a process's peak
             rows = starts[sizes == k][:, None] + np.arange(k)

@@ -18,14 +18,13 @@ indices are 1-based in reports: values[0] is the first eigenvalue.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian
 from .errors import DomainError, NonpositiveSpectrumError, NumericalError, ValidationError
-from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter, scatter_rows
+from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter_rows
 from .linalg import eigh, eigvalsh, project, qr
 from .rng import Lcg64
 
@@ -37,11 +36,7 @@ StaticPotential = Union[None, float, VertexFunction]
 
 def potential_value(potential: StaticPotential, x: str) -> float:
     """A static potential at x: None is zero, a number is the same everywhere."""
-    if potential is None:
-        return 0.0
-    if isinstance(potential, VertexFunction):
-        return potential.value(x)
-    return float(potential)
+    return float(_potential_rows(potential, (x,))[0])
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,8 @@ def _extend_to_closure(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def _potential_rows(potential: StaticPotential, xs: Sequence[str]) -> np.ndarray:
-    """A static potential at each of xs, as potential_value reads it."""
+    """A static potential at each of xs: None is zero, a number is the same
+    everywhere."""
     if isinstance(potential, VertexFunction):
         return gather(potential, xs)
     return np.full(len(xs), 0.0 if potential is None else float(potential))
@@ -180,12 +176,12 @@ def check_dirichlet_data(spec: OperatorSpec, f: VertexFunction) -> None:
             raise ValidationError(f"dirichlet data must vanish on the boundary, f({b}) = {value}")
 
 
-def extend_to_boundary(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
-    """f on the closure: its interior values, and boundary values from the
-    bc (zero for dirichlet, where given data must vanish; the mean of the
+def _closure_rows(spec: OperatorSpec, f: VertexFunction) -> np.ndarray:
+    """f on the closure rows: its interior values, and boundary values from
+    the bc (zero for dirichlet, where given data must vanish; the mean of the
     interior neighbors for neumann)."""
     check_dirichlet_data(spec, f)
-    return scatter(spec.graph, spec.closure, _extend_to_closure(spec, gather(f, spec.interior)))
+    return _extend_to_closure(spec, gather(f, spec.interior))
 
 
 def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
@@ -194,9 +190,7 @@ def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
     Dirichlet data must actually vanish on the boundary; Neumann data is
     extended by the reflection relation; bc 'none' needs f on all vertices.
     """
-    check_dirichlet_data(spec, f)
-    rows = gather(f, spec.interior)[:, None]
-    lf = _apply_rows(spec, _extend_to_closure(spec, rows))[:, 0]
+    lf = _apply_rows(spec, _closure_rows(spec, f)[:, None])[:, 0]
     return VertexFunction(spec.graph, dict(zip(spec.interior, lf.tolist())))
 
 
@@ -263,13 +257,6 @@ def _heat(es: EigenSystem, f: VertexFunction, times) -> list[VertexFunction]:
     lam = np.array(es.values)
     with np.errstate(over="ignore"):
         return _expand(es, f, np.exp(-lam * np.array(times, dtype=float)[:, None]))
-
-
-def _kernel(es: EigenSystem, m: np.ndarray) -> np.ndarray:
-    """Phi diag(m) Phi^T over the interior, Phi holding one eigenfunction per
-    column; a factor m is as in _expand."""
-    phi = es.vectors[: len(es.spec.interior)]
-    return phi @ (m[:, None] * phi.T)
 
 
 def _quotients(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
@@ -386,13 +373,15 @@ def barta_bound(
     return best
 
 
-def _interior_rows(spec: OperatorSpec, what: str, x: str, y: str) -> tuple[int, int]:
-    """The rows of x and y, which must both be interior vertices."""
-    rows, k = spec.region.layout.rows, len(spec.interior)
+def _row_products(es: EigenSystem, what: str, x: str, y: str) -> np.ndarray:
+    """phi_j(x) phi_j(y) for each eigenfunction; x and y must both be
+    interior vertices.  A kernel entry sums these against its factors m as
+    in _expand, so it reads two eigenvector rows and builds no matrix."""
+    rows, k = es.spec.region.layout.rows, len(es.spec.interior)
     i, j = rows.get(x, k), rows.get(y, k)
     if i >= k or j >= k:
         raise DomainError(f"{what} is defined on the interior; got ({x}, {y})")
-    return i, j
+    return es.vectors[i] * es.vectors[j]
 
 
 class HeatKernel:
@@ -402,14 +391,21 @@ class HeatKernel:
         self.es = es
         self.interior = es.spec.interior
 
-    def matrix(self, t: float) -> np.ndarray:
+    def _decay(self, t: float) -> np.ndarray:
+        """exp(-lambda_j t) for each eigenvalue."""
         if not t >= 0:
             raise ValidationError("heat kernel needs t >= 0")
-        return _kernel(self.es, np.exp(-np.array(self.es.values) * t))
+        return np.exp(-np.array(self.es.values) * t)
+
+    def matrix(self, t: float) -> np.ndarray:
+        """Phi diag(exp(-lambda t)) Phi^T, Phi holding one eigenfunction per
+        column, over the interior."""
+        phi = self.es.vectors[: len(self.interior)]
+        return phi @ (self._decay(t)[:, None] * phi.T)
 
     def value(self, t: float, x: str, y: str) -> float:
-        i, j = _interior_rows(self.es.spec, "heat kernel", x, y)
-        return float(self.matrix(t)[i, j])
+        products = _row_products(self.es, "heat kernel", x, y)
+        return float((products * self._decay(t)).sum())
 
     def apply(self, t: float, f: VertexFunction) -> VertexFunction:
         """Propagate data f to time t; boundary values follow the spec's bc.
@@ -433,13 +429,8 @@ class GreenFunction:
         self.interior = es.spec.interior
         self._inv = 1.0 / np.array(es.values)
 
-    @cached_property
-    def _G(self) -> np.ndarray:
-        """The Green matrix, built on the first value call."""
-        return _kernel(self.es, self._inv)
-
     def value(self, x: str, y: str) -> float:
-        return float(self._G[_interior_rows(self.es.spec, "green function", x, y)])
+        return float((_row_products(self.es, "green function", x, y) * self._inv).sum())
 
     def apply(self, f: VertexFunction) -> VertexFunction:
         """Solve Lu = f; boundary values follow the spec's bc."""

@@ -457,9 +457,22 @@ def pointwise_seed_map(boundary_map: gc.SphereMap, w: gc.SubgraphWindow) -> gc.S
     return u
 
 
+def pointwise_extend(spec: gc.OperatorSpec, f: gc.VertexFunction) -> gc.VertexFunction:
+    """f on the closure, per vertex: its interior values, zero on a dirichlet
+    boundary, and on a neumann boundary the mean of the vertex's interior
+    neighbors, added in neighbor order."""
+    gc.spectral.check_dirichlet_data(spec, f)
+    inside = {x: f.value(x) for x in spec.interior}
+    vals = dict(inside)
+    for b in spec.boundary:
+        nbrs = [inside[y] for y in spec.graph.neighbors(b) if y in inside]
+        vals[b] = sum(nbrs) / len(nbrs) if spec.bc == "neumann" and nbrs else 0.0
+    return gc.VertexFunction(spec.graph, vals)
+
+
 def pointwise_apply_operator(spec: gc.OperatorSpec, f: gc.VertexFunction) -> gc.VertexFunction:
     """apply_operator written per vertex over the pointwise laplacian."""
-    extended = gc.spectral.extend_to_boundary(spec, f)
+    extended = pointwise_extend(spec, f)
     out = {}
     for x in spec.interior:
         fx = extended.values[x]
@@ -587,7 +600,7 @@ def pointwise_dmf_certificate(
     """The certificate numbers of one dmf_step, recomputed per vertex from its
     result with the pointwise laplacian, closure_energy and ** squares."""
     g, h, inner = w.graph, rep.step, w.interior
-    u0 = gc.spectral.extend_to_boundary(gc.OperatorSpec(w, "dirichlet", None, cfg), u_prev)
+    u0 = pointwise_extend(gc.OperatorSpec(w, "dirichlet", None, cfg), u_prev)
     u1 = rep.u_next
     lam_vals = {x: gc.spectral.potential_value(lam, x) for x in inner}
 

@@ -20,6 +20,15 @@ def test_gradient_and_laplacian_p3(p3):
     assert gc.gradient_norm_sq(f, "b") == 1.0
 
 
+def test_integrate_is_the_degree_weighted_sum(p3):
+    f = gc.VertexFunction(p3, {"a": 1.0, "b": 2.0, "c": 3.0})
+    assert gc.integrate(f, p3.vertices) == 1.0 * 1 + 2.0 * 2 + 3.0 * 1
+    assert gc.integrate(f, ["b"]) == 4.0
+    assert gc.integrate(f, []) == 0.0
+    with pytest.raises(gc.DomainError):
+        gc.integrate(gc.VertexFunction(p3, {"a": 1.0}), ["a", "b"])
+
+
 def test_dirichlet_and_closure_energy_p3(p3):
     f = gc.VertexFunction(p3, {"a": 0.0, "b": 1.0, "c": 0.0})
     w = gc.build_window(p3, ["b"])

@@ -526,6 +526,41 @@ def test_dmf_run_validation(p3):
         gc.dmf_run(phi, 0.0, 1.0, 0, w)
 
 
+def test_dmf_run_rejects_a_step_that_underflows(p3):
+    # 5e-324 / 2 rounds to a zero step, which the step system used to divide
+    # by (ZeroDivisionError at 1 / h)
+    w = gc.build_window(p3, ["b"])
+    phi = gc.VertexFunction(p3, {"b": 1.0})
+    with pytest.raises(gc.ValidationError, match="^step size must be positive$"):
+        gc.dmf_run(phi, None, 5e-324, 2, w)
+    with pytest.raises(gc.ValidationError, match="^step size must be positive$"):
+        gc.dmf_step(phi, 0.0, None, w)
+
+
+def test_dmf_run_reads_phi_once_and_none_as_zero(p5, monkeypatch):
+    # the steps pass closure rows on: phi is checked, gathered and extended
+    # once per run, and a None potential runs bit for bit as 0.0
+    import graphcalc.evolution as evolution
+
+    w = gc.build_window(p5, ["b", "c", "d"])
+    phi = gc.VertexFunction(p5, {"b": 1.0, "c": 0.5, "d": 0.25})
+    want = gc.dmf_run(phi, 0.0, 1.0, 8, w)
+    closure_rows = evolution._closure_rows
+    reads = []
+
+    def counted(spec, f):
+        reads.append(f)
+        return closure_rows(spec, f)
+
+    monkeypatch.setattr(evolution, "_closure_rows", counted)
+    run = gc.dmf_run(phi, None, 1.0, 8, w)
+    assert reads == [phi]
+    assert run.times == want.times
+    for a, b in zip(run.states, want.states):
+        assert a.values == b.values
+    assert [_report_bits(r) for r in run.reports] == [_report_bits(r) for r in want.reports]
+
+
 def test_dmf_positivity_preserved(p5):
     # nonnegative data and nonpositive potential keep the flow nonnegative
     w = gc.build_window(p5, ["b", "c", "d"])

@@ -273,6 +273,20 @@ def test_graph_construction_validation():
         gc.Graph(["a", "b"], [("a", "c")])
 
 
+def test_graph_rejects_a_repeated_edge_in_either_orientation():
+    # a repeated edge used to be listed twice in edges() but once in the
+    # adjacency, so Cheeger cuts counted it twice
+    for edges, message in (
+        ([("a", "b"), ("b", "c"), ("b", "a")], "edge 'b' -- 'a' listed twice"),
+        ([("a", "b"), ("a", "b")], "edge 'a' -- 'b' listed twice"),
+    ):
+        with pytest.raises(gc.DuplicateEdgeError, match=f"^{message}$"):
+            gc.Graph(["a", "b", "c"], edges)
+    doc = '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["b", "a"]]}'
+    with pytest.raises(gc.DuplicateEdgeError, match="^edge 'b' -- 'a' listed twice$"):
+        gc.parse_graph(doc)
+
+
 def _nx(g):
     G = nx.Graph()
     G.add_nodes_from(g.vertices)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,23 @@ def test_flow_step_cap(p3):
     assert res.steps_accepted <= 1
 
 
+def test_flow_converges_when_the_seed_meets_a_boundary_point(p3):
+    # both boundary points are one point, so the seed is that point too; the
+    # dot of a row with itself rounds below 1, theta ~ 2e-8 passes the
+    # 1e-15 mask, and v = q - (p.q) p is exactly zero.  The log map used to
+    # divide by that zero: numpy warnings, then 20,000 accepted steps that
+    # never moved and a nan residual.
+    w = gc.build_window(p3, ["b"])
+    q = gc.SpherePoint(-0.4122175063618756, 0.5375837745546892, 0.7455340492564027)
+    bmap = gc.SphereMap(p3, {"a": q, "c": q})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gc.dirichlet_minimize(bmap, w)
+    assert res.flow.status == "converged"
+    assert res.flow.residual == 0.0
+    assert res.flow.steps_accepted == res.flow.steps_rejected == 0
+
+
 def test_flow_stalled_when_every_step_rejected(p3, monkeypatch):
     # force the energy to look worse after every trial step
     calls = {"n": 0}
@@ -211,6 +229,19 @@ def test_flow_stalled_when_every_step_rejected(p3, monkeypatch):
     assert res.steps_accepted == 0
     assert res.tau_final < 1e-14
     assert res.map.point("b") == EZ
+
+
+def test_flow_rejects_steps_past_the_float_range(p3):
+    # tau = 1e308 makes every trial step overflow; the nan trials used to
+    # print numpy warnings, and are now rejected until tau halves to size
+    w = gc.build_window(p3, ["b"])
+    u0 = gc.SphereMap(p3, {"a": EX, "b": EZ, "c": EY})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gc.harmonic_heat_flow(u0, w, tau=1e308, tol=1e-10, max_steps=3000)
+    assert res.status == "converged"
+    assert res.steps_rejected > 1000
+    assert gc.sphere_distance(res.map.point("b"), gc.SpherePoint(1.0, 1.0, 0.0)) <= 1e-8
 
 
 def test_flow_validation(p3):

@@ -968,9 +968,12 @@ def test_cli_transport_overflow_is_numerical_error(tmp_path, capsys):
 
 def test_cli_spectrum_overflow_is_numerical_error(tmp_path, capsys):
     # the Householder reduction overflows; with 1e160 the eigenvalues used
-    # to come out as "nan" at exit 0
-    path = write_graph_file(tmp_path, make_c5())
-    for potential in ("1e308", "1e160"):
+    # to come out as "nan" at exit 0.  On K4 less an edge, 1e200 makes a
+    # square infinite in the second column, so v0 = -sigma / inf is zero
+    # and the division by it used to print a numpy warning
+    k4e = gc.Graph(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")])
+    for k, (g, potential) in enumerate(((make_c5(), "1e308"), (make_c5(), "1e160"), (k4e, "1e200"))):
+        path = write_graph_file(tmp_path, g, f"g{k}.json")
         message = numerical_error_message(capsys, ["spectrum", path, "--potential", potential])
         assert message == "eigensolve overflowed: the tridiagonal form is not finite"
 
@@ -1115,3 +1118,95 @@ def test_cli_output_independent_of_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# --- CLI paths held to the library call they make ----------------------------
+
+
+def _csv_body(out: str) -> str:
+    """A CSV document without its '# ...' note lines."""
+    return "".join(line for line in out.splitlines(keepends=True) if not line.startswith("# "))
+
+
+def test_cli_dmf_sin_and_csv_potentials_match_the_library(tmp_path, capsys):
+    g = make_p5()
+    path = write_graph_file(tmp_path, g)
+    fn = tmp_path / "f.csv"
+    fn.write_text("b,1\nc,0.5\nd,0.25\n")
+    qn = tmp_path / "q.csv"
+    qn.write_text("b,0.3\nc,-0.2\nd,0.1\n")
+    w = gc.build_window(g, ["b", "c", "d"])
+    f = gc.parse_vertex_function(fn.read_text(), g)
+    for potential, lam in (
+        ("sin:0.7", lambda t: 0.7 * math.sin(t)),
+        (f"csv:{qn}", gc.parse_vertex_function(qn.read_text(), g)),
+    ):
+        argv = ["dmf", path, str(fn), "--interior", "b,c,d", "--potential", potential,
+                "--t-final", "1.5", "--steps", "6"]
+        rc, out = run_cli(capsys, argv)
+        assert rc == 0, out
+        run = gc.dmf_run(f, lam, 1.5, 6, w)
+        assert _csv_body(out) == gc.render_trajectory_csv(run.times, run.states), potential
+
+
+def test_cli_transport_linear_profile_matches_the_library(tmp_path, capsys):
+    g = make_c4()
+    path = write_graph_file(tmp_path, g)
+    fn = tmp_path / "f.csv"
+    fn.write_text("v0,1\nv1,-0.5\nv2,0.25\nv3,0\n")
+    field = tmp_path / "w.csv"
+    field.write_text("v0,v1,1\nv1,v2,-0.5\nv2,v3,2\nv3,v0,0.75\n")
+    argv = ["transport", path, str(fn), "--field", str(field), "--profile", "linear:0.5,-0.25",
+            "--t-final", "1", "--dt", "0.125"]
+    rc, out = run_cli(capsys, argv)
+    assert rc == 0, out
+    base = gc.parse_vector_field(field.read_text(), g, "antisymmetrize")
+    f = gc.parse_vertex_function(fn.read_text(), g)
+    traj = gc.transport_solve(g, lambda t: base.scaled(0.5 + -0.25 * t), f, 1.0, 0.125)
+    assert _csv_body(out) == gc.render_trajectory_csv(traj.times, traj.states)
+
+
+def _validation_message(capsys, argv):
+    rc, out = run_cli(capsys, argv)
+    assert_one_json_validation_error(rc, out)
+    return json.loads(out)["error"]["message"]
+
+
+def test_cli_unknown_profile_unparsable_scale_and_zero_steps(tmp_path, capsys):
+    path = write_graph_file(tmp_path, make_k2())
+    fn = tmp_path / "f.csv"
+    fn.write_text("a,0\nb,1\n")
+    field = tmp_path / "w.csv"
+    field.write_text("a,b,1\n")
+    argv = ["transport", path, str(fn), "--field", str(field), "--profile", "cubic",
+            "--t-final", "1", "--dt", "0.5"]
+    assert _validation_message(capsys, argv) == "unknown profile 'cubic'"
+    for scale in ("abc", "1/0"):
+        message = _validation_message(capsys, ["graph", path, "--scale", scale])
+        assert message == f"cannot parse scale {scale!r}"
+    argv = ["heat", path, str(fn), "--t-final", "1", "--steps", "0"]
+    assert _validation_message(capsys, argv) == "t-final must be positive and steps at least 1"
+
+
+def test_cli_dmf_zero_step_is_json_error(tmp_path, capsys):
+    # 5e-324 / 2 rounds to a zero step; the run used to end in a
+    # ZeroDivisionError traceback
+    path = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("b,1\n")
+    argv = ["dmf", path, str(fn), "--interior", "b", "--t-final", "5e-324", "--steps", "2"]
+    assert _validation_message(capsys, argv) == "step size must be positive"
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_transport_step_count_past_the_float_range_is_json_error(tmp_path, capsys):
+    # t_final / dt overflows to inf, which round() used to raise OverflowError on
+    path = write_graph_file(tmp_path, make_k2())
+    fn = tmp_path / "f.csv"
+    fn.write_text("a,0\nb,1\n")
+    field = tmp_path / "w.csv"
+    field.write_text("a,b,1\n")
+    for t_final, dt in (("1", "5e-324"), ("1e308", "1e-200")):
+        argv = ["transport", path, str(fn), "--field", str(field), "--t-final", t_final, "--dt", dt]
+        message = _validation_message(capsys, argv)
+        assert message == "transport would keep more than 10000000 values in all"

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -249,6 +250,16 @@ def test_clusters_stable_under_threshold_change():
             assert np.any(gaps <= 0.1 * linalg.CLUSTER_TOL), (k, spec.bc)
 
 
+def test_eigenvalue_gap_past_the_float_range_is_a_cut():
+    # the gap 1e308 - (-1e308) overflows to inf, still a cluster cut; the
+    # subtraction used to print a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = gc.eigh(np.diag([1e308, -1e308]))
+    assert vals.tolist() == [-1e308, 1e308]
+    assert vecs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def test_eigh_on_400_vertex_grid_agrees_with_lapack():
     M = gc.symmetric_matrix(gc.OperatorSpec(grid_graph(20), "none"))
     vals, vecs = gc.eigh(M)
@@ -364,13 +375,13 @@ def test_no_blas_in_linalg_and_no_lapack_solvers_elsewhere():
     # the eigensolve, the operator and its audits, and the flows: the
     # Courant-Fischer subspaces use linalg.qr and linalg.project, evolution
     # multiplies no matrices, and the one @ in spectral builds the dense
-    # kernel matrices
+    # heat kernel matrix
     for name in ("linalg.py", "spectral.py", "evolution.py"):
         uses = _numpy_uses(SRC / name)
         assert not uses & BLAS_CALLS, (name, sorted(uses & BLAS_CALLS))
         assert not {n for n in uses if n.startswith("np.linalg")}, name
     assert "@" not in _numpy_uses(SRC / "evolution.py")
-    assert [scope for scope, _ in _matmul_sites(SRC / "spectral.py")] == ["_kernel"]
+    assert [scope for scope, _ in _matmul_sites(SRC / "spectral.py")] == ["HeatKernel.matrix"]
 
 
 def _region_type_checks(path):

@@ -368,24 +368,36 @@ def test_green_function_frozen_and_inverse(p3, p5):
         assert u.value("e") == pytest.approx(u.value("d"), abs=1e-14)
 
 
-def test_green_matrix_is_built_on_first_value(p5, monkeypatch):
-    es = gc.eigensystem(gc.OperatorSpec(gc.build_window(p5, ["b", "c", "d"]), "dirichlet", 0.2))
-    f = gc.VertexFunction(p5, {"b": 1.0, "c": -2.0, "d": 0.5})
-    want = gc.GreenFunction(es).value("b", "d")
-    kernel = spectral._kernel
-    calls = []
+def test_kernel_values_read_two_eigenvector_rows(p5, monkeypatch):
+    """HeatKernel.value and GreenFunction.value sum one product of two
+    eigenvector rows: no kernel matrix is built, and each entry agrees with
+    the matrix entry to 1e-15."""
+    w = gc.build_window(p5, ["b", "c", "d"])
+    cases = []
+    for bc in ("dirichlet", "neumann"):
+        es = gc.eigensystem(gc.OperatorSpec(w, bc, 0.2))
+        hk, phi = gc.HeatKernel(es), es.vectors[:3]
+        heat = {t: hk.matrix(t) for t in (0.0, 0.3, 2.0)}
+        green = phi @ np.diag(1.0 / np.array(es.values)) @ phi.T
+        cases.append((hk, gc.GreenFunction(es), heat, green))
 
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
+    def no_matrix(self, t):
+        raise AssertionError("value built the kernel matrix")
 
-    monkeypatch.setattr(spectral, "_kernel", counting)
-    gf = gc.GreenFunction(es)
-    gf.apply(f)
-    assert calls == []
-    assert gf.value("b", "d").hex() == want.hex()
-    assert gf.value("c", "c") == gf.value("c", "c")
-    assert len(calls) == 1
+    monkeypatch.setattr(gc.HeatKernel, "matrix", no_matrix)
+    for hk, gf, heat, green in cases:
+        for i, x in enumerate(w.interior):
+            for j, y in enumerate(w.interior):
+                for t, m in heat.items():
+                    assert abs(hk.value(t, x, y) - m[i, j]) <= 1e-15
+                assert abs(gf.value(x, y) - green[i, j]) <= 1e-15
+        assert not [v for v in vars(gf).values() if np.ndim(v) == 2]
+    with pytest.raises(gc.DomainError, match="green function is defined on the interior"):
+        gf.value("a", "b")
+    with pytest.raises(gc.DomainError, match="heat kernel is defined on the interior"):
+        hk.value(-1.0, "b", "e")
+    with pytest.raises(gc.ValidationError, match="t >= 0"):
+        hk.value(-1.0, "b", "c")
 
 
 def test_green_function_rejects_nonpositive_spectrum(c4):
