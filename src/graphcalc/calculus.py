@@ -440,8 +440,7 @@ def run_identity_suite(
     leaves = inside[src]  # pairs leaving the window interior
     stays, exits = leaves & inside[dst], leaves & ~inside[dst]
     # W(x, y) is the draw of edge {x, y}, which g.edges() lists with x first
-    # in file order, and its negative on (y, x); a repeated edge keeps its
-    # last draw
+    # in file order, and its negative on (y, x)
     edge_of = {(lay.rows[x], lay.rows[y]): k for k, (x, y) in enumerate(g.edges())}
     ends = zip(np.minimum(src, dst).tolist(), np.maximum(src, dst).tolist())
     edge = np.array([edge_of[e] for e in ends], dtype=np.intp)

@@ -268,6 +268,8 @@ def cmd_heat(args, g, inputs, cfg):
     if args.t_final <= 0 or args.steps < 1:
         raise ValidationError("t-final must be positive and steps at least 1")
     dt = args.t_final / args.steps
+    if not dt > 0:  # t_final / steps can underflow to 0
+        raise ValidationError("step size must be positive")
     times = [k * dt for k in range(args.steps + 1)]
     traj = spectral_heat_solve(spec, f, times)
     return render_trajectory_csv(traj.times, traj.states), {}

@@ -473,10 +473,6 @@ class DMFRun:
         return self.states[n]
 
 
-def _is_time_dependent(v: Potential) -> bool:
-    return callable(v) and not isinstance(v, VertexFunction)
-
-
 def dmf_run(
     phi: VertexFunction,
     potential: Potential,
@@ -497,10 +493,9 @@ def dmf_run(
     v = _closure_rows(spec, phi)  # phi is read once; the steps pass rows on
     states = [scatter(w.graph, w.closure, v)]
     reports: list[DMFStepReport] = []
-    time_dependent = _is_time_dependent(potential)
     for n in range(1, n_steps + 1):
-        if n == 1 or time_dependent:  # a static potential keeps one factor
-            lam = potential((n - 1) * h) if time_dependent else potential
+        if n == 1 or callable(potential):  # a static potential keeps one factor
+            lam = potential((n - 1) * h) if callable(potential) else potential
             system = _StepSystem(operator, h, _potential_rows(lam, w.interior))
         v, rep = _dmf_step(v, spec, mu_first, system)
         reports.append(rep)
@@ -564,7 +559,7 @@ def dmf_convergence_study(
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValidationError("need at least two increasing step counts")
     runs = {n: dmf_run(phi, potential, t_final, n, w, cfg) for n in ns}
-    if not _is_time_dependent(potential):
+    if not callable(potential):
         q = scatter(w.graph, w.interior, -_potential_rows(potential, w.interior))
         es = eigensystem(OperatorSpec(w, "dirichlet", q, cfg))
         errors = tuple(

@@ -22,10 +22,13 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    DanglingEndpointError,
     DisconnectedInteriorError,
     DomainError,
     DuplicateEdgeError,
+    GraphParseError,
     NotAdjacentError,
+    SelfLoopError,
     UnknownVertexError,
     ValidationError,
 )
@@ -41,22 +44,23 @@ class Graph:
     vertices : sequence of str
         Vertex ids in stable order.  Duplicates are rejected.
     edges : iterable of (str, str)
-        Undirected edges.  An unknown endpoint, a self-loop or an edge
-        repeated in either orientation is rejected.
+        Undirected edges, each checked in turn for a self-loop, an endpoint
+        that is not a vertex and a repeat in either orientation.
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValidationError("duplicate vertex id in vertex list")
+            raise GraphParseError("vertex names must be unique")
         self.index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
         edge_list = []
         for x, y in edges:
-            if x not in self.index or y not in self.index:
-                raise UnknownVertexError(f"edge endpoint not in vertex list: ({x}, {y})")
             if x == y:
-                raise ValidationError(f"self-loop at {x}")
+                raise SelfLoopError(f"self-loop at {x!r}")
+            for v in (x, y):
+                if v not in nbrs:
+                    raise DanglingEndpointError(f"edge endpoint {v!r} is not a vertex")
             if y in nbrs[x]:
                 raise DuplicateEdgeError(f"edge {x!r} -- {y!r} listed twice")
             nbrs[x].add(y)
@@ -328,9 +332,6 @@ class VertexFunction:
         if x not in self.values:
             raise DomainError(f"function not defined at {x!r}")
         return self.values[x]
-
-    def __call__(self, x: str) -> float:
-        return self.value(x)
 
     def restrict(self, region: Iterable[str]) -> "VertexFunction":
         keep = set(region)

@@ -66,8 +66,8 @@ class SpherePoint:
 
 
 def sphere_distance(p: SpherePoint, q: SpherePoint) -> float:
-    dot = max(-1.0, min(1.0, float(np.dot(p.array, q.array))))
-    return math.acos(dot)
+    (x0, x1, x2), (y0, y1, y2) = p.xyz, q.xyz
+    return math.acos(max(-1.0, min(1.0, x0 * y0 + x1 * y1 + x2 * y2)))  # as _row_dots sums
 
 
 def sphere_log(p: SpherePoint, q: SpherePoint) -> np.ndarray:
@@ -211,10 +211,12 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
-def _pair_geometry(pts: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """Cosine and geodesic angle between the two points of each pair."""
+def _pair_geometry(pts: np.ndarray, src: np.ndarray, dst: np.ndarray, back: np.ndarray):
+    """Cosine and angle (libm's acos: numpy's CPU-picked arccos can differ in
+    the last bit) of each undirected pair (src, dst), read back onto the ordered pairs."""
     dots = _row_dots(pts[src], pts[dst])
-    return dots, np.arccos(np.clip(dots, -1.0, 1.0))
+    theta = np.fromiter(map(math.acos, np.clip(dots, -1.0, 1.0).tolist()), float, len(dots))
+    return dots[back], theta[back]
 
 
 def _pair_energy(theta: np.ndarray) -> float:
@@ -247,7 +249,10 @@ def harmonic_heat_flow(
     deg = lay.deg[:k, None]
     src, dst, inner = lay.src, lay.dst, lay.interior_pairs
     pts = np.array([u0.point(x).xyz for x in closure])
-    dots, theta = _pair_geometry(pts, src, dst)
+    keys = np.minimum(src, dst) * len(closure) + np.maximum(src, dst)
+    _, once, back = np.unique(keys, return_index=True, return_inverse=True)
+    pairs = (src[once], dst[once], back)  # (x, y) and (y, x) dot bit for bit alike
+    dots, theta = _pair_geometry(pts, *pairs)
     energy = initial = _pair_energy(theta)
     accepted = rejected = 0
     history: list[tuple[int, float, float, float]] = []
@@ -279,7 +284,7 @@ def harmonic_heat_flow(
             ahead = np.cos(n) * base + np.sin(n) * (va / np.where(move, n, 1.0))
             ahead /= np.sqrt(_row_dots(ahead, ahead))[:, None]
         trial = np.concatenate([np.where(move, ahead, base), pts[k:]])
-        trial_dots, trial_theta = _pair_geometry(trial, src, dst)
+        trial_dots, trial_theta = _pair_geometry(trial, *pairs)
         e_trial = _pair_energy(trial_theta)
         if e_trial <= energy + 1e-15 * max(1.0, energy):
             pts, dots, theta = trial, trial_dots, trial_theta

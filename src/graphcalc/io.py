@@ -13,13 +13,7 @@ from pathlib import Path
 from typing import Union
 
 from .calculus import VectorField
-from .errors import (
-    DanglingEndpointError,
-    GraphParseError,
-    SelfLoopError,
-    UnknownVertexError,
-    ValidationError,
-)
+from .errors import GraphParseError, UnknownVertexError, ValidationError
 from .graph import Graph, VertexFunction
 from .harmonic import SphereMap, SpherePoint
 
@@ -48,26 +42,15 @@ def parse_graph(text: str) -> Graph:
         isinstance(v, str) and v for v in verts
     ):
         raise GraphParseError("'vertices' must be a nonempty list of nonempty strings")
-    if len(set(verts)) != len(verts):
-        raise GraphParseError("vertex names must be unique")
     for v in verts:
         if v != v.strip() or v.startswith("#") or "," in v or '"' in v or v.splitlines() != [v]:
             raise GraphParseError(f"vertex id {v!r} cannot be written to CSV")
     if not isinstance(edges, list):
         raise GraphParseError("'edges' must be a list")
-    vset = set(verts)
-    pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
             raise GraphParseError(f"edge entries must be pairs of strings, got {e!r}")
-        a, b = e
-        if a == b:
-            raise SelfLoopError(f"self-loop at {a!r}")
-        for v in (a, b):
-            if v not in vset:
-                raise DanglingEndpointError(f"edge endpoint {v!r} is not a vertex")
-        pairs.append((a, b))
-    return Graph(verts, pairs)
+    return Graph(verts, map(tuple, edges))
 
 
 def load_graph(path: Union[str, Path]) -> Graph:

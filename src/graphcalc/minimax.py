@@ -11,7 +11,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .calculus import is_local_min
+from .calculus import is_local_max, is_local_min
 from .errors import ValidationError
 from .graph import Graph, SubgraphWindow, VertexFunction
 
@@ -115,18 +115,15 @@ def classify_vertex(g: Graph, f: VertexFunction, x: str) -> VertexClassification
     hence the hard degree cap.
     """
     x = g.check_vertex(x)
-    kinds: list[str] = []
+    f.value(x)  # off f's domain is an error, even at an isolated x
+    tests = (
+        ("strict_local_min", is_local_min(f, x, strict=True)),
+        ("local_min", is_local_min(f, x)),
+        ("strict_local_max", is_local_max(f, x, strict=True)),
+        ("local_max", is_local_max(f, x)),
+    )
+    kinds = [kind for kind, holds in tests if holds]
     notes: list[str] = []
-    fx = f.value(x)
-    nbr_vals = [f.value(y) for y in g.neighbors(x)]
-    if all(fx < v for v in nbr_vals):
-        kinds.append("strict_local_min")
-    if all(fx <= v for v in nbr_vals):
-        kinds.append("local_min")
-    if all(fx > v for v in nbr_vals):
-        kinds.append("strict_local_max")
-    if all(fx >= v for v in nbr_vals):
-        kinds.append("local_max")
 
     witness = None
     if g.degree(x) > NEIGHBORHOOD_CAP:

@@ -30,13 +30,9 @@ from .rng import Lcg64
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "none")
 EXPAND_CHUNK = 1 << 20  # elements of one (times, closure, modes) product in _expand
+EXP_LIMIT = math.log(np.finfo(float).max)  # math.exp is finite up to here, overflows past it
 
 StaticPotential = Union[None, float, VertexFunction]
-
-
-def potential_value(potential: StaticPotential, x: str) -> float:
-    """A static potential at x: None is zero, a number is the same everywhere."""
-    return float(_potential_rows(potential, (x,))[0])
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ class OperatorSpec:
         return self.region.closure
 
     def potential_at(self, x: str) -> float:
-        return potential_value(self.potential, x)
+        return float(_potential_rows(self.potential, (x,))[0])
 
 
 def symmetric_matrix(spec: OperatorSpec) -> np.ndarray:
@@ -251,12 +247,18 @@ def _expand(es: EigenSystem, f: VertexFunction, factors: np.ndarray) -> list[Ver
     return scatter_rows(spec.graph, spec.closure, values)
 
 
+def _decay_rows(values: Sequence[float], times) -> np.ndarray:
+    """The factor rows exp(-lambda t), one per time, from libm: numpy's exp
+    kernel, picked by CPU, can differ in the last bit.  Overflow gives inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = -np.array(values) * np.array(times, dtype=float)[:, None]
+    flat = np.where(args > EXP_LIMIT, math.inf, args).ravel().tolist()
+    return np.fromiter(map(math.exp, flat), float, args.size).reshape(args.shape)
+
+
 def _heat(es: EigenSystem, f: VertexFunction, times) -> list[VertexFunction]:
-    """_expand with the factor rows exp(-lambda t), one per time; a row that
-    overflows is left to _expand to report."""
-    lam = np.array(es.values)
-    with np.errstate(over="ignore"):
-        return _expand(es, f, np.exp(-lam * np.array(times, dtype=float)[:, None]))
+    """_expand with the factor rows exp(-lambda t), one per time."""
+    return _expand(es, f, _decay_rows(es.values, times))
 
 
 def _quotients(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
@@ -364,11 +366,11 @@ def barta_bound(
     boundary values enter the stencil as given.
     """
     best = math.inf
-    for x in region.interior:
+    for x, q in zip(region.interior, _potential_rows(potential, region.interior).tolist()):
         ux = u.value(x)
         if ux <= 0.0:
             raise ValidationError(f"test function must be positive on interior, u({x}) = {ux}")
-        lu = -laplacian(u, x, cfg) + potential_value(potential, x) * ux
+        lu = -laplacian(u, x, cfg) + q * ux
         best = min(best, lu / ux)
     return best
 
@@ -395,17 +397,19 @@ class HeatKernel:
         """exp(-lambda_j t) for each eigenvalue."""
         if not t >= 0:
             raise ValidationError("heat kernel needs t >= 0")
-        return np.exp(-np.array(self.es.values) * t)
+        return _decay_rows(self.es.values, [t])[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # reported by _finite_kernel
     def matrix(self, t: float) -> np.ndarray:
         """Phi diag(exp(-lambda t)) Phi^T, Phi holding one eigenfunction per
         column, over the interior."""
         phi = self.es.vectors[: len(self.interior)]
-        return phi @ (self._decay(t)[:, None] * phi.T)
+        return _finite_kernel(phi @ (self._decay(t)[:, None] * phi.T))
 
+    @np.errstate(over="ignore", invalid="ignore")  # reported by _finite_kernel
     def value(self, t: float, x: str, y: str) -> float:
         products = _row_products(self.es, "heat kernel", x, y)
-        return float((products * self._decay(t)).sum())
+        return float(_finite_kernel((products * self._decay(t)).sum()))
 
     def apply(self, t: float, f: VertexFunction) -> VertexFunction:
         """Propagate data f to time t; boundary values follow the spec's bc.
@@ -413,9 +417,13 @@ class HeatKernel:
         The reconstruction is degree-weighted (the measure the
         eigenfunctions are orthonormal against), so it reproduces f at t = 0.
         """
-        if not t >= 0:
-            raise ValidationError("heat kernel needs t >= 0")
-        return _heat(self.es, f, [t])[0]
+        return _expand(self.es, f, self._decay(t)[None])[0]
+
+
+def _finite_kernel(entries):
+    if not np.isfinite(entries).all():  # an entry outside the float range
+        raise NumericalError("heat kernel overflowed: an entry is not finite")
+    return entries
 
 
 class GreenFunction:

@@ -309,6 +309,27 @@ def grid_interior(k: int) -> list[str]:
     return [f"r{i}c{j}" for i in range(1, k - 1) for j in range(1, k - 1)]
 
 
+def grid_calls(tmp_path) -> dict:
+    """CLI calls for documents on the 7 x 7 grid and its window that carry
+    eigenvectors or values computed from them: the spectrum with its
+    functions, heat under both boundary conditions and a dmf run with a
+    time-dependent potential."""
+    (tmp_path / "grid7.json").write_text(gc.write_graph(grid_graph(7)))
+    path = str(tmp_path / "grid7.json")
+    inner = grid_interior(7)
+    fn = tmp_path / "grid7.csv"
+    fn.write_text("".join(f"{x},{math.sin(1.0 + i)!r}\n" for i, x in enumerate(inner)))
+    window = [str(fn), "--interior", ",".join(inner)]
+    heat = ["--t-final", "2", "--steps", "10"]
+    return {
+        "spectrum-none-7": ["spectrum", path, "--bc", "none", "--functions"],
+        "heat-dirichlet-7": ["heat", path, *window, "--bc", "dirichlet", *heat],
+        "heat-neumann-7": ["heat", path, *window, "--bc", "neumann", *heat],
+        "dmf-linear-7": ["dmf", path, *window, "--potential", "linear:0.25,0.5", "--t-final", "1",
+                         "--steps", "4"],
+    }
+
+
 def random_connected_graph(rng: gc.Lcg64, n_min: int = 4, n_max: int = 10) -> gc.Graph:
     """Random spanning tree plus a few extra edges; sparse enough that the
     exhaustive path oracle stays fast."""
@@ -602,7 +623,8 @@ def pointwise_dmf_certificate(
     g, h, inner = w.graph, rep.step, w.interior
     u0 = pointwise_extend(gc.OperatorSpec(w, "dirichlet", None, cfg), u_prev)
     u1 = rep.u_next
-    lam_vals = {x: gc.spectral.potential_value(lam, x) for x in inner}
+    pointwise = isinstance(lam, gc.VertexFunction)
+    lam_vals = {x: lam.value(x) if pointwise else float(lam or 0.0) for x in inner}
 
     def j_value(u):
         quad = 0.25 * cfg.laplacian_scale * gc.closure_energy(u, w)
@@ -647,16 +669,17 @@ def pointwise_cheeger_functional(g: gc.Graph, f: gc.VertexFunction) -> float:
 
 
 def rowwise_heat(es: gc.EigenSystem, f: gc.VertexFunction, times) -> list:
-    """The heat expansion one time at a time: a factor row exp(-lambda t),
-    its product with the eigenvectors summed per closure vertex, and one
-    scatter per time."""
+    """The heat expansion one time at a time: a factor row exp(-lambda t)
+    from math.exp, its product with the eigenvectors summed per closure
+    vertex, and one scatter per time."""
     spec = es.spec
     data = gather(f, spec.interior) * spec.region.layout.deg[: len(spec.interior)]
     coeffs = (es.vectors[: len(data)] * data[:, None]).sum(axis=0)
     lam = np.array(es.values)
     out = []
     for t in times:
-        values = (es.vectors * (coeffs * np.exp(-lam * t))).sum(axis=1)
+        decay = np.array([math.exp(a) for a in (-lam * t).tolist()])
+        values = (es.vectors * (coeffs * decay)).sum(axis=1)
         out.append(scatter(spec.graph, spec.closure, values))
     return out
 

@@ -33,6 +33,7 @@ from conftest import (
 from helpers import (
     brute_bottleneck,
     brute_cheeger,
+    grid_calls,
     grid_graph,
     grid_interior,
     random_connected_graph,
@@ -492,3 +493,49 @@ def test_eigensolve_and_dmf_bytes_stable_across_thread_counts(tmp_path):
     ]
     for args in battery:
         assert _run_cli(args, 2) == _run_cli(args, 1), args[0]
+
+
+# dispatch targets numpy may leave out of its own exp and arccos kernels,
+# and OpenBLAS kernels whose dot products sum in different orders; numpy
+# refuses to disable a baseline target such as X86_V2, so only these are named
+CPU_ENVIRONMENTS = (
+    {},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+)
+
+
+def test_cli_bytes_stable_across_cpu_kernels(tmp_path):
+    # a guard beside a11: the a11 battery, the grid documents and harmonic on
+    # the 7 x 7 window (interior 25) print the same bytes whichever SIMD and
+    # BLAS kernels numpy and OpenBLAS pick; numpy picks them at import, so
+    # each environment runs every call in one fresh process
+    calls = _battery(tmp_path) + list(grid_calls(tmp_path).values())
+    inner = grid_interior(7)
+    rows = []
+    for v in gc.build_window(grid_graph(7), inner).boundary:
+        i, j = (int(t) for t in v[1:].split("c"))
+        th = math.atan2(i - 3.0, j - 3.0)
+        rows.append(f"{v},{math.cos(th)!r},{math.sin(th)!r},{0.3 + 0.5 * math.sin(2 * th)!r}\n")
+    (tmp_path / "b7.csv").write_text("".join(rows))
+    calls.append(["harmonic", str(tmp_path / "grid7.json"), "--interior", ",".join(inner),
+                  "--boundary", str(tmp_path / "b7.csv")])
+    script = (
+        "import json, sys\n"
+        "from graphcalc.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    outputs = []
+    for extra in CPU_ENVIRONMENTS:
+        env = dict(os.environ, **extra)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, env=env
+        )
+        assert proc.returncode == 0, (extra, proc.stderr)
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b'"tool": "graphcalc"') == len(calls)  # one manifest per call
+    for extra, out in zip(CPU_ENVIRONMENTS[1:], outputs[1:]):
+        assert out == outputs[0], extra

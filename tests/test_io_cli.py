@@ -18,7 +18,7 @@ import graphcalc as gc
 import graphcalc.cli as cli
 
 from conftest import make_c4, make_k2, make_octahedron, make_p3, make_p5
-from helpers import grid_graph, grid_interior, per_row_render_trajectory_csv
+from helpers import grid_calls, per_row_render_trajectory_csv
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -449,25 +449,6 @@ def test_cli_documents_are_pinned(tmp_path, capsys):
         rc, out = run_cli(capsys, argv)
         assert rc == 0, out
         assert out.replace(str(tmp_path), "<TMP>") == want[name], name
-
-
-def grid_calls(tmp_path):
-    """Documents on the 7 x 7 grid and its window that carry eigenvectors or
-    values computed from them: the spectrum with its functions, heat under
-    both boundary conditions and a dmf run with a time-dependent potential."""
-    path = write_graph_file(tmp_path, grid_graph(7), "grid7.json")
-    inner = grid_interior(7)
-    fn = tmp_path / "grid7.csv"
-    fn.write_text("".join(f"{x},{math.sin(1.0 + i)!r}\n" for i, x in enumerate(inner)))
-    window = [str(fn), "--interior", ",".join(inner)]
-    heat = ["--t-final", "2", "--steps", "10"]
-    return {
-        "spectrum-none-7": ["spectrum", path, "--bc", "none", "--functions"],
-        "heat-dirichlet-7": ["heat", path, *window, "--bc", "dirichlet", *heat],
-        "heat-neumann-7": ["heat", path, *window, "--bc", "neumann", *heat],
-        "dmf-linear-7": ["dmf", path, *window, "--potential", "linear:0.25,0.5", "--t-final", "1",
-                         "--steps", "4"],
-    }
 
 
 def test_grid_documents_are_pinned_by_hash(tmp_path, capsys):
@@ -1195,6 +1176,18 @@ def test_cli_dmf_zero_step_is_json_error(tmp_path, capsys):
     fn = tmp_path / "f.csv"
     fn.write_text("b,1\n")
     argv = ["dmf", path, str(fn), "--interior", "b", "--t-final", "5e-324", "--steps", "2"]
+    assert _validation_message(capsys, argv) == "step size must be positive"
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_heat_zero_step_is_json_error(tmp_path, capsys):
+    # 5e-324 / 3 rounds to a zero step, which used to be reported as a time
+    # grid that is not strictly increasing
+    path = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("b,1\n")
+    argv = ["heat", path, str(fn), "--bc", "dirichlet", "--interior", "b", "--t-final", "5e-324",
+            "--steps", "3"]
     assert _validation_message(capsys, argv) == "step size must be positive"
     assert capsys.readouterr().err == ""
 

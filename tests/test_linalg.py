@@ -363,6 +363,9 @@ def _matmul_sites(path):
 
 # numpy calls that can hand a product to BLAS
 BLAS_CALLS = {"np.dot", "np.matmul", "np.einsum", "np.tensordot", "np.inner", "np.vdot"}
+# numpy functions whose SIMD kernels numpy picks by CPU, some of which
+# differ from libm in the last bit
+CPU_DISPATCHED = {"np.exp", "np.log", "np.arccos", "np.arcsin", "np.arctan", "np.arctan2"}
 
 
 def test_no_blas_in_linalg_and_no_lapack_solvers_elsewhere():
@@ -382,6 +385,11 @@ def test_no_blas_in_linalg_and_no_lapack_solvers_elsewhere():
         assert not {n for n in uses if n.startswith("np.linalg")}, name
     assert "@" not in _numpy_uses(SRC / "evolution.py")
     assert [scope for scope, _ in _matmul_sites(SRC / "spectral.py")] == ["HeatKernel.matrix"]
+    # the heat factors and the flow's angles take their transcendentals from
+    # math, so heat and harmonic print the same bytes on every CPU
+    for name in ("spectral.py", "harmonic.py"):
+        uses = _numpy_uses(SRC / name)
+        assert not uses & CPU_DISPATCHED, (name, sorted(uses & CPU_DISPATCHED))
 
 
 def _region_type_checks(path):

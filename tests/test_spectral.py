@@ -284,6 +284,23 @@ def test_heat_kernel_frozen_p3(p3):
     assert gc.HeatKernel(es).value(1.0, "b", "b") == hk.value(1.0, "b", "b")
 
 
+def test_heat_kernel_overflow_is_numerical_error(p3):
+    # exp(-lambda t) = exp(999) is past the float range; value and matrix
+    # used to return inf with a numpy overflow warning
+    w = gc.build_window(p3, ["b"])
+    hk = gc.HeatKernel(gc.eigensystem(gc.OperatorSpec(w, "dirichlet", -1000.0)))
+    f = gc.VertexFunction(p3, {"b": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gc.NumericalError, match="^heat kernel overflowed"):
+            hk.value(1.0, "b", "b")
+        with pytest.raises(gc.NumericalError, match="^heat kernel overflowed"):
+            hk.matrix(1.0)
+        with pytest.raises(gc.NumericalError, match="value at 'b' is not finite$"):
+            hk.apply(1.0, f)
+        assert hk.value(0.5, "b", "b") == pytest.approx(math.exp(499.5) / 2.0, rel=1e-12)
+
+
 def test_heat_kernel_symmetry_and_semigroup(p5):
     w = gc.build_window(p5, ["b", "c", "d"])
     es = gc.eigensystem(gc.OperatorSpec(w, "dirichlet"))
