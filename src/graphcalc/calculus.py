@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .graph import Graph, Region, SubgraphWindow, VertexFunction, build_window, gather
+from .graph import Graph, Region, SubgraphWindow, VertexFunction, build_window, column_sums, gather
 from .rng import Lcg64
 
 ALLOWED_SCALES = (1.0, 2.0 / 3.0)
@@ -110,15 +110,13 @@ def gradient_norm_sq(f: VertexFunction, x: str) -> float:
     return sum(t * t for t in gradient(f, x)) / d
 
 
-def gradient_field(f: VertexFunction, region: Optional[Iterable[str]] = None) -> VectorField:
+def gradient_field(f: VertexFunction) -> VectorField:
     """The gradient as an antisymmetric field on ordered pairs inside f's domain."""
     g = f.graph
-    verts = list(f.domain) if region is None else [g.check_vertex(v) for v in region]
-    allowed = set(verts)
     entries = {}
-    for x in verts:
+    for x in f.domain:
         for y in g.neighbors(x):
-            if y in allowed and y in f:
+            if y in f:
                 entries[(x, y)] = f.value(y) - f.value(x)
     return VectorField(g, entries)
 
@@ -227,10 +225,8 @@ def closure_energy(f: VertexFunction, region: Region) -> float:
     twice the scale-1 quadratic form of the negative laplacian.
     """
     vals, lay = gather(f, region.closure), region.layout
-    total = 0.0
-    for t in (vals[lay.dst] - vals[lay.src]).tolist():
-        total += t * t
-    return total
+    d = vals[lay.dst] - vals[lay.src]
+    return column_sums(d * d)
 
 
 def divergence_theorem_residual(W: VectorField, g: Graph, region: Iterable[str]) -> float:
@@ -374,12 +370,11 @@ def maximum_principle_check(
 ) -> MaximumPrincipleReport:
     """At a local minimum the gradient, hessian entries and laplacian are >= 0."""
     is_min = is_local_min(f, x)
-    grads = gradient(f, x)
     hess = hessian(f, x)
     return MaximumPrincipleReport(
         vertex=x,
         is_min=is_min,
-        gradient_nonnegative=all(t >= 0 for t in grads),
+        gradient_nonnegative=is_min,
         hessian_nonnegative=all(e >= 0 for row in hess.entries for e in row),
         laplacian_value=laplacian(f, x, cfg),
     )

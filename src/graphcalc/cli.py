@@ -32,10 +32,11 @@ from .calculus import (
 )
 from .constants import cheeger_constants, cheeger_functional
 from .errors import GraphCalcError, NumericalError, ValidationError
-from .evolution import dmf_run, spectral_heat_solve, transport_solve
+from .evolution import _check_kept_values, dmf_run, spectral_heat_solve, transport_solve
 from .graph import Graph, build_window, monge_cost, volume
 from .harmonic import dirichlet_minimize
 from .io import (
+    FIELD_MODES,
     _parse_float,
     format_float,
     parse_graph,
@@ -46,7 +47,7 @@ from .io import (
     render_trajectory_csv,
 )
 from .minimax import bottleneck_level, classify_vertex, find_minimax, NEIGHBORHOOD_CAP
-from .spectral import OperatorSpec, eigensystem
+from .spectral import BOUNDARY_CONDITIONS, OperatorSpec, eigensystem
 
 SCALE_ENV = "GRAPHCALC_SCALE"
 
@@ -252,13 +253,7 @@ def cmd_minimax(args, g, inputs, cfg):
     payload = {**asdict(result), "bottleneck": {"level": level, "path": path}}
     which = args.classify or result.vertex
     if g.degree(which) <= NEIGHBORHOOD_CAP:
-        cls = classify_vertex(g, f, which)
-        payload["classification"] = {
-            "vertex": cls.vertex,
-            "kinds": cls.kinds,
-            "notes": cls.notes,
-            "witness": None if cls.witness is None else asdict(cls.witness),
-        }
+        payload["classification"] = asdict(classify_vertex(g, f, which))
     return payload
 
 
@@ -270,6 +265,7 @@ def cmd_heat(args, g, inputs, cfg):
     dt = args.t_final / args.steps
     if not dt > 0:  # t_final / steps can underflow to 0
         raise ValidationError("step size must be positive")
+    _check_kept_values("heat", args.steps + 1, len(spec.closure))
     times = [k * dt for k in range(args.steps + 1)]
     traj = spectral_heat_solve(spec, f, times)
     return render_trajectory_csv(traj.times, traj.states), {}
@@ -367,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="eigenvalues of -laplacian + potential")
     common(sp)
-    sp.add_argument("--bc", choices=("dirichlet", "neumann", "none"), default="none")
+    sp.add_argument("--bc", choices=BOUNDARY_CONDITIONS, default="none")
     sp.add_argument("--interior", default=None, help="comma-separated interior vertices")
     sp.add_argument("--potential", default="none", help="number, 'none' or 'csv:PATH'")
     sp.add_argument("--functions", action="store_true", help="include eigenfunctions")
@@ -389,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("heat", help="heat semigroup trajectory (spectral)")
     common(sp)
     sp.add_argument("function", help="initial data CSV")
-    sp.add_argument("--bc", choices=("dirichlet", "neumann", "none"), default="none")
+    sp.add_argument("--bc", choices=BOUNDARY_CONDITIONS, default="none")
     sp.add_argument("--interior", default=None)
     sp.add_argument("--potential", default="none")
     sp.add_argument("--t-final", type=_finite_float, required=True, dest="t_final")
@@ -402,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True, help="vector field CSV")
     sp.add_argument(
         "--field-mode",
-        choices=("exact", "antisymmetrize", "symmetrize"),
+        choices=FIELD_MODES,
         default="antisymmetrize",
         dest="field_mode",
     )

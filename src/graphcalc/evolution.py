@@ -32,7 +32,7 @@ from .spectral import (
 
 SOLVE_RESIDUAL_TOL = 1e-12
 IDENTITY_MAX_STEP = 1e-2
-TRANSPORT_MAX_VALUES = 10**7  # states times vertices that one transport run may keep
+TRANSPORT_MAX_VALUES = 10**7  # states times values per state that one run may keep
 SADDLE_WARNING = (
     "max(lambda) exceeds the first dirichlet eigenvalue; the step energy "
     "is not coercive and the flow tracks a saddle of J"
@@ -69,6 +69,15 @@ def _check_time_grid(times: Sequence[float]) -> tuple[float, ...]:
         if not b > a:
             raise ValidationError("time grid must be strictly increasing")
     return ts
+
+
+def _check_kept_values(run: str, states: int, width: int) -> None:
+    """Refuse a run that would keep more than TRANSPORT_MAX_VALUES values."""
+    if states * width > TRANSPORT_MAX_VALUES:
+        raise ValidationError(
+            f"{run} would keep {states} states of {width} values, "
+            f"more than {TRANSPORT_MAX_VALUES} values in all"
+        )
 
 
 def spectral_heat_solve(
@@ -243,11 +252,7 @@ def transport_solve(
     n_steps = round(t_final / dt)
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValidationError("t_final must be an integer multiple of dt")
-    if (n_steps + 1) * len(g) > TRANSPORT_MAX_VALUES:
-        raise ValidationError(
-            f"transport would keep {n_steps + 1} states of {len(g)} values, "
-            f"more than {TRANSPORT_MAX_VALUES} values in all"
-        )
+    _check_kept_values("transport", n_steps + 1, len(g))
     pairs = _PairRates(g)
     if isinstance(field, VectorField):
         fixed = pairs.rates(field)
@@ -481,11 +486,13 @@ def dmf_run(
     w: SubgraphWindow,
     cfg: CalculusConfig = DEFAULT_CONFIG,
 ) -> DMFRun:
-    """N implicit steps from phi with lambda_n frozen at the left endpoint."""
+    """N implicit steps from phi with lambda_n frozen at the left endpoint;
+    the kept-values cap is checked before the operator is assembled."""
     if t_final <= 0:
         raise ValidationError("t_final must be positive")
     if n_steps < 1:
         raise ValidationError("need at least one step")
+    _check_kept_values("dmf", n_steps + 1, len(w.closure))
     h = t_final / n_steps
     spec = OperatorSpec(w, "dirichlet", None, cfg)
     operator = symmetric_matrix(spec)

@@ -142,14 +142,16 @@ def _closure_stencil(
     return [y for y in nbrs if y in rows], len(nbrs)
 
 
+def _antipodal_edge(x: str, y: str) -> AntipodalPointsError:
+    return AntipodalPointsError(f"adjacent vertices {x!r}, {y!r} map to antipodal points")
+
+
 def check_no_antipodal_edges(u: SphereMap, region: Region) -> None:
     closure = region.layout.rows
     for x, y in region.graph.edges():
         if x in closure and y in closure and x in u and y in u:
             if sphere_distance(u.point(x), u.point(y)) > math.pi - ANTIPODAL_MARGIN:
-                raise AntipodalPointsError(
-                    f"adjacent vertices {x!r}, {y!r} map to antipodal points"
-                )
+                raise _antipodal_edge(x, y)
 
 
 def energy_density(u: SphereMap, x: str, region: Optional[Region] = None) -> float:
@@ -262,8 +264,7 @@ def harmonic_heat_flow(
         far = theta > math.pi - ANTIPODAL_MARGIN
         if far.any():
             i = int(far.argmax())  # the first such pair
-            x, y = closure[src[i]], closure[dst[i]]
-            raise AntipodalPointsError(f"adjacent vertices {x!r}, {y!r} map to antipodal points")
+            raise _antipodal_edge(closure[src[i]], closure[dst[i]])
         # log maps along the pairs leaving the interior, as in sphere_log
         p, t = pts[src[:inner]], theta[:inner]
         v = pts[dst[:inner]] - dots[:inner, None] * p
@@ -406,9 +407,7 @@ def ambient_tension_report(
         q = u.point(y).array
         theta = sphere_distance(u.point(x), u.point(y))
         if theta > math.pi - ANTIPODAL_MARGIN:
-            raise AntipodalPointsError(
-                f"adjacent vertices {x!r}, {y!r} map to antipodal points"
-            )
+            raise _antipodal_edge(x, y)
         ratio = theta / math.sin(theta) if theta > 1e-9 else 1.0
         div += -ratio * q
         corr += ratio * (p + q)

@@ -33,8 +33,8 @@ class MinimaxWitness:
 class VertexClassification:
     vertex: str
     kinds: tuple[str, ...]
-    witness: Optional[MinimaxWitness]
     notes: tuple[str, ...]
+    witness: Optional[MinimaxWitness]
 
 
 def _induced_neighbor_adjacency(g: Graph, x: str) -> tuple[list[str], dict[str, list[str]]]:
@@ -71,10 +71,7 @@ def _first_dip(arc: tuple[str, ...], f: VertexFunction, level: float) -> Optiona
     best = min(f.value(v) for v in arc)
     if best > level:
         return None
-    for v in arc:
-        if f.value(v) == best:
-            return v
-    return None
+    return next(v for v in arc if f.value(v) == best)
 
 
 def _minimax_witness(g: Graph, f: VertexFunction, x: str) -> Optional[MinimaxWitness]:
@@ -140,7 +137,7 @@ def classify_vertex(g: Graph, f: VertexFunction, x: str) -> VertexClassification
             kinds.append("minimax")
     if not kinds:
         kinds.append("regular")
-    return VertexClassification(x, tuple(kinds), witness, tuple(notes))
+    return VertexClassification(x, tuple(kinds), tuple(notes), witness)
 
 
 def bottleneck_level(

@@ -162,6 +162,22 @@ def test_local_extrema_and_maximum_principle(p3):
     assert rep.laplacian_value >= 0.0
 
 
+def test_maximum_principle_check_takes_the_gradient_once(p3, monkeypatch):
+    calls = []
+    gradient = gc.calculus.gradient
+
+    def counted(f, x):
+        calls.append(x)
+        return gradient(f, x)
+
+    monkeypatch.setattr(gc.calculus, "gradient", counted)
+    f = gc.VertexFunction(p3, {"a": 2.0, "b": 1.0, "c": 3.0})
+    for x, is_min in (("a", False), ("b", True), ("c", False)):
+        rep = gc.maximum_principle_check(f, x)
+        assert rep.is_min is rep.gradient_nonnegative is is_min
+    assert calls == ["a", "b", "c"]
+
+
 def test_maximum_principle_random():
     rng = gc.Lcg64(31)
     for name, make in FIXTURES.items():

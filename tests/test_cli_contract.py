@@ -25,6 +25,8 @@ VALUES = [1e308, -1e308, 1e200, -1e200, 1e160, 5e-324, -5e-324, 0.0, -2.5, -1.0,
 NUMBER = st.sampled_from(VALUES).map(repr)
 # times, steps and tolerances lean positive, so that more calls get past validation
 POSITIVE = st.one_of(st.sampled_from([v for v in VALUES if v > 0]).map(repr), NUMBER)
+# heat and dmf steps: a few, or enough to pass the kept-values cap
+STEPS = st.integers(1, 4) | st.integers(10**7, 10**9)
 NOT_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 COMMANDS = ["graph", "spectrum", "cheeger", "minimax", "heat", "transport", "dmf", "harmonic",
             "identities", "monge"]
@@ -86,7 +88,7 @@ def _argv(draw, command, g, root):
         window, inner = _window(draw, g)
         return [_put(root, "f.csv", _csv(draw, inner)), *window,
                 "--potential=" + _potential(draw, g, root),
-                f"--t-final={draw(POSITIVE)}", "--steps", str(draw(st.integers(1, 4)))]
+                f"--t-final={draw(POSITIVE)}", "--steps", str(draw(STEPS))]
     if command == "transport":
         mode = draw(st.sampled_from(["exact", "antisymmetrize", "symmetrize"]))
         pairs = [*g.edges(), *((y, x) for x, y in g.edges())] if mode == "exact" else g.edges()
@@ -103,7 +105,7 @@ def _argv(draw, command, g, root):
         window, inner = _window(draw, g, with_bc=False)
         return [_put(root, "f.csv", _csv(draw, inner)), *window,
                 "--potential=" + _potential(draw, g, root, dynamic=True),
-                f"--t-final={draw(POSITIVE)}", "--steps", str(draw(st.integers(1, 4)))]
+                f"--t-final={draw(POSITIVE)}", "--steps", str(draw(STEPS))]
     if command == "harmonic":
         window, inner = _window(draw, g, with_bc=False)
         boundary = _csv(draw, [x for x in g.vertices if x not in inner], width=3)

@@ -1005,6 +1005,66 @@ def test_cli_transport_state_bound_is_checked_before_stepping(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command, window",
+    [("heat", ["--bc", "dirichlet", "--interior", "b"]), ("dmf", ["--interior", "b"])],
+)
+def test_cli_heat_and_dmf_state_bound_is_checked_first(tmp_path, capsys, command, window):
+    # 10^8 + 1 states of P3's 3 closure values: rejected before the time
+    # grid is built or the first step is solved, under an alarm as above
+    path = write_graph_file(tmp_path, make_p3())
+    fn = tmp_path / "f.csv"
+    fn.write_text("a,0\nb,1\nc,0\n")
+    argv = [command, path, str(fn), *window, "--t-final", "1", "--steps", "100000000"]
+
+    def stop(signum, frame):
+        raise TimeoutError(f"{command} started stepping")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        rc = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError",
+        "message": (
+            f"{command} would keep 100000001 states of 3 values, more than 10000000 values in all"
+        ),
+        "exit_code": 1,
+    }
+
+
+def test_dmf_run_state_bound_is_checked_before_any_solve(monkeypatch):
+    g = make_p3()
+    w = gc.build_window(g, ["b"])
+    phi = gc.VertexFunction(g, {"a": 0.0, "b": 1.0, "c": 0.0})
+
+    def no_solve(spec):
+        raise AssertionError("dmf_run assembled its operator")
+
+    monkeypatch.setattr(gc.evolution, "symmetric_matrix", no_solve)
+    with pytest.raises(gc.ValidationError) as caught:
+        gc.dmf_run(phi, 0.0, 1.0, 10**7, w)
+    assert str(caught.value) == (
+        "dmf would keep 10000001 states of 3 values, more than 10000000 values in all"
+    )
+
+
+def _option_choices(subcommand: str, option: str):
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return next(a for a in sub.choices[subcommand]._actions if option in a.option_strings).choices
+
+
+def test_cli_choices_are_the_library_tuples():
+    for command in ("spectrum", "heat"):
+        assert _option_choices(command, "--bc") is gc.spectral.BOUNDARY_CONDITIONS
+    assert _option_choices("transport", "--field-mode") is gc.io.FIELD_MODES
+
+
 def test_cli_orthonormality_residual_matches_numpy(tmp_path, capsys):
     cases = [
         (make_c4(), []),
