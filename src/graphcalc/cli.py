@@ -32,7 +32,7 @@ from .calculus import (
 )
 from .constants import cheeger_constants, cheeger_functional
 from .errors import GraphCalcError, NumericalError, ValidationError
-from .evolution import _check_kept_values, dmf_run, spectral_heat_solve, transport_solve
+from .evolution import _uniform_times, dmf_run, spectral_heat_solve, transport_solve
 from .graph import Graph, build_window, monge_cost, volume
 from .harmonic import dirichlet_minimize
 from .io import (
@@ -260,13 +260,7 @@ def cmd_minimax(args, g, inputs, cfg):
 def cmd_heat(args, g, inputs, cfg):
     f = parse_vertex_function(inputs.read("function", args.function), g)
     spec = _spec_from_args(args, g, cfg, inputs)
-    if args.t_final <= 0 or args.steps < 1:
-        raise ValidationError("t-final must be positive and steps at least 1")
-    dt = args.t_final / args.steps
-    if not dt > 0:  # t_final / steps can underflow to 0
-        raise ValidationError("step size must be positive")
-    _check_kept_values("heat", args.steps + 1, len(spec.closure))
-    times = [k * dt for k in range(args.steps + 1)]
+    times = _uniform_times("heat", args.t_final, args.steps, len(spec.closure))
     traj = spectral_heat_solve(spec, f, times)
     return render_trajectory_csv(traj.times, traj.states), {}
 

@@ -80,6 +80,17 @@ def _check_kept_values(run: str, states: int, width: int) -> None:
         )
 
 
+def _uniform_times(run: str, t_final: float, n_steps: int, width: int) -> tuple[float, ...]:
+    """The grid k t_final / n_steps for k = 0..n_steps; each kept state holds width values."""
+    if n_steps < 1:
+        raise ValidationError("t-final must be positive and steps at least 1")
+    h = t_final / n_steps
+    if not h > 0:  # t_final <= 0, NaN, or a step that underflows to 0
+        raise ValidationError("step size must be positive")
+    _check_kept_values(run, n_steps + 1, width)
+    return (0.0, *(k * h for k in range(1, n_steps + 1)))
+
+
 def spectral_heat_solve(
     spec: OperatorSpec, f: VertexFunction, times: Sequence[float]
 ) -> Trajectory:
@@ -326,8 +337,6 @@ class _StepSystem:
     dmf_run keeps one for a whole run when the potential is static."""
 
     def __init__(self, operator: np.ndarray, h: float, lam_rows: np.ndarray):
-        if not h > 0:  # t_final / n_steps can underflow to 0
-            raise ValidationError("step size must be positive")
         self.h, self.lam_rows = h, lam_rows
         self.matrix = operator + np.diag(1.0 / h - lam_rows)
 
@@ -345,9 +354,9 @@ def dmf_step(
     lam,
     w: SubgraphWindow,
     cfg: CalculusConfig = DEFAULT_CONFIG,
-    mu_first: Optional[float] = None,
 ) -> DMFStepReport:
-    """Minimize F(u) = ||u - u_prev||^2 / (2h) + J(u) over zero-boundary u.
+    """Minimize F(u) = ||u - u_prev||^2 / (2h) + J(u) over zero-boundary u:
+    the one step of dmf_run(u_prev, lam, h, 1, w, cfg).
 
     J(u) = (1/2)(-lap u, u) - (1/2)(lam u, u), all degree-weighted.  The
     Euler-Lagrange system ((1/h) - lap - lam) u = u_prev / h must be
@@ -357,20 +366,14 @@ def dmf_step(
     though small enough steps remain solvable.  A certificate norm or
     energy outside the float range raises NumericalError.
     """
-    spec = OperatorSpec(w, "dirichlet", None, cfg)
-    operator = symmetric_matrix(spec)
-    lam_rows = _potential_rows(lam, w.interior)
-    if mu_first is None:
-        mu_first = float(eigvalsh(operator)[0])
-    system = _StepSystem(operator, h, lam_rows)
-    return _dmf_step(_closure_rows(spec, u_prev), spec, mu_first, system)[1]
+    return dmf_run(u_prev, lam, h, 1, w, cfg).reports[0]
 
 
 def _dmf_step(
     v0: np.ndarray, spec: OperatorSpec, mu_first: float, system: _StepSystem
 ) -> tuple[np.ndarray, DMFStepReport]:
-    """dmf_step from the closure rows v0 of u_prev, with mu_1 and the step
-    system given; the window's interior degrees are already checked.
+    """One implicit step from the closure rows v0 of u_prev, with mu_1 and
+    the step system given; the window's interior degrees are already checked.
     Returns the closure rows of u_next with the step's report."""
     w, cfg = spec.region, spec.config
     h, lam_rows = system.h, system.lam_rows
@@ -487,23 +490,18 @@ def dmf_run(
     cfg: CalculusConfig = DEFAULT_CONFIG,
 ) -> DMFRun:
     """N implicit steps from phi with lambda_n frozen at the left endpoint;
-    the kept-values cap is checked before the operator is assembled."""
-    if t_final <= 0:
-        raise ValidationError("t_final must be positive")
-    if n_steps < 1:
-        raise ValidationError("need at least one step")
-    _check_kept_values("dmf", n_steps + 1, len(w.closure))
-    h = t_final / n_steps
+    the time grid is checked before the operator is assembled."""
+    times = _uniform_times("dmf", t_final, n_steps, len(w.closure))
     spec = OperatorSpec(w, "dirichlet", None, cfg)
     operator = symmetric_matrix(spec)
     mu_first = float(eigvalsh(operator)[0])
     v = _closure_rows(spec, phi)  # phi is read once; the steps pass rows on
     states = [scatter(w.graph, w.closure, v)]
     reports: list[DMFStepReport] = []
-    for n in range(1, n_steps + 1):
-        if n == 1 or callable(potential):  # a static potential keeps one factor
-            lam = potential((n - 1) * h) if callable(potential) else potential
-            system = _StepSystem(operator, h, _potential_rows(lam, w.interior))
+    for n, t in enumerate(times[:-1]):
+        if n == 0 or callable(potential):  # a static potential keeps one factor
+            lam = potential(t) if callable(potential) else potential
+            system = _StepSystem(operator, times[1], _potential_rows(lam, w.interior))
         v, rep = _dmf_step(v, spec, mu_first, system)
         reports.append(rep)
         states.append(rep.u_next)
@@ -519,7 +517,7 @@ def dmf_run(
     return DMFRun(
         window=w,
         config=cfg,
-        times=(0.0, *(n * h for n in range(1, n_steps + 1))),
+        times=times,
         states=tuple(states),
         reports=tuple(reports),
         dissipation=dissipation,

@@ -185,8 +185,14 @@ def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
 
     Dirichlet data must actually vanish on the boundary; Neumann data is
     extended by the reflection relation; bc 'none' needs f on all vertices.
+    A value outside the float range is a NumericalError naming its vertex.
     """
-    lf = _apply_rows(spec, _closure_rows(spec, f)[:, None])[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        lf = _apply_rows(spec, _closure_rows(spec, f)[:, None])[:, 0]
+    finite = np.isfinite(lf)
+    if not finite.all():
+        x = spec.interior[int(np.argmin(finite))]
+        raise NumericalError(f"operator overflowed: value at {x!r} is not finite")
     return VertexFunction(spec.graph, dict(zip(spec.interior, lf.tolist())))
 
 
@@ -263,20 +269,22 @@ def _heat(es: EigenSystem, f: VertexFunction, times) -> list[VertexFunction]:
 
 def _quotients(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
     """The Rayleigh quotient (f, Lf)_w / (f, f)_w of each column of an
-    interior stack."""
-    den = _weighted_sums(spec, rows, rows)
-    if np.any(den <= 0.0):
-        raise ValidationError("rayleigh quotient of the zero function")
-    return _weighted_sums(spec, rows, _apply_rows(spec, _extend_to_closure(spec, rows))) / den
+    interior stack; a quotient outside the float range is a NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        den = _weighted_sums(spec, rows, rows)
+        if np.any(den <= 0.0):
+            raise ValidationError("rayleigh quotient of the zero function")
+        q = _weighted_sums(spec, rows, _apply_rows(spec, _extend_to_closure(spec, rows))) / den
+    if not np.isfinite(q).all():
+        raise NumericalError("rayleigh quotient overflowed: a weighted sum is not finite")
+    return q
 
 
 def rayleigh_quotient(f: VertexFunction, spec: OperatorSpec) -> float:
-    """(f, Lf)_w / (f, f)_w over the interior."""
-    rows = gather(f, spec.interior)[:, None]
-    if _weighted_sums(spec, rows, rows)[0] <= 0.0:
-        raise ValidationError("rayleigh quotient of the zero function")
+    """(f, Lf)_w / (f, f)_w over the interior; the zero function is checked first."""
+    q = _quotients(spec, gather(f, spec.interior)[:, None])
     check_dirichlet_data(spec, f)
-    return float(_quotients(spec, rows)[0])
+    return float(q[0])
 
 
 @dataclass(frozen=True)

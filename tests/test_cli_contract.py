@@ -25,8 +25,8 @@ VALUES = [1e308, -1e308, 1e200, -1e200, 1e160, 5e-324, -5e-324, 0.0, -2.5, -1.0,
 NUMBER = st.sampled_from(VALUES).map(repr)
 # times, steps and tolerances lean positive, so that more calls get past validation
 POSITIVE = st.one_of(st.sampled_from([v for v in VALUES if v > 0]).map(repr), NUMBER)
-# heat and dmf steps: a few, or enough to pass the kept-values cap
-STEPS = st.integers(1, 4) | st.integers(10**7, 10**9)
+# heat and dmf steps: none or fewer, a few, or enough to pass the kept-values cap
+STEPS = st.integers(-2, 4) | st.integers(10**7, 10**9)
 NOT_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 COMMANDS = ["graph", "spectrum", "cheeger", "minimax", "heat", "transport", "dmf", "harmonic",
             "identities", "monge"]

@@ -395,14 +395,17 @@ def test_dmf_step_zero_data(p3):
     assert rep.solve_residual == 0.0
 
 
-def test_dmf_step_indefinite_raises(p3):
+def test_dmf_step_indefinite_raises(p3, monkeypatch):
+    import graphcalc.evolution as evolution
+
     w = gc.build_window(p3, ["b"])
     u0 = gc.VertexFunction(p3, {"b": 1.0})
-    with pytest.raises(gc.IndefiniteStepError):
+    with pytest.raises(gc.IndefiniteStepError, match="max\\(lambda\\)"):
         gc.dmf_step(u0, 1.0, 5.0, w)
     # an overstated mu_1 passes the margin check; the Cholesky pivot catches it
+    monkeypatch.setattr(evolution, "eigvalsh", lambda m: np.full(len(m), 10.0))
     with pytest.raises(gc.IndefiniteStepError, match="pivot 1"):
-        gc.dmf_step(u0, 1.0, 5.0, w, mu_first=10.0)
+        gc.dmf_step(u0, 1.0, 5.0, w)
 
 
 def test_dmf_step_certificate_matches_pointwise_reference():

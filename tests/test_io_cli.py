@@ -1252,6 +1252,39 @@ def test_cli_heat_zero_step_is_json_error(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "t_final, steps, message",
+    [
+        ("1", 0, "t-final must be positive and steps at least 1"),
+        ("0", 3, "step size must be positive"),
+        ("-1", 3, "step size must be positive"),
+        ("5e-324", 3, "step size must be positive"),  # 5e-324 / 3 rounds to 0
+        ("1", 10**8, "{run} would keep 100000001 states of 3 values, more than 10000000 values in all"),
+    ],
+    ids=["no-steps", "zero-t-final", "negative-t-final", "underflowed-step", "over-cap"],
+)
+def test_heat_and_dmf_share_one_time_grid_rule(tmp_path, capsys, t_final, steps, message):
+    # the CLI's heat and dmf, dmf_run, and dmf_step with the grid's step
+    # t_final / steps (so only where steps >= 1 and the cap is not hit) all
+    # raise the same message, with the run's name in the cap's message
+    g = make_p3()
+    path = write_graph_file(tmp_path, g)
+    fn = tmp_path / "f.csv"
+    fn.write_text("b,1\n")
+    for run, window in (("heat", ["--bc", "dirichlet", "--interior", "b"]), ("dmf", ["--interior", "b"])):
+        argv = [run, path, str(fn), *window, f"--t-final={t_final}", "--steps", str(steps)]
+        assert _validation_message(capsys, argv) == message.format(run=run), argv
+    w = gc.build_window(g, ["b"])
+    phi = gc.VertexFunction(g, {"b": 1.0})
+    calls = [lambda: gc.dmf_run(phi, 0.0, float(t_final), steps, w)]
+    if 1 <= steps < 10**7:
+        calls.append(lambda: gc.dmf_step(phi, float(t_final) / steps, 0.0, w))
+    for call in calls:
+        with pytest.raises(gc.ValidationError) as caught:
+            call()
+        assert str(caught.value) == message.format(run="dmf")
+
+
 def test_cli_transport_step_count_past_the_float_range_is_json_error(tmp_path, capsys):
     # t_final / dt overflows to inf, which round() used to raise OverflowError on
     path = write_graph_file(tmp_path, make_k2())

@@ -577,6 +577,24 @@ def test_operator_error_paths_match_pointwise_reference(p5):
     assert _raised(gc.rayleigh_quotient, f, lonely) == _raised(pointwise_rayleigh_quotient, f, lonely) == want
 
 
+def test_rayleigh_quotient_and_operator_overflow_are_numerical_errors(p5):
+    # the quotient used to return nan with overflow and invalid-divide
+    # warnings, and the operator reported its overflow as bad input
+    # (ValidationError "value at 'b' is not finite: inf") after a warning
+    spec = gc.OperatorSpec(gc.build_window(p5, ["b", "c", "d"]), "dirichlet")
+
+    def alternating(big):
+        return gc.VertexFunction(p5, dict(zip("abcde", (0.0, big, -big, big, 0.0))))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gc.NumericalError, match="^rayleigh quotient overflowed"):
+            gc.rayleigh_quotient(alternating(1e160), spec)
+        with pytest.raises(gc.NumericalError) as caught:
+            gc.apply_operator(spec, alternating(1e308))
+    assert str(caught.value) == "operator overflowed: value at 'b' is not finite"
+
+
 def test_eigensolve_rejects_an_isolated_interior_vertex():
     # its row of the degree-conjugated matrix would divide by a zero degree
     g = gc.Graph(["a", "b", "c"], [("a", "b")])
