@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, ValidationError, require_finite
 from .graph import Graph, Region, SubgraphWindow, VertexFunction, build_window, column_sums, gather
 from .rng import Lcg64
 
@@ -192,14 +192,16 @@ def integrate(f: VertexFunction, region: Iterable[str]) -> float:
 def weighted_norm_sq(f: VertexFunction, region: Iterable[str]) -> float:
     g = f.graph
     try:
-        return sum(f.value(x) ** 2 * g.degree(x) for x in region)
+        total = sum(f.value(x) ** 2 * g.degree(x) for x in region)
     except OverflowError:  # a square past the float range
-        raise NumericalError("weighted norm overflowed: a square is not finite") from None
+        total = math.inf
+    return require_finite(total, "weighted norm", "a square")
 
 
 def weighted_inner(f: VertexFunction, h: VertexFunction, region: Iterable[str]) -> float:
     g = f.graph
-    return sum(f.value(x) * h.value(x) * g.degree(x) for x in region)
+    total = sum(f.value(x) * h.value(x) * g.degree(x) for x in region)
+    return require_finite(total, "weighted inner product", "a sum")
 
 
 def dirichlet_energy(f: VertexFunction, region: Region) -> float:
@@ -225,8 +227,9 @@ def closure_energy(f: VertexFunction, region: Region) -> float:
     twice the scale-1 quadratic form of the negative laplacian.
     """
     vals, lay = gather(f, region.closure), region.layout
-    d = vals[lay.dst] - vals[lay.src]
-    return column_sums(d * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        d = vals[lay.dst] - vals[lay.src]
+        return require_finite(column_sums(d * d), "closure energy", "a sum")
 
 
 def divergence_theorem_residual(W: VectorField, g: Graph, region: Iterable[str]) -> float:
@@ -291,6 +294,8 @@ def green_symmetric_report(
             if y not in inner:
                 boundary += gx * (f.value(y) - fx)
     boundary *= scale
+    residual = lhs - interior - boundary
+    require_finite((lhs, interior, boundary, residual), "green identity", "a term")
 
     ratio = None
     same = all(
@@ -305,7 +310,7 @@ def green_symmetric_report(
         lhs=lhs,
         interior_term=interior,
         boundary_term=boundary,
-        residual=lhs - interior - boundary,
+        residual=residual,
         scale=scale,
         ratio_vs_energy=ratio,
     )

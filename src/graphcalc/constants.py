@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError, require_finite
 from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, volume
 from .linalg import eigvalsh
 from .spectral import OperatorSpec, symmetric_matrix
@@ -257,8 +257,7 @@ def cheeger_functional(g: Graph, f: VertexFunction) -> float:
         num = column_sums(np.abs(vals[ends[:, 1]] - vals[ends[:, 0]]))
         m = _median(vals, g.layout.deg)
         den = column_sums(np.abs(vals - m) * g.layout.deg)
-    if not np.isfinite([num, den]).all():
-        raise NumericalError("cheeger functional overflowed: a sum is not finite")
+    require_finite([num, den], "cheeger functional", "a sum")
     if den == 0.0:
         raise ValidationError("functional needs a nonconstant function")
     return num / den

@@ -5,6 +5,8 @@ numerical errors (well-posed input, computation cannot deliver); the CLI
 maps them to exit codes 1 and 2.
 """
 
+import numpy as np
+
 
 class GraphCalcError(Exception):
     """Base class for all library errors."""
@@ -52,6 +54,21 @@ class DisconnectedInteriorError(ValidationError):
 
 class NumericalError(GraphCalcError):
     """Computation failed for numerical reasons; exit code 2 in the CLI."""
+
+
+def require_finite(values, what: str, subject, times=()):
+    """values, when every entry is finite; otherwise a NumericalError
+    "{what} overflowed: {subject} is not finite".  A subject of names for the
+    last axis names the first entry that is not finite ("value at 'b'"), and
+    times for the first axis add its time ("... is not finite at time 0.5")."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    at = ""
+    if not isinstance(subject, str):
+        k, i = divmod(int(np.argmin(finite)), len(subject))
+        subject, at = f"value at {subject[i]!r}", f" at time {times[k]!r}" if times else ""
+    raise NumericalError(f"{what} overflowed: {subject} is not finite{at}")
 
 
 class NonpositiveSpectrumError(NumericalError):

@@ -5,7 +5,6 @@ All solvers return plain grids of vertex functions so identity checks can
 recompute every quantity from scratch instead of trusting solver internals.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -13,7 +12,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, VectorField, directional_derivative
-from .errors import DomainError, IndefiniteStepError, NumericalError, ValidationError
+from .errors import IndefiniteStepError, NumericalError, ValidationError, require_finite
 from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, scatter, scatter_rows
 from .linalg import cholesky, cholesky_solve, eigvalsh
 from .spectral import (
@@ -168,8 +167,7 @@ def heat_identities_report(traj: Trajectory, spec: OperatorSpec) -> HeatIdentiti
         pair_energy = column_sums(grad * grad)  # closure_energy of each state
         qterm = column_sums(_potential_rows(spec.potential, spec.interior)[:, None] * u_sq * deg)
         gaps = np.abs(forms - (0.5 * spec.config.laplacian_scale * pair_energy + qterm))
-    if not np.isfinite([masses, forms, grad_sq, gaps]).all():
-        raise NumericalError("heat audit overflowed: a mass, form or gap is not finite")
+    require_finite([masses, forms, grad_sq, gaps], "heat audit", "a mass, form or gap")
     masses, forms, grad_sq = masses.tolist(), forms.tolist(), grad_sq.tolist()
 
     ddt = 0.0
@@ -233,8 +231,8 @@ class _PairRates:
             try:
                 vals = np.fromiter(map(w.entries.__getitem__, self.keys), float, len(self.keys))
             except KeyError as e:
-                x, y = e.args[0]
-                raise DomainError(f"field not defined on ordered pair ({x}, {y})") from None
+                w.value(*e.args[0])  # raises: the pair is off the field
+                raise
             self._last = (w, vals)
         return self._last[1]
 
@@ -285,13 +283,7 @@ def transport_solve(
             vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             times.append((k + 1) * dt)
             vecs.append(vec)
-    states = np.array(vecs)
-    finite = np.isfinite(states)
-    if not finite.all():
-        k, i = divmod(int(np.argmin(finite)), len(g))
-        raise NumericalError(
-            f"transport overflowed: value at {g.vertices[i]!r} is not finite at time {times[k]!r}"
-        )
+    states = require_finite(np.array(vecs), "transport", g.vertices, times)
     return Trajectory(tuple(times), tuple(scatter_rows(g, g.vertices, states)), "rk4")
 
 
@@ -304,9 +296,10 @@ def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[fl
     """
     pairs = _PairRates(g)
     vec = gather(f, g.vertices)
-    lhs = float(np.sum(pairs.deg * pairs.rhs(pairs.rates(w), vec)))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        lhs = float(np.sum(pairs.deg * pairs.rhs(pairs.rates(w), vec)))
     rhs = sum(g.degree(x) * directional_derivative(w, f, x) for x in g.vertices)
-    return lhs, rhs
+    return require_finite((lhs, rhs), "transport mass rate", "a rate")
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +326,24 @@ class DMFStepReport:
 class _StepSystem:
     """One step size and potential (on the interior rows) with the
     Euler-Lagrange matrix ((1/h) - lap - lam), conjugated by sqrt(deg) as
-    symmetric_matrix is, and its Cholesky factor, computed on first use.
-    dmf_run keeps one for a whole run when the potential is static."""
+    symmetric_matrix is, and its Cholesky factor.  The matrix must be
+    positive definite: the margin 1/h + mu_1 - max(lam) is checked first,
+    then the factor's pivots.  dmf_run keeps one for a whole run when the
+    potential is static, so a static potential is checked once."""
 
-    def __init__(self, operator: np.ndarray, h: float, lam_rows: np.ndarray):
+    def __init__(self, operator: np.ndarray, mu_first: float, h: float, lam_rows: np.ndarray):
         self.h, self.lam_rows = h, lam_rows
+        self.lam_max = max(lam_rows.tolist())
+        margin = 1.0 / h + mu_first - self.lam_max
+        if margin <= 0:
+            raise IndefiniteStepError(
+                f"step operator not positive definite: 1/h + mu_1 - max(lambda) = {margin}"
+            )
+        self.warnings = (SADDLE_WARNING,) if self.lam_max > mu_first else ()
         self.matrix = operator + np.diag(1.0 / h - lam_rows)
-
-    @functools.cached_property
-    def factor(self) -> np.ndarray:
         try:
-            return cholesky(self.matrix)
+            with np.errstate(over="ignore", invalid="ignore"):  # a nan factor fails the step's checks
+                self.factor = cholesky(self.matrix)
         except NumericalError as exc:
             raise IndefiniteStepError(f"step operator not positive definite: {exc}") from None
 
@@ -370,22 +370,14 @@ def dmf_step(
 
 
 def _dmf_step(
-    v0: np.ndarray, spec: OperatorSpec, mu_first: float, system: _StepSystem
+    v0: np.ndarray, spec: OperatorSpec, system: _StepSystem
 ) -> tuple[np.ndarray, DMFStepReport]:
-    """One implicit step from the closure rows v0 of u_prev, with mu_1 and
-    the step system given; the window's interior degrees are already checked.
+    """One implicit step from the closure rows v0 of u_prev with the checked
+    step system given; the window's interior degrees are already checked.
     Returns the closure rows of u_next with the step's report."""
     w, cfg = spec.region, spec.config
     h, lam_rows = system.h, system.lam_rows
     lay = w.layout
-    lam_max = max(lam_rows.tolist())
-    margin = 1.0 / h + mu_first - lam_max
-    if margin <= 0:
-        raise IndefiniteStepError(
-            f"step operator not positive definite: 1/h + mu_1 - max(lambda) = {margin}"
-        )
-    warnings = (SADDLE_WARNING,) if lam_max > mu_first else ()
-
     k = len(w.interior)
     deg = lay.deg[:k]
     sqd = np.sqrt(deg)
@@ -418,13 +410,12 @@ def _dmf_step(
         dist = column_sums(np.float_power(step, 2.0) * deg)
     f_prev = j_prev
     f_next = dist / (2.0 * h) + j_next
-    if not all(map(math.isfinite, (el_residual, solve_res, j_prev, j_next, f_next))):
-        raise NumericalError("dmf step overflowed: a norm or energy is not finite")
+    require_finite((el_residual, solve_res, j_prev, j_next, f_next), "dmf step", "a norm or energy")
     cert = f_next <= f_prev + 1e-12 * max(1.0, abs(f_prev))
     return v1, DMFStepReport(
         u_next=scatter(w.graph, w.closure, v1),
         step=h,
-        lambda_max=lam_max,
+        lambda_max=system.lam_max,
         el_residual=el_residual,
         solve_residual=solve_res,
         j_prev=j_prev,
@@ -432,7 +423,7 @@ def _dmf_step(
         f_prev=f_prev,
         f_next=f_next,
         certificate_ok=cert,
-        warnings=warnings,
+        warnings=system.warnings,
     )
 
 
@@ -501,8 +492,8 @@ def dmf_run(
     for n, t in enumerate(times[:-1]):
         if n == 0 or callable(potential):  # a static potential keeps one factor
             lam = potential(t) if callable(potential) else potential
-            system = _StepSystem(operator, times[1], _potential_rows(lam, w.interior))
-        v, rep = _dmf_step(v, spec, mu_first, system)
+            system = _StepSystem(operator, mu_first, times[1], _potential_rows(lam, w.interior))
+        v, rep = _dmf_step(v, spec, system)
         reports.append(rep)
         states.append(rep.u_next)
 

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, require_finite
 
 EPS = 2.0**-52
 MAX_QL_ITERATIONS = 30  # per eigenvalue
@@ -190,8 +190,7 @@ def eigh_unsorted(matrix, vectors: bool = True):
     # a square past the float range makes mu infinite and v0 zero
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         d, e, reflectors = _tridiagonalize(A)
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise NumericalError("eigensolve overflowed: the tridiagonal form is not finite")
+    require_finite((d, e), "eigensolve", "the tridiagonal form")
     d, e = d.tolist(), e.tolist()
     if not vectors:
         _ql(d, e, None)

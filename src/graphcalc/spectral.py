@@ -23,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian
-from .errors import DomainError, NonpositiveSpectrumError, NumericalError, ValidationError
+from .errors import DomainError, NonpositiveSpectrumError, ValidationError, require_finite
 from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter_rows
 from .linalg import eigh, eigvalsh, project, qr
 from .rng import Lcg64
@@ -189,10 +189,7 @@ def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         lf = _apply_rows(spec, _closure_rows(spec, f)[:, None])[:, 0]
-    finite = np.isfinite(lf)
-    if not finite.all():
-        x = spec.interior[int(np.argmin(finite))]
-        raise NumericalError(f"operator overflowed: value at {x!r} is not finite")
+    require_finite(lf, "operator", spec.interior)
     return VertexFunction(spec.graph, dict(zip(spec.interior, lf.tolist())))
 
 
@@ -246,10 +243,7 @@ def _expand(es: EigenSystem, f: VertexFunction, factors: np.ndarray) -> list[Ver
         for a in range(0, len(factors), step):
             products = phi[None] * (coeffs * factors[a : a + step])[:, None]
             values[a : a + step] = products.sum(axis=2)
-    finite = np.isfinite(values)
-    if not finite.all():
-        x = spec.closure[int(np.argmin(finite)) % len(phi)]
-        raise NumericalError(f"eigen-expansion overflowed: value at {x!r} is not finite")
+    require_finite(values, "eigen-expansion", spec.closure)
     return scatter_rows(spec.graph, spec.closure, values)
 
 
@@ -275,9 +269,7 @@ def _quotients(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
         if np.any(den <= 0.0):
             raise ValidationError("rayleigh quotient of the zero function")
         q = _weighted_sums(spec, rows, _apply_rows(spec, _extend_to_closure(spec, rows))) / den
-    if not np.isfinite(q).all():
-        raise NumericalError("rayleigh quotient overflowed: a weighted sum is not finite")
-    return q
+    return require_finite(q, "rayleigh quotient", "a weighted sum")
 
 
 def rayleigh_quotient(f: VertexFunction, spec: OperatorSpec) -> float:
@@ -407,17 +399,17 @@ class HeatKernel:
             raise ValidationError("heat kernel needs t >= 0")
         return _decay_rows(self.es.values, [t])[0]
 
-    @np.errstate(over="ignore", invalid="ignore")  # reported by _finite_kernel
+    @np.errstate(over="ignore", invalid="ignore")  # reported by require_finite
     def matrix(self, t: float) -> np.ndarray:
         """Phi diag(exp(-lambda t)) Phi^T, Phi holding one eigenfunction per
         column, over the interior."""
         phi = self.es.vectors[: len(self.interior)]
-        return _finite_kernel(phi @ (self._decay(t)[:, None] * phi.T))
+        return require_finite(phi @ (self._decay(t)[:, None] * phi.T), "heat kernel", "an entry")
 
-    @np.errstate(over="ignore", invalid="ignore")  # reported by _finite_kernel
+    @np.errstate(over="ignore", invalid="ignore")  # reported by require_finite
     def value(self, t: float, x: str, y: str) -> float:
         products = _row_products(self.es, "heat kernel", x, y)
-        return float(_finite_kernel((products * self._decay(t)).sum()))
+        return float(require_finite((products * self._decay(t)).sum(), "heat kernel", "an entry"))
 
     def apply(self, t: float, f: VertexFunction) -> VertexFunction:
         """Propagate data f to time t; boundary values follow the spec's bc.
@@ -426,12 +418,6 @@ class HeatKernel:
         eigenfunctions are orthonormal against), so it reproduces f at t = 0.
         """
         return _expand(self.es, f, self._decay(t)[None])[0]
-
-
-def _finite_kernel(entries):
-    if not np.isfinite(entries).all():  # an entry outside the float range
-        raise NumericalError("heat kernel overflowed: an entry is not finite")
-    return entries
 
 
 class GreenFunction:

@@ -350,6 +350,10 @@ def random_connected_graph(rng: gc.Lcg64, n_min: int = 4, n_max: int = 10) -> gc
     return gc.Graph(names, sorted(edges))
 
 
+# the float range's edges and a few ordinary values, for the contract tests
+VALUES = [1e308, -1e308, 1e200, -1e200, 1e160, 5e-324, -5e-324, 0.0, -2.5, -1.0, 0.25, 0.5, 1.0, 3.0]
+
+
 @st.composite
 def connected_graphs(draw):
     """Hypothesis strategy: a random spanning tree plus up to n extra edges."""

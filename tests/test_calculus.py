@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +296,36 @@ def test_weighted_norm_sq_overflow_is_numerical_error(p3):
     # in range, the ** squares are kept: 1e154 squares to a finite 1e308
     near = gc.VertexFunction(p3, {"a": 1e154, "b": 1.0, "c": 0.1})
     assert gc.weighted_norm_sq(near, p3.vertices) == 1e154**2 + 2.0 + 0.1**2 < math.inf
+
+
+def alternating(p5):
+    return gc.VertexFunction(p5, dict(zip(p5.vertices, (1e308, -1e308, 1e308, -1e308, 1e308))))
+
+
+def test_weighted_sums_overflow_is_numerical_error(p5):
+    # weighted_inner used to return nan
+    big = gc.VertexFunction(p5, dict.fromkeys(p5.vertices, 1e308))
+    with pytest.raises(gc.NumericalError, match="^weighted inner product overflowed: a sum is not finite$"):
+        gc.weighted_inner(alternating(p5), big, p5.vertices)
+    # every square is finite and a degree-weighted one is not; this used to return inf
+    near = gc.VertexFunction(p5, dict.fromkeys(p5.vertices, 1e154))
+    with pytest.raises(gc.NumericalError, match="^weighted norm overflowed: "):
+        gc.weighted_norm_sq(near, p5.vertices)
+
+
+def test_green_symmetric_report_overflow_is_numerical_error(p5):
+    # used to return lhs = -inf and residual = nan
+    f = gc.VertexFunction(p5, dict(zip(p5.vertices, (0.0, 1e200, -1e200, 1e200, 0.0))))
+    with pytest.raises(gc.NumericalError, match="^green identity overflowed: a term is not finite$"):
+        gc.green_symmetric_report(f, f, gc.build_window(p5, ["b", "c", "d"]))
+
+
+def test_closure_energy_overflow_is_numerical_error(p5):
+    # used to warn "overflow encountered in subtract" and return inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gc.NumericalError, match="^closure energy overflowed: a sum is not finite$"):
+            gc.closure_energy(alternating(p5), p5)
 
 
 def test_identity_suite_isolated_vertex_message():

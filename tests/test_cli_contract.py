@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 import graphcalc as gc
 import graphcalc.cli as cli
 
-from helpers import connected_graphs
+from helpers import VALUES, connected_graphs
 
-VALUES = [1e308, -1e308, 1e200, -1e200, 1e160, 5e-324, -5e-324, 0.0, -2.5, -1.0, 0.25, 0.5, 1.0, 3.0]
 NUMBER = st.sampled_from(VALUES).map(repr)
 # times, steps and tolerances lean positive, so that more calls get past validation
 POSITIVE = st.one_of(st.sampled_from([v for v in VALUES if v > 0]).map(repr), NUMBER)

@@ -349,6 +349,16 @@ def test_transport_missing_pair_is_domain_error(k2):
         gc.transport_mass_rate(k2, one_way, f0)
 
 
+def test_transport_mass_rate_overflow_is_numerical_error(p5):
+    # used to warn "overflow encountered in subtract" and return (nan, nan)
+    alt = gc.VertexFunction(p5, dict(zip(p5.vertices, (1e308, -1e308, 1e308, -1e308, 1e308))))
+    w = gc.VectorField(p5, {p: 1.0 for x, y in p5.edges() for p in ((x, y), (y, x))})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gc.NumericalError, match="^transport mass rate overflowed: a rate is not finite$"):
+            gc.transport_mass_rate(p5, w, alt)
+
+
 def test_vector_field_scaled_matches_revalidated_field():
     rng = gc.Lcg64(109)
     for g in (make() for make in FIXTURES.values()):

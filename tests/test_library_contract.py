@@ -1,0 +1,103 @@
+"""The library's contract over extreme values: each public function below
+returns only finite numbers or raises a GraphCalcError, and no numpy warning
+escapes (warnings are errors here).
+
+Graphs have at most 9 vertices, and every value, potential and time is drawn
+from the float range's edges (+-1e308, +-1e200, 1e160, +-5e-324, 0) and a few
+ordinary values.  The pointwise functions (laplacian, gradient_norm_sq,
+dirichlet_energy, integrate, hessian) stay outside the contract.
+"""
+
+import dataclasses
+import math
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import graphcalc as gc
+
+from helpers import VALUES, connected_graphs
+
+VALUE = st.sampled_from(VALUES)
+
+
+def _finite(result) -> bool:
+    """Every number in a result: floats, tuples, vertex functions and report dataclasses."""
+    if isinstance(result, gc.VertexFunction):
+        return all(map(math.isfinite, result.values.values()))
+    if dataclasses.is_dataclass(result):
+        return _finite(dataclasses.astuple(result))
+    if isinstance(result, (tuple, list)):
+        return all(map(_finite, result))
+    return result is None or math.isfinite(result)
+
+
+def _function(draw, g, zero=()):
+    """A function on every vertex, zero on the given vertices."""
+    return gc.VertexFunction(g, {x: 0.0 if x in zero else draw(VALUE) for x in g.vertices})
+
+
+def _spec(draw, g):
+    """An operator spec on the whole graph or on a window with a connected
+    interior, and a potential that is absent, a number or a function."""
+    bc = draw(st.sampled_from(["none", "dirichlet", "neumann"]))
+    if bc == "none":
+        region = g
+    else:
+        # each vertex after the first is a neighbor of one before it
+        inner = [draw(st.sampled_from(g.vertices))]
+        for _ in range(draw(st.integers(0, len(g) - 2))):
+            inner.append(draw(st.sampled_from([y for x in inner for y in g.neighbors(x) if y not in inner])))
+        region = gc.build_window(g, inner)
+    kind = draw(st.sampled_from(["none", "number", "function"]))
+    potential = {"none": None, "number": draw(VALUE), "function": _function(draw, g)}[kind]
+    return gc.OperatorSpec(region, bc, potential)
+
+
+def _calls(draw, g):
+    """(name, thunk) for every function under the contract."""
+    spec = _spec(draw, g)
+    zero = spec.boundary if spec.bc == "dirichlet" and draw(st.booleans()) else ()
+    f, h = _function(draw, g, zero), _function(draw, g, zero)
+    region = spec.region
+    window = region if isinstance(region, gc.SubgraphWindow) else gc.canonical_window(g)
+    field = gc.VectorField(g, {p: draw(VALUE) for x, y in g.edges() for p in ((x, y), (y, x))})
+    t = draw(VALUE)
+    x, y = draw(st.sampled_from(g.vertices)), draw(st.sampled_from(g.vertices))
+
+    def kernel():
+        return gc.HeatKernel(gc.eigensystem(spec))
+
+    return [
+        ("apply_operator", lambda: gc.apply_operator(spec, f)),
+        ("rayleigh_quotient", lambda: gc.rayleigh_quotient(f, spec)),
+        ("weighted_inner", lambda: gc.weighted_inner(f, h, g.vertices)),
+        ("weighted_norm_sq", lambda: gc.weighted_norm_sq(f, g.vertices)),
+        ("closure_energy", lambda: gc.closure_energy(f, region)),
+        ("green_symmetric_report", lambda: gc.green_symmetric_report(f, h, window)),
+        ("transport_mass_rate", lambda: gc.transport_mass_rate(g, field, f)),
+        ("cheeger_functional", lambda: gc.cheeger_functional(g, f)),
+        ("HeatKernel.value", lambda: kernel().value(t, x, y)),
+        ("HeatKernel.apply", lambda: kernel().apply(t, f)),
+    ]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(g=connected_graphs(), data=st.data())
+def test_library_results_are_finite_or_graphcalc_errors(g, data):
+    for name, call in _calls(data.draw, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call()
+            except gc.GraphCalcError:
+                continue
+        assert _finite(result), (name, result)
+
+
+def test_checker_finds_a_value_that_is_not_finite():
+    p3 = gc.Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert _finite((1.0, gc.VertexFunction(p3, {"a": 1.0}), None))
+    assert not _finite((1.0, (2.0, math.nan)))
+    assert not _finite(math.inf)
