@@ -11,8 +11,8 @@ Conventions, fixed once here and used everywhere:
 * integral over A        sum_{x in A} f(x) d_x   (degree-weighted measure)
 
 The laplacian scale is 1 by default; 2/3 is accepted for the diffusive
-normalization some flows prefer.  Everything downstream records which scale
-it ran with.
+normalization some flows prefer, and CalculusConfig snaps a value within
+1e-12 of either to it.  Everything downstream records the scale it ran with.
 """
 
 import math
@@ -36,10 +36,10 @@ class CalculusConfig:
     laplacian_scale: float = 1.0
 
     def __post_init__(self):
-        if not any(abs(self.laplacian_scale - s) < 1e-12 for s in ALLOWED_SCALES):
-            raise ValidationError(
-                f"laplacian_scale must be 1 or 2/3, got {self.laplacian_scale!r}"
-            )
+        near = [s for s in ALLOWED_SCALES if abs(self.laplacian_scale - s) < 1e-12]
+        if not near:
+            raise ValidationError(f"laplacian_scale must be 1 or 2/3, got {self.laplacian_scale!r}")
+        object.__setattr__(self, "laplacian_scale", near[0])  # snapped to the allowed value
 
 
 DEFAULT_CONFIG = CalculusConfig()
@@ -191,11 +191,12 @@ def integrate(f: VertexFunction, region: Iterable[str]) -> float:
 
 def weighted_norm_sq(f: VertexFunction, region: Iterable[str]) -> float:
     g = f.graph
+    subject = "the degree-weighted sum"  # what overflows when every square is finite
     try:
         total = sum(f.value(x) ** 2 * g.degree(x) for x in region)
     except OverflowError:  # a square past the float range
-        total = math.inf
-    return require_finite(total, "weighted norm", "a square")
+        total, subject = math.inf, "a square"
+    return require_finite(total, "weighted norm", subject)
 
 
 def weighted_inner(f: VertexFunction, h: VertexFunction, region: Iterable[str]) -> float:

@@ -25,11 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .calculus import (
-    ALLOWED_SCALES,
-    CalculusConfig,
-    run_identity_suite,
-)
+from .calculus import CalculusConfig, run_identity_suite
 from .constants import cheeger_constants, cheeger_functional
 from .errors import GraphCalcError, NumericalError, ValidationError
 from .evolution import _uniform_times, dmf_run, spectral_heat_solve, transport_solve
@@ -96,15 +92,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_scale(text: str) -> float:
+    """The number "a" or "a/b"; CalculusConfig decides whether it is a scale."""
     num, slash, den = text.strip().partition("/")
     try:
-        val = float(num) / float(den) if slash else float(num)
+        return float(num) / float(den) if slash else float(num)
     except (ValueError, ZeroDivisionError) as e:
         raise ValidationError(f"cannot parse scale {text!r}") from e
-    for allowed in ALLOWED_SCALES:
-        if abs(val - allowed) < 1e-15:
-            return allowed
-    raise ValidationError(f"scale must be 1 or 2/3, got {text!r}")
 
 
 class Inputs:

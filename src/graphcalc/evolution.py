@@ -100,7 +100,6 @@ def spectral_heat_solve(
     eigenfunctions themselves extend.
     """
     ts = _check_time_grid(times)
-    check_dirichlet_data(spec, f)
     es = eigensystem(spec)
     states = _heat(es, f, ts)
     return Trajectory(ts, tuple(states), "spectral")
@@ -263,11 +262,7 @@ def transport_solve(
         raise ValidationError("t_final must be an integer multiple of dt")
     _check_kept_values("transport", n_steps + 1, len(g))
     pairs = _PairRates(g)
-    if isinstance(field, VectorField):
-        fixed = pairs.rates(field)
-        rates_at = lambda t: fixed
-    else:
-        rates_at = lambda t: pairs.rates(field(t))
+    rates_at = lambda t: pairs.rates(field(t) if callable(field) else field)
 
     vec = gather(f0, g.vertices)
     times = [0.0]
@@ -450,12 +445,16 @@ class DMFRun:
     def step(self) -> float:
         return self.times[1] - self.times[0]
 
+    def _step_index(self, t: float) -> int:
+        """The step n, 1 <= n <= N, whose interval (t_{n-1}, t_n] holds t."""
+        return min(max(int(math.ceil(t / self.step - 1e-12)), 1), len(self.times) - 1)
+
     def linear_state(self, t: float) -> VertexFunction:
         """Piecewise-linear interpolant of the step states."""
         if t < 0 or t > self.times[-1] + 1e-12:
             raise ValidationError("time outside the run interval")
         h = self.step
-        n = min(max(int(math.ceil(t / h - 1e-12)), 1), len(self.times) - 1)
+        n = self._step_index(t)
         theta = (t - self.times[n - 1]) / h
         a, b = self.states[n - 1], self.states[n]
         vals = {x: (1 - theta) * a.value(x) + theta * b.value(x) for x in a.domain}
@@ -468,8 +467,7 @@ class DMFRun:
             raise ValidationError("time outside the run interval")
         if t <= 0:
             return self.states[0]
-        n = min(max(int(math.ceil(t / h - 1e-12)), 1), len(self.times) - 1)
-        return self.states[n]
+        return self.states[self._step_index(t)]
 
 
 def dmf_run(

@@ -282,8 +282,7 @@ def harmonic_heat_flow(
             va -= _row_dots(va, base)[:, None] * base
             n = np.sqrt(_row_dots(va, va))[:, None]
             move = n >= 1e-15
-            ahead = np.cos(n) * base + np.sin(n) * (va / np.where(move, n, 1.0))
-            ahead /= np.sqrt(_row_dots(ahead, ahead))[:, None]
+            ahead = _normalized_rows(np.cos(n) * base + np.sin(n) * (va / np.where(move, n, 1.0)))
         trial = np.concatenate([np.where(move, ahead, base), pts[k:]])
         trial_dots, trial_theta = _pair_geometry(trial, *pairs)
         e_trial = _pair_energy(trial_theta)

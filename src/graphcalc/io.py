@@ -83,33 +83,36 @@ def _parse_float(cell: str, where: str) -> float:
     return val
 
 
-def _records(text: str, g: Graph, columns: str, keys: int):
-    """(k, row) for each data row k = 1, 2, ... of a CSV whose optional
-    header is columns.  Each row is checked as it is reached: it must have
-    one cell per column, and its first keys cells must be vertices of g."""
+def _records(text: str, g: Graph, columns: str, keys: int, noun: str):
+    """(k, row) for each data row k = 1, 2, ... of a CSV of noun rows whose
+    optional header is columns; a file with no data row is refused.  Each row
+    must have one cell per column, and its first keys cells must be vertices
+    of g that no earlier row listed; rows are checked as they are reached."""
     names = columns.split(",")
     rows = _csv_rows(text)
     if rows and [c.lower() for c in rows[0]] == names:
         rows = rows[1:]
+    if not rows:
+        raise ValidationError(f"no {noun} rows found")
+    seen = set()
     for k, row in enumerate(rows, start=1):
         if len(row) != len(names):
             raise ValidationError(f"row {k}: expected '{columns}', got {row!r}")
-        for v in row[:keys]:
+        key = tuple(row[:keys])
+        for v in key:
             if v not in g:
                 raise UnknownVertexError(f"row {k}: unknown vertex {v!r}")
+        if key in seen:
+            what = f"vertex {key[0]!r}" if keys == 1 else f"ordered pair {key!r}"
+            raise ValidationError(f"row {k}: {what} listed twice")
+        seen.add(key)
         yield k, row
 
 
 def parse_vertex_function(text: str, g: Graph) -> VertexFunction:
     """CSV with rows vertex,value; header row 'vertex,value' is optional."""
-    vals: dict[str, float] = {}
-    for k, (v, cell) in _records(text, g, "vertex,value", 1):
-        if v in vals:
-            raise ValidationError(f"row {k}: vertex {v!r} listed twice")
-        vals[v] = _parse_float(cell, f"row {k}")
-    if not vals:
-        raise ValidationError("no function rows found")
-    return VertexFunction(g, vals)
+    rows = _records(text, g, "vertex,value", 1, "function")
+    return VertexFunction(g, {v: _parse_float(cell, f"row {k}") for k, (v, cell) in rows})
 
 
 def load_vertex_function(path: Union[str, Path], g: Graph) -> VertexFunction:
@@ -126,14 +129,10 @@ def parse_vector_field(text: str, g: Graph, mode: str = "exact") -> VectorField:
     if mode not in FIELD_MODES:
         raise ValidationError(f"mode must be one of {FIELD_MODES}, got {mode!r}")
     entries: dict[tuple[str, str], float] = {}
-    for k, (x, y, cell) in _records(text, g, "from,to,value", 2):
+    for k, (x, y, cell) in _records(text, g, "from,to,value", 2, "field"):
         if not g.has_edge(x, y):
             raise ValidationError(f"row {k}: {x!r} and {y!r} are not adjacent")
-        if (x, y) in entries:
-            raise ValidationError(f"row {k}: ordered pair ({x!r}, {y!r}) listed twice")
         entries[(x, y)] = _parse_float(cell, f"row {k}")
-    if not entries:
-        raise ValidationError("no field rows found")
     if mode != "exact":
         sign = -1.0 if mode == "antisymmetrize" else 1.0
         for (x, y), w in list(entries.items()):
@@ -149,14 +148,10 @@ def parse_vector_field(text: str, g: Graph, mode: str = "exact") -> VectorField:
 
 def parse_sphere_map(text: str, g: Graph) -> SphereMap:
     """CSV with rows vertex,x,y,z; header optional.  Rows are normalized."""
-    pts: dict[str, SpherePoint] = {}
-    for k, (v, *cells) in _records(text, g, "vertex,x,y,z", 1):
-        if v in pts:
-            raise ValidationError(f"row {k}: vertex {v!r} listed twice")
-        coords = [_parse_float(c, f"row {k}") for c in cells]
-        pts[v] = SpherePoint(*coords)
-    if not pts:
-        raise ValidationError("no map rows found")
+    pts = {
+        v: SpherePoint(*[_parse_float(c, f"row {k}") for c in cells])
+        for k, (v, *cells) in _records(text, g, "vertex,x,y,z", 1, "map")
+    }
     return SphereMap(g, pts)
 
 

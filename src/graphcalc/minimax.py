@@ -94,10 +94,8 @@ def _minimax_witness(g: Graph, f: VertexFunction, x: str) -> Optional[MinimaxWit
             for arc_plus in found:
                 plus_set = frozenset(arc_plus)
                 minus_set = (want_all - plus_set) | {x0, x1}
+                # an arc on minus_set shares exactly x0 and x1 with arc_plus
                 for arc_minus in by_set.get(minus_set, ()):
-                    # interiors must be disjoint: arcs share exactly x0, x1
-                    if plus_set & frozenset(arc_minus) != {x0, x1}:
-                        continue
                     dip_p = _first_dip(arc_plus, f, fx)
                     dip_m = _first_dip(arc_minus, f, fx)
                     if dip_p is not None and dip_m is not None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian
 from .errors import DomainError, NonpositiveSpectrumError, ValidationError, require_finite
-from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter_rows
+from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter, scatter_rows
 from .linalg import eigh, eigvalsh, project, qr
 from .rng import Lcg64
 
@@ -189,8 +189,7 @@ def apply_operator(spec: OperatorSpec, f: VertexFunction) -> VertexFunction:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         lf = _apply_rows(spec, _closure_rows(spec, f)[:, None])[:, 0]
-    require_finite(lf, "operator", spec.interior)
-    return VertexFunction(spec.graph, dict(zip(spec.interior, lf.tolist())))
+    return scatter(spec.graph, spec.interior, require_finite(lf, "operator", spec.interior))
 
 
 @dataclass(frozen=True)
@@ -230,10 +229,12 @@ def _expand(es: EigenSystem, f: VertexFunction, factors: np.ndarray) -> list[Ver
     per row.  Only elementwise products and np.sum, never BLAS, so the bits
     do not depend on the BLAS thread count; the rows are expanded together,
     EXPAND_CHUNK product elements at a time, each summed as a single row
-    would be.  A value outside the float range is a NumericalError naming
-    the first, in row order, then closure order.
+    would be.  Dirichlet data must vanish on the boundary, and a value
+    outside the float range is a NumericalError naming the first, in row
+    order, then closure order.
     """
     spec = es.spec
+    check_dirichlet_data(spec, f)
     phi = es.vectors
     values = np.empty((len(factors), len(phi)))
     step = max(1, EXPAND_CHUNK // phi.size)

@@ -199,6 +199,16 @@ def test_config_validation():
     assert gc.CalculusConfig(laplacian_scale=2.0 / 3.0).laplacian_scale == 2.0 / 3.0
 
 
+def test_config_snaps_a_scale_within_1e_12():
+    # the config used to keep 0.6666666666667 and run with it
+    assert gc.CalculusConfig(laplacian_scale=0.6666666666667).laplacian_scale == 2.0 / 3.0
+    assert gc.CalculusConfig(1 - 5e-13).laplacian_scale == 1.0
+    assert gc.CalculusConfig(0.6666666666667) == gc.CalculusConfig(2.0 / 3.0)
+    with pytest.raises(gc.ValidationError) as e:
+        gc.CalculusConfig(0.66667)
+    assert str(e.value) == "laplacian_scale must be 1 or 2/3, got 0.66667"
+
+
 def test_pointwise_product_rule(c4):
     rng = gc.Lcg64(37)
     f = gc.random_function(c4, rng)
@@ -296,6 +306,19 @@ def test_weighted_norm_sq_overflow_is_numerical_error(p3):
     # in range, the ** squares are kept: 1e154 squares to a finite 1e308
     near = gc.VertexFunction(p3, {"a": 1e154, "b": 1.0, "c": 0.1})
     assert gc.weighted_norm_sq(near, p3.vertices) == 1e154**2 + 2.0 + 0.1**2 < math.inf
+
+
+def test_weighted_norm_overflow_names_what_overflowed(p3):
+    # the subject used to be "a square" also when every square was finite
+    cases = [
+        ({"a": 1.0, "b": 1e200, "c": 0.0}, "a square"),
+        ({"a": 1e154, "b": 0.0, "c": 1e154}, "the degree-weighted sum"),  # 1e308 + 1e308
+        ({"a": 0.0, "b": 1e154, "c": 0.0}, "the degree-weighted sum"),  # 2 * 1e308
+    ]
+    for values, subject in cases:
+        with pytest.raises(gc.NumericalError) as e:
+            gc.weighted_norm_sq(gc.VertexFunction(p3, values), p3.vertices)
+        assert str(e.value) == f"weighted norm overflowed: {subject} is not finite"
 
 
 def alternating(p5):

@@ -330,6 +330,18 @@ def test_transport_matches_dense_rk4():
                 assert np.max(np.abs(got - vec)) <= 1e-13, g.vertices
 
 
+def test_transport_fixed_field_is_the_constant_callable():
+    # one rates rule serves both kinds of field, bit for bit
+    rng = gc.Lcg64(109)
+    for g in [make() for make in FIXTURES.values()] + [random_connected_graph(rng, 6, 12)]:
+        w = gc.random_antisymmetric_field(g, rng)
+        f0 = gc.random_function(g, rng)
+        runs = [gc.transport_solve(g, field, f0, 1.0, 0.1) for field in (w, lambda t: w)]
+        assert runs[0].times == runs[1].times
+        bits = [[(list(s.values), [v.hex() for v in s.values.values()]) for s in r.states] for r in runs]
+        assert bits[0] == bits[1]
+
+
 def test_transport_isolated_vertex_stays_constant():
     g = gc.Graph(["a", "b", "c", "z"], [("a", "b"), ("b", "c")])
     w = gc.random_antisymmetric_field(g, gc.Lcg64(107))
@@ -616,6 +628,24 @@ def test_dmf_interpolants(p3):
         run.linear_state(1.5)
     with pytest.raises(gc.ValidationError):
         run.step_state(-2 * h)
+
+
+def test_dmf_step_index_at_grid_times_and_midpoints(p5):
+    w = gc.build_window(p5, ["b", "c", "d"])
+    phi = gc.VertexFunction(p5, {"b": 1.0, "c": -0.5, "d": 0.25})
+    run = gc.dmf_run(phi, 0.0, 1.0, 5, w)  # h = 0.2 is not a binary fraction
+    for n in range(1, len(run.times)):
+        a, b = run.states[n - 1], run.states[n]
+        mid = 0.5 * (run.times[n - 1] + run.times[n])
+        assert run.step_state(run.times[n]) is b
+        assert run.step_state(mid) is b
+        at_grid = run.linear_state(run.times[n])
+        at_mid = run.linear_state(mid)
+        for x in w.closure:
+            assert at_grid.value(x) == pytest.approx(b.value(x), abs=1e-14)
+            assert at_mid.value(x) == pytest.approx(0.5 * (a.value(x) + b.value(x)), abs=1e-14)
+    assert run.linear_state(0.0).values == run.states[0].values
+    assert run.step_state(0.0) is run.states[0]
 
 
 def test_dmf_convergence_reference_mode(p3):

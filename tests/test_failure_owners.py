@@ -1,10 +1,20 @@
-"""Each numerical failure rule has one owner in the source.
+"""Each rule below has one owner in the source, and these guards keep it so.
 
 - errors.require_finite builds every "... overflowed: ..." message, so no
   other module builds an error whose message says "overflowed";
 - evolution._StepSystem alone raises IndefiniteStepError;
 - spectral's private _finite_kernel, an earlier copy of the overflow rule,
-  stays gone.
+  stays gone;
+- io._records raises every "listed twice" and "no ... rows found" message
+  of the CSV readers;
+- CalculusConfig alone compares a scale against ALLOWED_SCALES;
+- transport_solve has no isinstance(..., VectorField): one rates rule
+  serves a fixed field and a field that depends on time;
+- harmonic._normalized_rows owns the normalization of sphere rows, so no
+  other code divides an array by its own row norms;
+- the spectral solvers write their results through graph.scatter, never
+  through the VertexFunction constructor;
+- DMFRun._step_index alone maps a time to its implicit step.
 """
 
 import ast
@@ -88,3 +98,143 @@ def test_only_the_step_system_raises_indefinite_step_error(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_finite_kernel_is_gone(path):
     assert finite_kernel_names(path.read_text()) == []
+
+
+def _outside(tree: ast.AST, owner: str, nodes) -> list[int]:
+    """Lines of the nodes that do not lie in a def or class named owner."""
+    inside = {
+        id(node)
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.FunctionDef, ast.ClassDef)) and scope.name == owner
+        for node in ast.walk(scope)
+    }
+    return sorted(node.lineno for node in nodes if id(node) not in inside)
+
+
+def record_messages(source: str) -> list[int]:
+    """Lines of CSV record messages ("listed twice", "rows found") outside _records."""
+    tree = ast.parse(source)
+    found = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and ("listed twice" in node.value or "rows found" in node.value)
+    ]
+    return _outside(tree, "_records", found)
+
+
+def scale_comparisons(source: str) -> list[int]:
+    """Lines that read ALLOWED_SCALES outside CalculusConfig."""
+    tree = ast.parse(source)
+    reads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+        and "ALLOWED_SCALES" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    return _outside(tree, "CalculusConfig", reads)
+
+
+def field_type_branches(source: str) -> list[int]:
+    """Lines of isinstance(..., VectorField) inside transport_solve."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "transport_solve"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and _called_name(node) == "isinstance"
+        and any("VectorField" in ast.unparse(arg) for arg in node.args[1:])
+    )
+
+
+def self_normalizations(source: str) -> list[int]:
+    """Lines outside _normalized_rows that divide a name x by an expression
+    holding _row_dots(x, x), its row norms squared."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            left, right = node.left, node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            left, right = node.target, node.value
+        else:
+            continue
+        if not isinstance(left, ast.Name):
+            continue
+        for call in ast.walk(right):
+            if (
+                isinstance(call, ast.Call) and _called_name(call) == "_row_dots"
+                and all(isinstance(a, ast.Name) and a.id == left.id for a in call.args)
+            ):
+                found.append(node)
+    return _outside(tree, "_normalized_rows", found)
+
+
+def constructor_calls(source: str, name: str) -> list[int]:
+    """Lines that call the class called name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _called_name(node) == name
+    )
+
+
+def step_index_copies(source: str) -> list[int]:
+    """Lines of math.ceil outside DMFRun._step_index."""
+    tree = ast.parse(source)
+    ceils = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _called_name(node) == "ceil"]
+    return _outside(tree, "_step_index", ceils)
+
+
+def test_rule_checkers_find_each_copy():
+    source = (
+        "def _records(text):\n"
+        "    raise ValidationError('no rows found')\n"
+        "def parse(text):\n"
+        "    raise ValidationError(f'row {k}: vertex {v!r} listed twice')\n"
+        "class CalculusConfig:\n"
+        "    ok = [s for s in ALLOWED_SCALES]\n"
+        "def parse_scale(x):\n"
+        "    return min(calculus.ALLOWED_SCALES, key=lambda s: abs(s - x))\n"
+        "def transport_solve(g, field):\n"
+        "    if isinstance(field, (VectorField, int)):\n"
+        "        pass\n"
+        "def flow(ahead, sums):\n"
+        "    ahead /= np.sqrt(_row_dots(ahead, ahead))[:, None]\n"
+        "    return ahead / _row_dots(sums, sums)\n"
+        "def _normalized_rows(sums):\n"
+        "    n = math.ceil(sums / np.sqrt(_row_dots(sums, sums)))\n"
+        "    return VertexFunction(g, {})\n"
+    )
+    assert record_messages(source) == [4]
+    assert scale_comparisons(source) == [8]
+    assert field_type_branches(source) == [10]
+    assert self_normalizations(source) == [13]
+    assert constructor_calls(source, "VertexFunction") == [17]
+    assert step_index_copies(source) == [16]
+
+
+def test_only_the_record_reader_raises_the_csv_record_messages():
+    assert record_messages((SRC / "io.py").read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_config_compares_against_the_allowed_scales(path):
+    assert scale_comparisons(path.read_text()) == []
+
+
+def test_transport_has_one_rates_rule_for_every_field():
+    assert field_type_branches((SRC / "evolution.py").read_text()) == []
+
+
+def test_only_normalized_rows_normalizes_sphere_rows():
+    assert self_normalizations((SRC / "harmonic.py").read_text()) == []
+
+
+def test_spectral_solvers_write_through_scatter():
+    assert constructor_calls((SRC / "spectral.py").read_text(), "VertexFunction") == []
+
+
+def test_only_the_step_index_maps_a_time_to_its_step():
+    assert step_index_copies((SRC / "evolution.py").read_text()) == []

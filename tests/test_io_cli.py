@@ -119,6 +119,24 @@ def test_parse_sphere_map(p3):
         gc.parse_sphere_map("a,1,0,0\na,0,1,0\n", p3)
 
 
+RECORD_READERS = [  # the repeated row's number does not parse: the repeat is reported first
+    (gc.parse_vertex_function, "vertex,value", "a,1\nb,2\na,oops\n", "vertex 'a'", "function"),
+    (gc.parse_vector_field, "from,to,value", "a,b,1\nb,a,2\na,b,oops\n", "ordered pair ('a', 'b')", "field"),
+    (gc.parse_sphere_map, "vertex,x,y,z", "a,1,0,0\nb,0,1,0\na,0,0,oops\n", "vertex 'a'", "map"),
+]
+
+
+@pytest.mark.parametrize("parse,header,repeated,key,noun", RECORD_READERS, ids=["function", "field", "map"])
+def test_record_readers_share_repeat_and_empty_messages(p3, parse, header, repeated, key, noun):
+    with pytest.raises(gc.ValidationError) as e:
+        parse(repeated, p3)
+    assert str(e.value) == f"row 3: {key} listed twice"
+    for text in ("", "# only a comment\n\n", header + "\n", header.upper() + "\n"):
+        with pytest.raises(gc.ValidationError) as e:
+            parse(text, p3)
+        assert str(e.value) == f"no {noun} rows found"
+
+
 def test_csv_renderers_round_trip(p3):
     f = gc.VertexFunction(p3, {"a": 1.0 / 3.0, "b": -2.5e-17, "c": 7.0})
     text = "# manifest: {}\n" + gc.render_vertex_function_csv(f)
@@ -749,6 +767,17 @@ def test_cli_scale_env_and_flag(tmp_path, capsys, monkeypatch):
     rc, out = run_cli(capsys, ["graph", path, "--scale", "0.5"])
     assert rc == 1
     assert "scale" in json.loads(out)["error"]["message"]
+
+
+def test_cli_scale_is_snapped_and_refused_by_the_config(tmp_path, capsys):
+    # the CLI used to snap only within 1e-15 and refuse 0.6666666666667
+    path = write_graph_file(tmp_path, make_p3())
+    rc, out = run_cli(capsys, ["graph", path, "--scale", "0.6666666666667"])
+    assert rc == 0
+    assert '"scale": 0.66666666666666663,' in out
+    assert json.loads(out)["manifest"]["scale"] == 2.0 / 3.0
+    message = _validation_message(capsys, ["graph", path, "--scale", "0.5"])
+    assert message == "laplacian_scale must be 1 or 2/3, got 0.5"
 
 
 def test_cli_error_paths(tmp_path, capsys):

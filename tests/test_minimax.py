@@ -244,6 +244,27 @@ def test_bottleneck_level_is_the_joining_threshold(g, data):
     assert max(f.value(x) for x in path) == t
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(connected_graphs(), st.data())
+def test_every_witness_has_two_arcs_covering_the_neighborhood(g, data):
+    """A witness's arcs run from x0 to x1, cover N(x) and share only x0 and x1."""
+    pairs = [(a, b) for i, a in enumerate(g.vertices) for b in g.vertices[i + 1 :]]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    extra = {e for e, k in zip(pairs, keep) if k}  # about half of all pairs
+    dense = gc.Graph(g.vertices, sorted({tuple(sorted(e)) for e in g.edges()} | extra))
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=len(g), max_size=len(g)))
+    f = gc.VertexFunction(dense, dict(zip(g.vertices, map(float, values))))
+    for x in dense.vertices:
+        w = gc.classify_vertex(dense, f, x).witness
+        if w is None:
+            continue
+        x0, x1 = w.anchor_high
+        for arc in (w.arc_plus, w.arc_minus):
+            assert (arc[0], arc[-1]) == (x0, x1)
+        assert set(w.arc_plus) | set(w.arc_minus) == set(dense.neighbors(x))
+        assert set(w.arc_plus) & set(w.arc_minus) == {x0, x1}
+
+
 def _triangulated_grid(k):
     g = grid_graph(k)
     diagonals = [(f"r{i}c{j}", f"r{i + 1}c{j + 1}") for i in range(k - 1) for j in range(k - 1)]

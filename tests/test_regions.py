@@ -97,6 +97,26 @@ def test_dirichlet_data_is_checked_once_with_one_message():
     assert neumann.domain == w.interior
 
 
+def test_kernel_apply_refuses_nonzero_dirichlet_data():
+    # HeatKernel.apply and GreenFunction.apply used to drop the boundary values
+    g = make_p5()
+    w = gc.build_window(g, ["b", "c", "d"])
+    es = gc.eigensystem(gc.OperatorSpec(w, "dirichlet"))
+    f = gc.VertexFunction(g, dict(zip(g.vertices, (1.0, 1.0, -2.0, 0.5, 0.0))))
+    calls = (
+        lambda: gc.HeatKernel(es).apply(0.5, f),
+        lambda: gc.GreenFunction(es).apply(f),
+        lambda: gc.spectral_heat_solve(es.spec, f, [0.0, 0.5]),
+    )
+    for call in calls:
+        with pytest.raises(gc.ValidationError) as e:
+            call()
+        assert str(e.value) == "dirichlet data must vanish on the boundary, f(a) = 1.0"
+    # zero boundary data is expanded as before
+    ok = gc.VertexFunction(g, {"a": 0.0, "b": 1.0, "c": -2.0, "d": 0.5})
+    assert set(gc.HeatKernel(es).apply(0.0, ok).domain) == set(w.closure)
+
+
 def test_static_potential_forms_agree():
     g = make_p5()
     w = gc.build_window(g, ["b", "c", "d"])
