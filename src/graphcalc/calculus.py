@@ -16,6 +16,7 @@ normalization some flows prefer, and CalculusConfig snaps a value within
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError, require_finite
-from .graph import Graph, Region, SubgraphWindow, VertexFunction, build_window, column_sums, gather
+from .graph import Graph, Region, SubgraphWindow, VertexFunction, build_window, gather
 from .rng import Lcg64
 
 ALLOWED_SCALES = (1.0, 2.0 / 3.0)
@@ -36,9 +37,10 @@ class CalculusConfig:
     laplacian_scale: float = 1.0
 
     def __post_init__(self):
-        near = [s for s in ALLOWED_SCALES if abs(self.laplacian_scale - s) < 1e-12]
+        x = self.laplacian_scale
+        near = [s for s in ALLOWED_SCALES if isinstance(x, numbers.Real) and abs(x - s) < 1e-12]
         if not near:
-            raise ValidationError(f"laplacian_scale must be 1 or 2/3, got {self.laplacian_scale!r}")
+            raise ValidationError(f"laplacian_scale must be 1 or 2/3, got {x!r}")
         object.__setattr__(self, "laplacian_scale", near[0])  # snapped to the allowed value
 
 
@@ -227,10 +229,9 @@ def closure_energy(f: VertexFunction, region: Region) -> float:
     This is the closed-window energy; with zero boundary data it equals
     twice the scale-1 quadratic form of the negative laplacian.
     """
-    vals, lay = gather(f, region.closure), region.layout
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        d = vals[lay.dst] - vals[lay.src]
-        return require_finite(column_sums(d * d), "closure energy", "a sum")
+        total = region.layout.energy(gather(f, region.closure))
+    return require_finite(total, "closure energy", "a sum")
 
 
 def divergence_theorem_residual(W: VectorField, g: Graph, region: Iterable[str]) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig
 from .errors import ValidationError, require_finite
-from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, volume
+from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, vertex_boundary, volume
 from .linalg import eigvalsh
 from .spectral import OperatorSpec, symmetric_matrix
 
@@ -64,11 +64,7 @@ def cut_report(g: Graph, subset) -> CutReport:
     for x, y in g.edges():
         if (x in inner) != (y in inner):
             cut += 1
-    bdry = sum(
-        1
-        for v in g.vertices
-        if v not in inner and any(w in inner for w in g.neighbors(v))
-    )
+    bdry = len(vertex_boundary(g, inner))
     vol_in = volume(g, inner)
     vol_out = volume(g, set(g.vertices) - inner)
     ordered = tuple(v for v in g.vertices if v in inner)
@@ -256,7 +252,7 @@ def cheeger_functional(g: Graph, f: VertexFunction) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         num = column_sums(np.abs(vals[ends[:, 1]] - vals[ends[:, 0]]))
         m = _median(vals, g.layout.deg)
-        den = column_sums(np.abs(vals - m) * g.layout.deg)
+        den = g.layout.integral(np.abs(vals - m))
     require_finite([num, den], "cheeger functional", "a sum")
     if den == 0.0:
         raise ValidationError("functional needs a nonconstant function")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, VectorField, directional_derivative
 from .errors import IndefiniteStepError, NumericalError, ValidationError, require_finite
-from .graph import Graph, SubgraphWindow, VertexFunction, column_sums, gather, scatter, scatter_rows
+from .graph import Graph, SubgraphWindow, VertexFunction, gather, scatter, scatter_rows
 from .linalg import cholesky, cholesky_solve, eigvalsh
 from .spectral import (
     OperatorSpec,
@@ -86,6 +86,8 @@ def _uniform_times(run: str, t_final: float, n_steps: int, width: int) -> tuple[
     h = t_final / n_steps
     if not h > 0:  # t_final <= 0, NaN, or a step that underflows to 0
         raise ValidationError("step size must be positive")
+    if not math.isfinite(n_steps * h):  # the last grid time
+        raise ValidationError("step size and t-final must be finite")
     _check_kept_values(run, n_steps + 1, width)
     return (0.0, *(k * h for k in range(1, n_steps + 1)))
 
@@ -153,18 +155,16 @@ def heat_identities_report(traj: Trajectory, spec: OperatorSpec) -> HeatIdentiti
         columns.append(gather(state, spec.closure))
     states = np.column_stack(columns)  # closure rows, one column per state
     u = states[:n]
-    deg = lay.deg[:n, None]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         lu = _apply_rows(spec, _extend_to_closure(spec, u))
         # float_power is the C library's pow, as Python's ** is; np.power
         # and u * u round some squares differently
         u_sq = np.float_power(u, 2.0)
-        masses = column_sums(u_sq * deg)
-        forms = column_sums(u * lu * deg)
-        grad_sq = column_sums(np.float_power(lu, 2.0) * deg)
-        grad = states[lay.dst] - states[lay.src]
-        pair_energy = column_sums(grad * grad)  # closure_energy of each state
-        qterm = column_sums(_potential_rows(spec.potential, spec.interior)[:, None] * u_sq * deg)
+        masses = lay.integral(u_sq)
+        forms = lay.integral(u * lu)
+        grad_sq = lay.integral(np.float_power(lu, 2.0))
+        pair_energy = lay.energy(states)  # closure_energy of each state
+        qterm = lay.integral(_potential_rows(spec.potential, spec.interior)[:, None] * u_sq)
         gaps = np.abs(forms - (0.5 * spec.config.laplacian_scale * pair_energy + qterm))
     require_finite([masses, forms, grad_sq, gaps], "heat audit", "a mass, form or gap")
     masses, forms, grad_sq = masses.tolist(), forms.tolist(), grad_sq.tolist()
@@ -213,7 +213,7 @@ class _PairRates:
 
     def __init__(self, g: Graph):
         lay = self.layout = g.layout
-        self.src, self.dst, self.deg = lay.src, lay.dst, lay.deg
+        self.src, self.dst = lay.src, lay.dst
         self.src_deg = lay.deg[lay.src]
         names = g.vertices
         self.keys = [(names[i], names[j]) for i, j in zip(self.src.tolist(), self.dst.tolist())]
@@ -253,7 +253,7 @@ def transport_solve(
     ValidationError before the first step.  A state outside the float range
     is a NumericalError naming its first time and vertex.
     """
-    if t_final <= 0 or dt <= 0:
+    if not (t_final > 0 and dt > 0):  # NaN fails too
         raise ValidationError("t_final and dt must be positive")
     if t_final / dt == math.inf:
         raise ValidationError(f"transport would keep more than {TRANSPORT_MAX_VALUES} values in all")
@@ -292,7 +292,7 @@ def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[fl
     pairs = _PairRates(g)
     vec = gather(f, g.vertices)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        lhs = float(np.sum(pairs.deg * pairs.rhs(pairs.rates(w), vec)))
+        lhs = pairs.layout.integral(pairs.rhs(pairs.rates(w), vec))
     rhs = sum(g.degree(x) * directional_derivative(w, f, x) for x in g.vertices)
     return require_finite((lhs, rhs), "transport mass rate", "a rate")
 
@@ -374,8 +374,7 @@ def _dmf_step(
     h, lam_rows = system.h, system.lam_rows
     lay = w.layout
     k = len(w.interior)
-    deg = lay.deg[:k]
-    sqd = np.sqrt(deg)
+    sqd = np.sqrt(lay.deg[:k])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         b = sqd * v0[:k] / h
         y = cholesky_solve(system.factor, b)
@@ -392,17 +391,16 @@ def _dmf_step(
     # or pair order from zero, and float_power squares as Python's ** does
     def j_value(v: np.ndarray) -> float:
         """J(v) = (scale/4) (closure energy of v) - (1/2) (lam v, v)."""
-        d = v[lay.dst] - v[lay.src]
-        mass = column_sums(lam_rows * np.float_power(v[:k], 2.0) * deg)
-        return 0.25 * cfg.laplacian_scale * column_sums(d * d) - 0.5 * mass
+        mass = lay.integral(lam_rows * np.float_power(v[:k], 2.0))
+        return 0.25 * cfg.laplacian_scale * lay.energy(v) - 0.5 * mass
 
     v1 = _extend_to_closure(spec, y / sqd)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         step = v1[:k] - v0[:k]
         r = step / h - _laplacian_rows(spec, v1) - lam_rows * v1[:k]
-        el_residual = math.sqrt(column_sums(r * r * deg))
+        el_residual = math.sqrt(lay.integral(r * r))
         j_prev, j_next = j_value(v0), j_value(v1)
-        dist = column_sums(np.float_power(step, 2.0) * deg)
+        dist = lay.integral(np.float_power(step, 2.0))
     f_prev = j_prev
     f_next = dist / (2.0 * h) + j_next
     require_finite((el_residual, solve_res, j_prev, j_next, f_next), "dmf step", "a norm or energy")
@@ -527,11 +525,10 @@ class ConvergenceReport:
 
 def _max_weighted_gap(pairs, w: SubgraphWindow) -> float:
     """Largest degree-weighted l2 distance on the interior over (u, v) pairs."""
-    deg = w.layout.deg[: len(w.interior)]
     worst = 0.0
     for u, v in pairs:
         diff = gather(u, w.interior) - gather(v, w.interior)
-        worst = max(worst, math.sqrt(float(np.sum(diff * diff * deg))))
+        worst = max(worst, math.sqrt(w.layout.integral(diff * diff)))
     return worst
 
 

@@ -245,6 +245,18 @@ class RegionLayout:
         sums = np.bincount(self._slots[m], weights=pair_values.ravel(), minlength=k * m)
         return sums.reshape(k, m)
 
+    def integral(self, rows: np.ndarray) -> Union[float, np.ndarray]:
+        """Sum of rows[i] d_i over the interior rows, added in order from zero as
+        integrate adds: a float for 1-D rows, one per column for 2-D."""
+        deg = self.deg[: self.interior_rows]
+        return column_sums(rows * (deg if rows.ndim == 1 else deg[:, None]))
+
+    def energy(self, rows: np.ndarray) -> Union[float, np.ndarray]:
+        """Sum of (f(y) - f(x))^2 over the ordered pairs (x, y) of closure
+        rows f, added in pair order from zero; per column for 2-D rows."""
+        d = rows[self.dst] - rows[self.src]
+        return column_sums(d * d)
+
     def check_interior_degrees(self) -> None:
         """ValidationError naming the first interior vertex with no
         neighbor, whose sums would be divided by a zero degree."""
@@ -287,18 +299,18 @@ def build_window(g: Graph, interior: Iterable[str]) -> SubgraphWindow:
         raise ValidationError("window interior is empty")
     if len(set(inner)) != len(inner):
         raise ValidationError("window interior repeats a vertex")
-    inner_set = set(inner)
     if not g.is_connected(within=inner):
         raise DisconnectedInteriorError(
             "window interior does not induce a connected subgraph"
         )
-    boundary = [
-        v
-        for v in g.vertices
-        if v not in inner_set and any(w in inner_set for w in g.neighbors(v))
-    ]
-    ordered_inner = [v for v in g.vertices if v in inner_set]
-    return SubgraphWindow(g, tuple(ordered_inner), tuple(boundary))
+    inner_set = set(inner)
+    ordered_inner = tuple(v for v in g.vertices if v in inner_set)
+    return SubgraphWindow(g, ordered_inner, vertex_boundary(g, inner_set))
+
+
+def vertex_boundary(g: Graph, inner: set[str]) -> tuple[str, ...]:
+    """Every vertex outside inner with a neighbor in it, in file order."""
+    return tuple(v for v in g.vertices if v not in inner and not inner.isdisjoint(g._nbrs[v]))
 
 
 class VertexFunction:

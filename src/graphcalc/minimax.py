@@ -237,8 +237,6 @@ def find_minimax(g: Graph, f: VertexFunction, z0: str, z1: str) -> MinimaxSearch
                 return MinimaxSearchResult(level, z, tuple(path), tuple(warnings))
         rerouted = False
         for k in attaining:
-            if k == 0 or k == len(path) - 1:
-                continue
             new_path = _reroute(g, f, path, k, level)
             if new_path is not None:
                 path = new_path

@@ -154,13 +154,6 @@ def _apply_rows(spec: OperatorSpec, ext: np.ndarray) -> np.ndarray:
     return -lap + q[:, None] * ext[: len(q)]
 
 
-def _weighted_sums(spec: OperatorSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a, b) in the degree-weighted inner product for each column of two
-    interior stacks, with the terms a b d_x added as weighted_inner adds
-    them."""
-    return column_sums(a * b * spec.region.layout.deg[: len(a), None])
-
-
 def check_dirichlet_data(spec: OperatorSpec, f: VertexFunction) -> None:
     """Under the dirichlet condition, f must vanish wherever it is given on
     the boundary."""
@@ -265,11 +258,12 @@ def _heat(es: EigenSystem, f: VertexFunction, times) -> list[VertexFunction]:
 def _quotients(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
     """The Rayleigh quotient (f, Lf)_w / (f, f)_w of each column of an
     interior stack; a quotient outside the float range is a NumericalError."""
+    lay = spec.region.layout
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        den = _weighted_sums(spec, rows, rows)
+        den = lay.integral(rows * rows)
         if np.any(den <= 0.0):
             raise ValidationError("rayleigh quotient of the zero function")
-        q = _weighted_sums(spec, rows, _apply_rows(spec, _extend_to_closure(spec, rows))) / den
+        q = lay.integral(rows * _apply_rows(spec, _extend_to_closure(spec, rows))) / den
     return require_finite(q, "rayleigh quotient", "a weighted sum")
 
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -106,6 +107,9 @@ def test_divergence_theorem_needs_antisymmetry(c4):
     )
     # symmetric field on one edge: residual is 2, not 0
     assert gc.divergence_theorem_residual(w, c4, ["v0", "v1"]) == 2.0
+    assert not w.is_antisymmetric()
+    assert not gc.VectorField(c4, {("v0", "v1"): 1.0}).is_antisymmetric()  # one way only
+    assert gc.VectorField(c4, {("v0", "v1"): 1.0, ("v1", "v0"): -1.0}).is_antisymmetric()
 
 
 def test_green_symmetric_exact_p3(p3):
@@ -207,6 +211,17 @@ def test_config_snaps_a_scale_within_1e_12():
     with pytest.raises(gc.ValidationError) as e:
         gc.CalculusConfig(0.66667)
     assert str(e.value) == "laplacian_scale must be 1 or 2/3, got 0.66667"
+
+
+def test_config_refuses_a_scale_that_is_not_a_number():
+    # a string used to escape as a bare TypeError from the subtraction, and
+    # a pair of scales as numpy's "truth value of an array" ValueError
+    for bad in ("1", None, [1.0], np.array([1.0, 1.0]), complex(1.0, 0.0)):
+        with pytest.raises(gc.ValidationError, match="^laplacian_scale must be 1 or 2/3, got "):
+            gc.CalculusConfig(bad)
+    assert gc.CalculusConfig(np.float32(1.0)).laplacian_scale == 1.0
+    assert gc.CalculusConfig(True).laplacian_scale == 1.0
+    assert gc.CalculusConfig(np.float64(2.0 / 3.0)).laplacian_scale == 2.0 / 3.0
 
 
 def test_pointwise_product_rule(c4):

@@ -268,6 +268,11 @@ def test_functional_partial_function_names_first_edge_vertex():
         gc.cheeger_functional(g, f)
     with pytest.raises(gc.DomainError, match="'a'"):
         gc.weighted_median(g, f)
+    # no edge reaches an isolated vertex, so the vertex-order error stands
+    g = gc.Graph(["a", "b", "z"], [("a", "b")])
+    f = gc.VertexFunction(g, {"a": 0.0, "b": 1.0})
+    with pytest.raises(gc.DomainError, match="^function not defined at 'z'$"):
+        gc.cheeger_functional(g, f)
 
 
 def test_cheeger_functional_validation(c4):
@@ -284,6 +289,8 @@ def test_cheeger_validation_errors():
     chain = gc.Graph(names, tuple(zip(names, names[1:])))
     with pytest.raises(gc.ValidationError):
         gc.cheeger_h(chain)
+    with pytest.raises(gc.ValidationError, match="^cheeger constants need at least 2 vertices$"):
+        gc.cheeger_constants(gc.Graph(["a"], []))
 
 
 def test_poincare_dirichlet_frozen(p3, p5):
@@ -357,3 +364,5 @@ def test_poincare_neumann_validation():
     two = gc.Graph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
     with pytest.raises(gc.ValidationError):
         gc.poincare_neumann_constant(two)
+    with pytest.raises(gc.ValidationError, match="^neumann poincare constant needs at least 2 vertices$"):
+        gc.poincare_neumann_constant(gc.Graph(["a"], []))

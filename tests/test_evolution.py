@@ -260,6 +260,24 @@ def test_transport_mass_rate_identity_random():
             assert lhs == pytest.approx(rhs, abs=1e-12), name
 
 
+@pytest.mark.parametrize("k", [4, 6, 10, 20])
+def test_transport_mass_rate_lhs_is_the_pointwise_integral(k):
+    # the lhs used np.sum's pairwise order and differed from this reference
+    # in the last bits on each of these grids
+    g = grid_graph(k)
+    rng = gc.Lcg64(2)
+    w = gc.random_antisymmetric_field(g, rng)
+    f = gc.random_function(g, rng)
+    lhs, _ = gc.transport_mass_rate(g, w, f)
+    want = 0.0
+    for x in g.vertices:
+        d, rate = g.degree(x), 0.0
+        for y in g.neighbors(x):
+            rate += w.value(x, y) / d * (f.value(y) - f.value(x))
+        want += rate * d
+    assert lhs == want
+
+
 def c4_wave_field(c4):
     base = {}
     for x, y in c4.edges():
@@ -562,6 +580,44 @@ def test_dmf_run_rejects_a_step_that_underflows(p3):
         gc.dmf_step(phi, 0.0, None, w)
 
 
+def _time_input_calls(p3):
+    """Library calls on P3 with window {b} that take a time or step size."""
+    w = gc.build_window(p3, ["b"])
+    phi = gc.VertexFunction(p3, {"a": 0.0, "b": 1.0, "c": 0.0})
+    unit = gc.VectorField(p3, {p: 1.0 for x, y in p3.edges() for p in ((x, y), (y, x))})
+    return {
+        "dmf_run t_final": lambda t: gc.dmf_run(phi, 0.0, t, 3, w),
+        "dmf_step h": lambda t: gc.dmf_step(phi, t, 0.0, w),
+        "transport t_final": lambda t: gc.transport_solve(p3, unit, phi, t, 0.1),
+        "transport dt": lambda t: gc.transport_solve(p3, unit, phi, 1.0, t),
+    }
+
+
+FINITE = "^step size and t-final must be finite$"
+POSITIVE = "^step size must be positive$"
+TRANSPORT = "^t_final and dt must be positive$"
+
+
+# dmf used to return the grid (0, inf, inf, inf) with zero states after
+# step 0, and transport a bare "cannot convert float NaN to integer"
+@pytest.mark.parametrize(
+    "call, t, message",
+    [
+        ("dmf_run t_final", math.inf, FINITE),
+        ("dmf_step h", math.inf, FINITE),
+        ("dmf_run t_final", -math.inf, POSITIVE),
+        ("dmf_run t_final", math.nan, POSITIVE),
+        ("dmf_step h", math.nan, POSITIVE),
+        ("transport t_final", math.nan, TRANSPORT),
+        ("transport dt", math.nan, TRANSPORT),
+        ("transport dt", -math.inf, TRANSPORT),
+    ],
+)
+def test_nonfinite_time_inputs_are_refused(p3, call, t, message):
+    with pytest.raises(gc.ValidationError, match=message):
+        _time_input_calls(p3)[call](t)
+
+
 def test_dmf_run_reads_phi_once_and_none_as_zero(p5, monkeypatch):
     # the steps pass closure rows on: phi is checked, gathered and extended
     # once per run, and a None potential runs bit for bit as 0.0
@@ -655,6 +711,37 @@ def test_dmf_convergence_reference_mode(p3):
     assert rep.mode == "reference"
     assert rep.errors == tuple(sorted(rep.errors, reverse=True))
     assert rep.fitted_order >= 0.9
+
+
+def _pointwise_gap(w, u, v):
+    """sqrt of sum (u(x) - v(x))^2 d_x over the interior, added in order."""
+    total = 0.0
+    for x in w.interior:
+        d = u.value(x) - v.value(x)
+        total += d * d * w.graph.degree(x)
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("k", [5, 6, 8, 10])
+@pytest.mark.parametrize("static", [True, False], ids=["static", "time-dependent"])
+def test_dmf_convergence_errors_are_the_pointwise_gaps(k, static):
+    # the gaps used to add in np.sum's pairwise order, and six of these
+    # eight studies differed from this reference in the last bit
+    g = grid_graph(k)
+    w = gc.build_window(g, grid_interior(k))
+    n = len(w.interior)
+    phi = gc.VertexFunction(g, {x: math.sin(math.pi * (i + 1) / (n + 1)) for i, x in enumerate(w.interior)})
+    potential = 0.25 if static else (lambda t: 0.25 * math.cos(t))
+    ns = (4, 8, 16)
+    rep = gc.dmf_convergence_study(phi, potential, 0.5, ns, w)
+    runs = {m: gc.dmf_run(phi, potential, 0.5, m, w) for m in ns}
+    if static:
+        q = gc.VertexFunction(g, {x: -0.25 for x in w.interior})
+        es = spectral.eigensystem(spectral.OperatorSpec(w, "dirichlet", q))
+        pairs = [list(zip(runs[m].states, spectral._heat(es, phi, runs[m].times))) for m in ns]
+    else:
+        pairs = [[(runs[a].states[j], runs[b].states[2 * j]) for j in range(a + 1)] for a, b in zip(ns, ns[1:])]
+    assert rep.errors == tuple(max(_pointwise_gap(w, u, v) for u, v in ps) for ps in pairs)
 
 
 def test_dmf_convergence_self_mode(p5):

@@ -14,13 +14,28 @@
   other code divides an array by its own row norms;
 - the spectral solvers write their results through graph.scatter, never
   through the VertexFunction constructor;
-- DMFRun._step_index alone maps a time to its implicit step.
+- DMFRun._step_index alone maps a time to its implicit step;
+- RegionLayout.integral owns the degree-weighted sum: no column_sums
+  argument outside RegionLayout reads deg, and an np.sum or .sum of a
+  product with deg appears only in run_identity_suite, whose printed
+  residuals pin np.sum's order;
+- column_sums is called outside graph.py only by _extend_to_closure,
+  _seed_map and cheeger_functional's edge sum, so RegionLayout.energy
+  owns the closure pair energy;
+- graph.vertex_boundary owns the vertex boundary: no other code asks
+  whether any neighbor of a vertex lies in a set, and cut_report counts
+  the boundary that build_window stores.
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
+
+import graphcalc as gc
+
+from conftest import FIXTURES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "graphcalc"
 MODULES = sorted(SRC.glob("*.py"))
@@ -238,3 +253,125 @@ def test_spectral_solvers_write_through_scatter():
 
 def test_only_the_step_index_maps_a_time_to_its_step():
     assert step_index_copies((SRC / "evolution.py").read_text()) == []
+
+
+def _reads_deg(node: ast.AST) -> bool:
+    """Whether an expression reads a name or attribute called deg."""
+    return any("deg" in (getattr(n, "id", None), getattr(n, "attr", None)) for n in ast.walk(node))
+
+
+def weighted_column_sums(source: str) -> list[int]:
+    """Lines of column_sums calls outside RegionLayout whose argument reads deg."""
+    tree = ast.parse(source)
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "column_sums"
+        and any(_reads_deg(arg) for arg in node.args)
+    ]
+    return _outside(tree, "RegionLayout", calls)
+
+
+def column_sums_callers(source: str) -> list[str]:
+    """The names of the functions that call column_sums, one per call, sorted."""
+    return sorted(
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and _called_name(node) == "column_sums"
+    )
+
+
+def weighted_np_sums(source: str) -> list[int]:
+    """Lines outside run_identity_suite of np.sum(x) or x.sum() where x holds
+    a product with an operand that reads deg."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _called_name(node) == "sum"):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and not (isinstance(func.value, ast.Name) and func.value.id == "np"):
+            summed = [func.value]  # x.sum()
+        elif isinstance(func, ast.Attribute):
+            summed = node.args[:1]  # np.sum(x)
+        else:
+            continue  # Python's sum
+        if any(
+            isinstance(p, ast.BinOp) and isinstance(p.op, ast.Mult)
+            and (_reads_deg(p.left) or _reads_deg(p.right))
+            for x in summed
+            for p in ast.walk(x)
+        ):
+            found.append(node)
+    return _outside(tree, "run_identity_suite", found)
+
+
+def neighbor_membership_tests(source: str) -> list[int]:
+    """Lines outside vertex_boundary of any(...) over a vertex's neighbors."""
+    tree = ast.parse(source)
+    found = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "any"
+        and any(
+            isinstance(gen, ast.comprehension)
+            and any(n in ast.unparse(gen.iter) for n in ("neighbors(", "_nbrs["))
+            for gen in ast.walk(node)
+        )
+    ]
+    return _outside(tree, "vertex_boundary", found)
+
+
+def test_measure_energy_and_boundary_checkers_find_each_copy():
+    source = (
+        "class RegionLayout:\n"
+        "    def integral(self, rows):\n"
+        "        return column_sums(rows * self.deg)\n"
+        "def closure_energy(v, lay):\n"
+        "    return column_sums(v * v * lay.deg[:3])\n"
+        "def run_identity_suite(deg, a):\n"
+        "    return np.sum((deg * a)[1:])\n"
+        "def gap(deg, d, phi):\n"
+        "    return np.sum(d * d * deg) + (phi * pairs.deg).sum(axis=0) + sum(d * deg)\n"
+        "def vertex_boundary(g, s):\n"
+        "    return [v for v in g.vertices if any(w in s for w in g._nbrs[v])]\n"
+        "def cut(g, s):\n"
+        "    return sum(1 for v in g.vertices if any(w in s for w in g.neighbors(v)))\n"
+    )
+    assert weighted_column_sums(source) == [5]
+    assert column_sums_callers(source) == ["closure_energy", "integral"]
+    assert weighted_np_sums(source) == [9, 9]
+    assert neighbor_membership_tests(source) == [13]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_layout_integrates_against_the_degree(path):
+    assert weighted_column_sums(path.read_text()) == []
+    assert weighted_np_sums(path.read_text()) == []
+
+
+def test_column_sums_has_three_callers_outside_graph():
+    callers = sorted(
+        name for path in MODULES if path.name != "graph.py" for name in column_sums_callers(path.read_text())
+    )
+    assert callers == ["_extend_to_closure", "_seed_map", "cheeger_functional"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_vertex_boundary_collects_the_vertex_boundary(path):
+    assert neighbor_membership_tests(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_cut_report_counts_the_window_boundary(name):
+    g = FIXTURES[name]()
+    checked = 0
+    for r in range(1, len(g)):
+        for subset in itertools.combinations(g.vertices, r):
+            if g.is_connected(within=subset):
+                want = len(gc.build_window(g, subset).boundary)
+                assert gc.cut_report(g, subset).boundary_vertices == want, subset
+                checked += 1
+    assert checked >= len(g)

@@ -256,6 +256,16 @@ def test_monge_validation(c4):
         gc.monge_cost(c4, ["v0"], ["v0"])  # overlap
     with pytest.raises(gc.ValidationError):
         gc.monge_cost(c4, [], [])  # empty
+    names = [f"v{i}" for i in range(22)]
+    path = gc.Graph(names, list(zip(names, names[1:])))
+    with pytest.raises(gc.ValidationError, match="^size 11 exceeds exhaustive bound 10$"):
+        gc.monge_cost(path, names[:11], names[11:])
+
+
+def test_randint_refuses_an_empty_range():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^randint needs n >= 1$"):
+            gc.Lcg64(1).randint(n)
 
 
 def test_monge_unreachable_pair():

@@ -43,12 +43,23 @@ def test_parse_graph_error_classes():
         gc.parse_graph('{"vertices": ["a", "a"], "edges": []}')
     with pytest.raises(gc.GraphParseError):
         gc.parse_graph('{"vertices": ["a"], "edges": [["a"]]}')
+    with pytest.raises(gc.GraphParseError, match="^'edges' must be a list$"):
+        gc.parse_graph('{"vertices": ["a", "b"], "edges": {}}')
     with pytest.raises(gc.SelfLoopError):
         gc.parse_graph('{"vertices": ["a", "b"], "edges": [["a", "a"]]}')
     with pytest.raises(gc.DanglingEndpointError):
         gc.parse_graph('{"vertices": ["a", "b"], "edges": [["a", "z"]]}')
     with pytest.raises(gc.DuplicateEdgeError):
         gc.parse_graph('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}')
+
+
+def test_load_graph_and_vertex_function_read_files(tmp_path, p3):
+    (tmp_path / "g.json").write_text(gc.write_graph(p3))
+    (tmp_path / "f.csv").write_text("vertex,value\na,1.5\nc,-2\n")
+    g = gc.load_graph(tmp_path / "g.json")
+    assert (g.vertices, g.edges()) == (p3.vertices, p3.edges())
+    f = gc.load_vertex_function(str(tmp_path / "f.csv"), g)
+    assert f.values == {"a": 1.5, "c": -2.0}
 
 
 def test_parse_vertex_function(p3):

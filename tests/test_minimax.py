@@ -265,6 +265,25 @@ def test_every_witness_has_two_arcs_covering_the_neighborhood(g, data):
         assert set(w.arc_plus) & set(w.arc_minus) == {x0, x1}
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(connected_graphs(), st.data())
+def test_minimax_level_is_above_both_endpoints(g, data):
+    """Each endpoint is a strict local minimum whose path neighbor is
+    higher, and reroutes keep the endpoints, so the level is above f at
+    both and the vertex returned is never an endpoint."""
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=len(g), max_size=len(g)))
+    f = gc.VertexFunction(g, dict(zip(g.vertices, map(float, values))))
+    minima = [x for x in g.vertices if gc.is_local_min(f, x, strict=True)]
+    for z0 in minima:
+        for z1 in minima:
+            if z0 == z1:
+                continue
+            res = gc.find_minimax(g, f, z0, z1)
+            assert res.level > max(f.value(z0), f.value(z1))
+            assert (res.path[0], res.path[-1]) == (z0, z1)
+            assert res.vertex not in (z0, z1)
+
+
 def _triangulated_grid(k):
     g = grid_graph(k)
     diagonals = [(f"r{i}c{j}", f"r{i + 1}c{j + 1}") for i in range(k - 1) for j in range(k - 1)]
