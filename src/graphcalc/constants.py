@@ -222,7 +222,6 @@ def _median(vals: np.ndarray, deg: np.ndarray) -> float:
         acc += w
         if 2 * acc >= total:
             return value
-    return pairs[-1][0]
 
 
 def weighted_median(g: Graph, f: VertexFunction) -> float:

@@ -286,8 +286,10 @@ def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[fl
     """(d/dt integral of f, integral of W(f)) at the instant the field is w.
 
     The first entry contracts the transport right-hand side against the
-    degree measure, the second integrates the directional derivative; the
-    equation makes them equal by construction.
+    degree measure, the second integrates the directional derivative.  The
+    equation makes them equal in exact arithmetic, but the first divides
+    each w(xy) by d_x before the vertex's sum and the second divides the
+    sum, so they can differ in the last bits.
     """
     pairs = _PairRates(g)
     vec = gather(f, g.vertices)

@@ -42,7 +42,7 @@ class Graph:
     Parameters
     ----------
     vertices : sequence of str
-        Vertex ids in stable order.  Duplicates are rejected.
+        Vertex ids in stable order, at least one.  Duplicates are rejected.
     edges : iterable of (str, str)
         Undirected edges, each checked in turn for a self-loop, an endpoint
         that is not a vertex and a repeat in either orientation.
@@ -50,6 +50,8 @@ class Graph:
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
+        if not self.vertices:
+            raise GraphParseError("a graph needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphParseError("vertex names must be unique")
         self.index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import AntipodalPointsError, DomainError, ValidationError
 from .graph import Graph, Region, SubgraphWindow, column_sums
+from .linalg import orthonormalize
 from .rng import Lcg64
 
 ANTIPODAL_MARGIN = 1e-6
@@ -428,17 +429,19 @@ def ambient_tension_report(
 
 
 def random_rotation(rng: Lcg64) -> np.ndarray:
-    """Deterministic proper rotation from the package RNG (QR of normals)."""
-    a = np.array([[rng.normal() for _ in range(3)] for _ in range(3)])
-    q, r = np.linalg.qr(a)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+    """Deterministic proper rotation from the package RNG: the columns of a
+    matrix of normals orthonormalized in order (the Q of a QR with a positive
+    R diagonal), the first one flipped when the triple product is negative."""
+    q = np.array([[rng.normal() for _ in range(3)] for _ in range(3)]).T.copy()
+    orthonormalize(q[None])
+    if (np.cross(q[0], q[1]) * q[2]).sum() < 0.0:
+        q[0] = -q[0]
+    return q.T
 
 
 def rotate_map(u: SphereMap, rot: np.ndarray) -> SphereMap:
+    """rot applied to every point, by elementwise products and .sum."""
     return SphereMap(
         u.graph,
-        {x: SpherePoint.from_array(rot @ u.point(x).array) for x in u.domain},
+        {x: SpherePoint.from_array((rot * u.point(x).array).sum(axis=1)) for x in u.domain},
     )

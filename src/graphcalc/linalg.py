@@ -26,9 +26,12 @@ so its bits do not depend on the BLAS thread count.
   each basis is the one it would be alone.  A simple eigenvector has its
   first entry above SIGN_TOL of its peak positive.  The basis then depends
   on the eigenspace, not on the solver.
+* orthonormalize: Gram-Schmidt with every projection taken twice, which
+  is orthogonal to working precision (Giraud, Langou & Rozloznik, Comput.
+  Math. Appl. 50, 2005), on a stack of row blocks.  It is the package's one
+  orthonormalization: the canonical eigenvectors, the Courant-Fischer
+  subspaces and harmonic.random_rotation all call it.
 * cholesky / cholesky_solve: the symmetric positive-definite solve.
-* qr / project: a thin Householder QR, and the projection Q^T M Q onto
-  the span of its columns.
 """
 
 import math
@@ -233,7 +236,7 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
 def _canonical_bases(B: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the row spaces of a stack B of k-row blocks, in
     place: reduced row-echelon form with pivot columns in order, then
-    Gram-Schmidt in pivot order, block by block.  Each echelon row is 1 at
+    orthonormalize in pivot order, block by block.  Each echelon row is 1 at
     its pivot and 0 at the others, so every pivot of the result comes out
     positive."""
     m, k, n = B.shape
@@ -251,12 +254,23 @@ def _canonical_bases(B: np.ndarray) -> np.ndarray:
         B -= B[blocks, :, c][:, :, None] * pivot[:, None]
         B[:, j] = pivot
         col = c[:, None] + 1
-    for j in range(k):
-        v, Q = B[:, j], B[:, :j]
-        for _ in range(2):  # a second pass restores orthogonality lost to rounding
-            v = v - (Q * (Q * v[:, None]).sum(axis=2)[:, :, None]).sum(axis=1)
-        B[:, j] = v / np.sqrt((v * v).sum(axis=1))[:, None]
+    orthonormalize(B)
     return B
+
+
+def orthonormalize(B: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt in place on the rows of each block of a stack B, each
+    projection taken twice to restore the orthogonality lost to rounding.
+    Returns each row's norm before scaling (a QR's |R[c, c]|); a row that
+    comes out exactly zero stays zero."""
+    norms = np.empty(B.shape[:2])
+    for j in range(B.shape[1]):
+        v, Q = B[:, j], B[:, :j]
+        for _ in range(2):
+            v = v - (Q * (Q * v[:, None]).sum(axis=2)[:, :, None]).sum(axis=1)
+        norms[:, j] = np.sqrt((v * v).sum(axis=1))
+        B[:, j] = v / np.where(norms[:, j] > 0.0, norms[:, j], 1.0)[:, None]
+    return norms
 
 
 def cholesky(matrix) -> np.ndarray:
@@ -286,47 +300,3 @@ def cholesky_solve(L: np.ndarray, b) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         y[i] = (y[i] - float((L[i + 1 :, i] * y[i + 1 :]).sum())) / L[i, i]
     return y
-
-
-def qr(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of an n x j matrix A (n >= j) by Householder reflections.
-
-    Q (n x j) has orthonormal columns and R (j x j) is upper triangular with
-    A = QR.  |R[c, c]| is the norm of column c's part orthogonal to the
-    columns before it, so a small diagonal entry flags lost rank.
-    """
-    A = np.array(matrix, dtype=float)
-    n, j = A.shape
-    if n < j:
-        raise ValueError("qr needs at least as many rows as columns")
-    reflectors = []
-    for c in range(j):
-        x = A[c:, c]
-        norm = math.sqrt(float((x * x).sum()))
-        if norm == 0.0:  # nothing left to reduce in this column
-            continue
-        v = x.copy()
-        v[0] += math.copysign(norm, v[0])
-        v *= math.sqrt(2.0 / float((v * v).sum()))  # H = I - v v^T
-        block = A[c:, c:]
-        block -= v[:, None] * (v[:, None] * block).sum(axis=0)
-        reflectors.append((c, v))
-    Q = np.eye(n, j)
-    for c, v in reversed(reflectors):
-        tail = Q[c:]
-        tail -= v[:, None] * (v[:, None] * tail).sum(axis=0)
-    return Q, np.triu(A[:j])
-
-
-def project(matrix, basis) -> np.ndarray:
-    """Q^T M Q for a square M and a basis Q (n x j), one column at a time."""
-    M = np.asarray(matrix, dtype=float)
-    Q = np.asarray(basis, dtype=float)
-    j = Q.shape[1]
-    MQ = np.empty(Q.shape)
-    for c in range(j):
-        MQ[:, c] = (M * Q[:, c]).sum(axis=1)
-    out = np.empty((j, j))
-    for c in range(j):
-        out[c] = (Q[:, c : c + 1] * MQ).sum(axis=0)
-    return out

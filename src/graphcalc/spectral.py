@@ -25,7 +25,7 @@ import numpy as np
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian
 from .errors import DomainError, NonpositiveSpectrumError, ValidationError, require_finite
 from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter, scatter_rows
-from .linalg import eigh, eigvalsh, project, qr
+from .linalg import eigh, eigvalsh, orthonormalize
 from .rng import Lcg64
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "none")
@@ -323,18 +323,19 @@ def courant_fischer_check(
         stack[:, 1:] += basis[:, i : i + 1] * c
     span_max = max(_quotients(spec, stack).tolist())
 
-    # any j-dimensional subspace: project the symmetric matrix and take the
-    # top eigenvalue of the small block, which is the exact subspace maximum
-    M = symmetric_matrix(spec)
+    # any j-dimensional subspace: the top eigenvalue of L's Gram block
+    # (y_a, L y_b)_w on an orthonormal basis y is the exact subspace maximum
+    lay = spec.region.layout
     worst = math.inf
     for _ in range(subspaces):
-        B = np.array([[rng.normal() for _ in range(j)] for _ in range(k)], dtype=float)
-        Qmat, R = qr(B)
-        if min(abs(float(R[i, i])) for i in range(j)) < 1e-8:
+        Q = np.array([[rng.normal() for _ in range(j)] for _ in range(k)]).T.copy()
+        if orthonormalize(Q[None]).min() < 1e-8:
             continue
-        small = project(M, Qmat)
-        small = 0.5 * (small + small.T)
-        worst = min(worst, float(eigvalsh(small)[-1]) - lam_j)
+        Y = Q.T / np.sqrt(lay.deg[:k])[:, None]  # Q is in symmetric_matrix's coordinates
+        with np.errstate(over="ignore", invalid="ignore"):  # eigvalsh refuses a non-finite block
+            LY = _apply_rows(spec, _extend_to_closure(spec, Y))
+            gram = lay.integral((Y[:, :, None] * LY[:, None]).reshape(k, j * j)).reshape(j, j)
+            worst = min(worst, float(eigvalsh(0.5 * (gram + gram.T))[-1]) - lam_j)
     return CourantFischerReport(
         j=j,
         lambda_j=lam_j,

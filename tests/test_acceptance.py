@@ -447,9 +447,10 @@ def test_flows_bytes_stable_across_thread_counts_on_larger_grids(tmp_path):
 
 
 def test_courant_fischer_stable_across_thread_counts():
-    # a guard beside a11: the Courant-Fischer subspaces are projected by
-    # linalg.qr and linalg.project, not LAPACK's QR and BLAS products, so the
-    # report on the 8 x 8 window (interior 36) is the same at any thread count
+    # a guard beside a11: the Courant-Fischer subspaces are orthonormalized
+    # by linalg.orthonormalize and their Gram blocks built from the operator's
+    # rows, not by LAPACK's QR and BLAS products, so the report on the 8 x 8
+    # window (interior 36) is the same at any thread count
     script = (
         "import graphcalc as gc\n"
         "names = [f'r{i}c{j}' for i in range(8) for j in range(8)]\n"

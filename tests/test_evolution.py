@@ -261,6 +261,21 @@ def test_transport_mass_rate_identity_random():
 
 
 @pytest.mark.parametrize("k", [4, 6, 10, 20])
+def test_transport_mass_rate_sides_differ_only_by_rounding(k):
+    # the lhs divides each w(xy) by d_x before the vertex's sum and the rhs
+    # divides the sum, so the two sides differ by a few ulps (0 to 4 on these
+    # grids); the gap stays under n eps sum|terms| over the n ordered pairs
+    g = grid_graph(k)
+    for seed in (1, 2, 3):
+        rng = gc.Lcg64(seed)
+        w = gc.random_antisymmetric_field(g, rng)
+        f = gc.random_function(g, rng)
+        lhs, rhs = gc.transport_mass_rate(g, w, f)
+        terms = [w.value(x, y) * (f.value(y) - f.value(x)) for x in g.vertices for y in g.neighbors(x)]
+        assert abs(lhs - rhs) <= len(terms) * 2.0**-52 * sum(map(abs, terms)), seed
+
+
+@pytest.mark.parametrize("k", [4, 6, 10, 20])
 def test_transport_mass_rate_lhs_is_the_pointwise_integral(k):
     # the lhs used np.sum's pairwise order and differed from this reference
     # in the last bits on each of these grids

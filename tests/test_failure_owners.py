@@ -24,7 +24,10 @@
   owns the closure pair energy;
 - graph.vertex_boundary owns the vertex boundary: no other code asks
   whether any neighbor of a vertex lies in a set, and cut_report counts
-  the boundary that build_window stores.
+  the boundary that build_window stores;
+- linalg.orthonormalize is the one orthonormalization: linalg defines no
+  qr or project, and the canonical bases, the Courant-Fischer subspaces
+  and random_rotation all call it.
 """
 
 import ast
@@ -375,3 +378,40 @@ def test_cut_report_counts_the_window_boundary(name):
                 assert gc.cut_report(g, subset).boundary_vertices == want, subset
                 checked += 1
     assert checked >= len(g)
+
+
+def defined_functions(source: str) -> list[str]:
+    """Names of every function and method a source defines, sorted."""
+    return sorted(node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef))
+
+
+def callers(source: str, name: str) -> list[str]:
+    """Names of the functions that call name, each once, sorted."""
+    return sorted({
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and _called_name(node) == name
+    })
+
+
+def test_orthonormalization_checkers_find_each_copy():
+    source = (
+        "def qr(a):\n"
+        "    return orthonormalize(a) + orthonormalize(a.T)\n"
+        "class Basis:\n"
+        "    def project(self, m):\n"
+        "        return linalg.orthonormalize(m)\n"
+        "def rotation(rng):\n"
+        "    return np.linalg.qr(rng)\n"
+    )
+    assert defined_functions(source) == ["project", "qr", "rotation"]
+    assert callers(source, "orthonormalize") == ["project", "qr"]
+
+
+def test_one_orthonormalization():
+    defined = defined_functions((SRC / "linalg.py").read_text())
+    assert "orthonormalize" in defined and not {"qr", "project"} & set(defined)
+    found = sorted(name for path in MODULES for name in callers(path.read_text(), "orthonormalize"))
+    assert found == ["_canonical_bases", "courant_fischer_check", "random_rotation"]

@@ -32,6 +32,24 @@ def test_edges_listed_once_in_file_order(c4):
     assert c4.edges() == (("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v0", "v3"))
 
 
+def test_graph_refuses_an_empty_vertex_list():
+    # on a vertex-less graph these five calls raised a bare IndexError or
+    # ZeroDivisionError; the graph itself is now refused with the loader's error
+    calls = [
+        lambda g: gc.weighted_median(g, gc.VertexFunction(g, {})),
+        lambda g: gc.cheeger_functional(g, gc.VertexFunction(g, {})),
+        lambda g: gc.run_identity_suite(g, 1, 1),
+        lambda g: gc.canonical_window(g),
+        lambda g: gc.spectral_heat_solve(gc.OperatorSpec(g, "none"), gc.VertexFunction(g, {}), [0.0]),
+    ]
+    for call in calls:
+        with pytest.raises(gc.GraphParseError, match="^a graph needs at least one vertex$"):
+            call(gc.Graph([], []))
+    # the loader keeps its own message
+    with pytest.raises(gc.GraphParseError, match="^'vertices' must be a nonempty list"):
+        gc.parse_graph('{"vertices": [], "edges": []}')
+
+
 def test_pair_arrays_follow_neighbor_order_and_are_built_lazily():
     for make in list(FIXTURES.values()) + [lambda: gc.Graph(["a", "b", "z"], [("a", "b")])]:
         g = make()

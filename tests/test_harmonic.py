@@ -302,6 +302,8 @@ def test_rotation_equivariance():
     ru = gc.rotate_map(u, rot)
     assert gc.map_energy(ru, g) == pytest.approx(gc.map_energy(u, g), abs=1e-12)
     for x in g.vertices:
+        # rotate_map's elementwise products give rot @ p up to rounding
+        assert np.max(np.abs(ru.point(x).array - rot @ u.point(x).array)) <= 1e-15
         want = rot @ gc.first_variation(u, x)
         got = gc.first_variation(ru, x)
         assert np.allclose(got, want, atol=1e-12)
@@ -312,6 +314,14 @@ def test_random_rotation_is_proper():
         rot = gc.random_rotation(gc.Lcg64(seed))
         assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+        # it is LAPACK's QR of the same normals with R's diagonal made
+        # positive and the first column flipped to a determinant of +1
+        rng = gc.Lcg64(seed)
+        q, r = np.linalg.qr(np.array([[rng.normal() for _ in range(3)] for _ in range(3)]))
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        assert np.max(np.abs(rot - q)) <= 1e-15, seed
     a = gc.random_rotation(gc.Lcg64(5))
     b = gc.random_rotation(gc.Lcg64(5))
     assert np.array_equal(a, b)

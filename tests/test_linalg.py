@@ -143,8 +143,9 @@ def _planted_clusters(seed):
         sizes[i], sizes[j] = sizes[j], sizes[i]
     vals = np.repeat([rng.normal() + 3.0 * t for t in range(len(sizes))], sizes)
     n = len(vals)
-    Q, _ = linalg.qr(np.array([[rng.normal() for _ in range(n)] for _ in range(n)]))
-    M = (Q * vals) @ Q.T
+    Q = np.array([[rng.normal() for _ in range(n)] for _ in range(n)])
+    linalg.orthonormalize(Q[None])
+    M = (Q.T * vals) @ Q
     return (M + M.T) / 2
 
 
@@ -295,29 +296,27 @@ def test_cholesky_solve_matches_lapack():
         linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_qr_and_projection_match_lapack():
+def test_orthonormalize_matches_lapack_qr():
     rng = gc.Lcg64(47)
-    M = gc.symmetric_matrix(gc.OperatorSpec(grid_graph(6), "none"))
     for n, j in ((1, 1), (5, 2), (36, 3), (36, 36)):
         B = np.array([[rng.normal() for _ in range(j)] for _ in range(n)])
-        Q, R = linalg.qr(B)
+        Q = B.T.copy()  # one row per column of B
+        norms = linalg.orthonormalize(Q[None])[0]
         Q_ref, R_ref = np.linalg.qr(B)
-        assert Q.shape == (n, j) and np.array_equal(R, np.triu(R))
-        assert np.allclose(np.abs(np.diag(R)), np.abs(np.diag(R_ref)), rtol=0, atol=1e-12)
-        assert np.max(np.abs(Q @ R - B)) <= 1e-12
-        assert np.max(np.abs(Q.T @ Q - np.eye(j))) <= 1e-12
-        assert np.max(np.abs(Q @ Q.T - Q_ref @ Q_ref.T)) <= 1e-12  # the same span
-        if n == 36:
-            assert np.max(np.abs(linalg.project(M, Q) - Q.T @ M @ Q)) <= 1e-12
-    # a column in the span of the ones before it leaves a diagonal entry at
-    # roundoff, which the Courant-Fischer sampler's 1e-8 rank test skips
+        assert np.allclose(norms, np.abs(np.diag(R_ref)), rtol=0, atol=1e-12)
+        assert np.max(np.abs(Q @ Q.T - np.eye(j))) <= 1e-12
+        assert np.max(np.abs(Q.T @ Q - Q_ref @ Q_ref.T)) <= 1e-12  # the same span
+    # a row in the span of the rows before it leaves a norm at roundoff,
+    # which the Courant-Fischer sampler's 1e-8 rank test skips
     B = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 3.0], [2.0, 4.0, -1.0]])
-    _, R = linalg.qr(B)
-    assert abs(R[1, 1]) < 1e-8 < min(abs(R[0, 0]), abs(R[2, 2]))
-    _, R = linalg.qr(np.zeros((3, 2)))
-    assert np.array_equal(R, np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="rows"):
-        linalg.qr(np.zeros((2, 3)))
+    norms = linalg.orthonormalize(B.T.copy()[None])[0]
+    assert norms[1] < 1e-8 < min(norms[0], norms[2])
+    # rows that are exactly zero stay zero, with no numpy warning
+    Z = np.zeros((2, 2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = linalg.orthonormalize(Z)
+    assert not Z.any() and not norms.any()
 
 
 def _dotted(node):
@@ -371,14 +370,14 @@ CPU_DISPATCHED = {"np.exp", "np.log", "np.arccos", "np.arcsin", "np.arctan", "np
 def test_no_blas_in_linalg_and_no_lapack_solvers_elsewhere():
     uses = _numpy_uses(SRC / "linalg.py")
     assert not {n for n in uses if n == "@" or n.startswith("np.linalg")}
-    banned = {"np.linalg.eigh", "np.linalg.eigvalsh", "np.linalg.solve"}
+    banned = {"np.linalg.eigh", "np.linalg.eigvalsh", "np.linalg.solve", "np.linalg.qr", "np.linalg.det"}
     for path in sorted(SRC.glob("*.py")):
         if path.name != "linalg.py":
             assert not _numpy_uses(path) & banned, path.name
     # the eigensolve, the operator and its audits, and the flows: the
-    # Courant-Fischer subspaces use linalg.qr and linalg.project, evolution
-    # multiplies no matrices, and the one @ in spectral builds the dense
-    # heat kernel matrix
+    # Courant-Fischer subspaces use linalg.orthonormalize and the operator's
+    # own rows, evolution multiplies no matrices, and the one @ in spectral
+    # builds the dense heat kernel matrix
     for name in ("linalg.py", "spectral.py", "evolution.py"):
         uses = _numpy_uses(SRC / name)
         assert not uses & BLAS_CALLS, (name, sorted(uses & BLAS_CALLS))
