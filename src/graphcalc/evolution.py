@@ -265,21 +265,19 @@ def transport_solve(
     rates_at = lambda t: pairs.rates(field(t) if callable(field) else field)
 
     vec = gather(f0, g.vertices)
-    times = [0.0]
+    times = (0.0, *(k * dt for k in range(1, n_steps + 1)))
     vecs = [vec]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for k in range(n_steps):
-            t = k * dt
+        for t in times[:-1]:
             r1, r2, r4 = rates_at(t), rates_at(t + dt / 2), rates_at(t + dt)
             k1 = pairs.rhs(r1, vec)
             k2 = pairs.rhs(r2, vec + dt / 2 * k1)
             k3 = pairs.rhs(r2, vec + dt / 2 * k2)
             k4 = pairs.rhs(r4, vec + dt * k3)
             vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            times.append((k + 1) * dt)
             vecs.append(vec)
     states = require_finite(np.array(vecs), "transport", g.vertices, times)
-    return Trajectory(tuple(times), tuple(scatter_rows(g, g.vertices, states)), "rk4")
+    return Trajectory(times, tuple(scatter_rows(g, g.vertices, states)), "rk4")
 
 
 def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[float, float]:
@@ -573,10 +571,10 @@ def dmf_convergence_study(
         steps = tuple(t_final / n for n in ns[:-1])
         mode = "self"
     pairs = [(s, e) for s, e in zip(steps, errors) if e > 0]
-    if len(pairs) >= 2:
-        xs = np.log([p[0] for p in pairs])
-        ys = np.log([p[1] for p in pairs])
-        order = float(np.polyfit(xs, ys, 1)[0])
+    if len(pairs) >= 2:  # the least-squares slope of log error against log step
+        xs, ys = ([math.log(v) for v in col] for col in zip(*pairs))
+        mx = math.fsum(xs) / len(xs)
+        order = math.fsum((x - mx) * y for x, y in zip(xs, ys)) / math.fsum((x - mx) ** 2 for x in xs)
     else:
         order = math.inf
     return ConvergenceReport(mode, ns, steps, errors, order)

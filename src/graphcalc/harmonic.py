@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import AntipodalPointsError, DomainError, ValidationError
+from .errors import AntipodalPointsError, DomainError, ValidationError, require_finite
 from .graph import Graph, Region, SubgraphWindow, column_sums
 from .linalg import orthonormalize
 from .rng import Lcg64
@@ -85,16 +85,17 @@ def sphere_log(p: SpherePoint, q: SpherePoint) -> np.ndarray:
             f"points {p.xyz} and {q.xyz} are antipodal within tolerance"
         )
     pa, qa = p.array, q.array
-    v = qa - float(np.dot(pa, qa)) * pa
-    return (theta / float(np.linalg.norm(v))) * v
+    v = qa - _row_dots(pa, qa) * pa
+    return (theta / math.sqrt(_row_dots(v, v))) * v
 
 
 def sphere_exp(p: SpherePoint, v) -> SpherePoint:
-    """Geodesic from p with initial velocity v (projected to the tangent)."""
-    pa = p.array
-    va = np.asarray(v, dtype=float)
-    va = va - float(np.dot(va, pa)) * pa
-    n = float(np.linalg.norm(va))
+    """Geodesic from p with initial velocity v (projected to the tangent); a projected
+    v whose squared length is not finite is a NumericalError."""
+    pa, va = p.array, np.asarray(v, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by require_finite
+        va = va - _row_dots(va, pa) * pa
+        n = require_finite(math.sqrt(_row_dots(va, va)), "sphere exp", "the tangent length")
     if n < 1e-15:
         return p
     return SpherePoint.from_array(math.cos(n) * pa + math.sin(n) * (va / n))
@@ -210,8 +211,8 @@ class FlowResult:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (r, 3) arrays, summed left to right."""
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    """Dot products over the last axis (rows of (r, 3) arrays, or 3-vectors), summed left to right."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def _pair_geometry(pts: np.ndarray, src: np.ndarray, dst: np.ndarray, back: np.ndarray):
@@ -243,7 +244,7 @@ def harmonic_heat_flow(
     Each step evaluates first_variation, sphere_exp and map_energy on the
     closure as an array, interior rows first, with no BLAS reduction.
     """
-    if tau <= 0 or tol <= 0 or max_steps < 1:
+    if not (0 < tau < math.inf and 0 < tol < math.inf) or max_steps < 1:
         raise ValidationError("tau, tol and max_steps must be positive")
     if not u0.defined_on(w.closure):
         raise ValidationError("initial map must be defined on the window closure")
@@ -414,9 +415,9 @@ def ambient_tension_report(
     div /= d
     corr /= d
     combined = -div - 0.5 * corr
-    projected = combined - float(np.dot(combined, p)) * p
+    projected = combined - _row_dots(combined, p) * p
     fv = first_variation(u, x, region)
-    residual = float(np.linalg.norm(projected + 0.5 * fv))
+    gap = projected + 0.5 * fv
     return AmbientTensionReport(
         vertex=x,
         divergence=tuple(map(float, div)),
@@ -424,7 +425,7 @@ def ambient_tension_report(
         combined=tuple(map(float, combined)),
         projected=tuple(map(float, projected)),
         first_variation=tuple(map(float, fv)),
-        residual=residual,
+        residual=math.sqrt(_row_dots(gap, gap)),
     )
 
 

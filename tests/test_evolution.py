@@ -759,6 +759,19 @@ def test_dmf_convergence_errors_are_the_pointwise_gaps(k, static):
     assert rep.errors == tuple(max(_pointwise_gap(w, u, v) for u, v in ps) for ps in pairs)
 
 
+@pytest.mark.parametrize("static", [True, False], ids=["static", "time-dependent"])
+def test_dmf_convergence_fitted_order_is_the_least_squares_slope(static):
+    # LAPACK's least-squares fit is the oracle for the closed-form slope
+    g = grid_graph(6)
+    w = gc.build_window(g, grid_interior(6))
+    phi = gc.VertexFunction(g, {x: 1.0 + 0.1 * i for i, x in enumerate(w.interior)})
+    potential = 0.25 if static else (lambda t: 0.25 * math.cos(t))
+    rep = gc.dmf_convergence_study(phi, potential, 0.5, (4, 8, 16, 32), w)
+    assert len(rep.errors) >= 3 and min(rep.errors) > 0
+    want = np.polyfit(np.log(rep.steps), np.log(rep.errors), 1)[0]
+    assert rep.fitted_order == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_dmf_convergence_self_mode(p5):
     w = gc.build_window(p5, ["b", "c", "d"])
     phi = gc.VertexFunction(p5, {"b": 1.0, "c": 0.5, "d": 0.25})

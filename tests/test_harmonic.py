@@ -91,6 +91,17 @@ def test_log_exp_edge_cases():
     assert gc.sphere_exp(EX, v + 2.0 * EX.array) == gc.sphere_exp(EX, v)
 
 
+def test_sphere_exp_past_the_float_range_is_numerical_error():
+    # the projected [1e150, 0, 0] has a finite squared length; [1e200, 0, 0]'s is inf
+    p = gc.SpherePoint(1.0, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert isinstance(gc.sphere_exp(p, [1e150, 0.0, 0.0]), gc.SpherePoint)
+        for v in ([1e200, 0.0, 0.0], [1.5e308, 0.0, 0.0], [math.nan, 0.0, 0.0]):
+            with pytest.raises(gc.NumericalError, match="sphere exp overflowed"):
+                gc.sphere_exp(p, v)
+
+
 def test_sphere_map_api(p3):
     u = gc.SphereMap(p3, {"b": EZ, "a": EX})
     assert u.domain == ("a", "b")  # file order, not insertion order
@@ -265,6 +276,18 @@ def test_flow_validation(p3):
     # its first variation is zero, as in the pointwise sum
     res = gc.harmonic_heat_flow(u0, gc.SubgraphWindow(p3, ("b",), ()))
     assert res.status == "converged" and res.residual == 0.0
+
+
+@pytest.mark.parametrize("name", ["tau", "tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_flow_refuses_non_finite_tau_and_tol(p3, name, value):
+    # a nan tau would accept every step without moving, up to the step cap
+    w = gc.build_window(p3, ["b"])
+    u0 = gc.SphereMap(p3, {"a": EX, "b": EZ, "c": EY})
+    with pytest.raises(gc.ValidationError, match="must be positive"):
+        gc.harmonic_heat_flow(u0, w, max_steps=500, **{name: value})
+    with pytest.raises(gc.ValidationError, match="must be positive"):
+        gc.dirichlet_minimize(gc.SphereMap(p3, {"a": EX, "c": EY}), w, max_steps=500, **{name: value})
 
 
 def test_dirichlet_minimize_p3(p3):

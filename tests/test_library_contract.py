@@ -2,16 +2,19 @@
 returns only finite numbers or raises a GraphCalcError, and no numpy warning
 escapes (warnings are errors here).
 
-Graphs have at most 9 vertices, and every value, potential and time is drawn
-from the float range's edges (+-1e308, +-1e200, 1e160, +-5e-324, 0) and a few
-ordinary values.  The pointwise functions (laplacian, gradient_norm_sq,
-dirichlet_energy, integrate, hessian) stay outside the contract.
+Graphs have at most 9 vertices, and every value, potential, time, sphere
+point coordinate and tangent entry is drawn from the float range's edges
+(+-1e308, +-1e200, 1e160, +-5e-324, 0) and a few ordinary values.  The
+pointwise functions (laplacian, gradient_norm_sq, dirichlet_energy, integrate,
+hessian) stay outside the contract, and so does dmf_convergence_study, whose
+fitted_order is inf by design when fewer than two of its errors are positive.
 """
 
 import dataclasses
 import math
 import warnings
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,14 +26,19 @@ VALUE = st.sampled_from(VALUES)
 
 
 def _finite(result) -> bool:
-    """Every number in a result: floats, tuples, vertex functions and report dataclasses."""
+    """Every number in a result: floats, arrays, tuples, vertex functions,
+    sphere points and report dataclasses (whose vertex names are skipped)."""
     if isinstance(result, gc.VertexFunction):
         return all(map(math.isfinite, result.values.values()))
+    if isinstance(result, gc.SpherePoint):
+        return _finite(result.xyz)
+    if isinstance(result, np.ndarray):
+        return bool(np.isfinite(result).all())
     if dataclasses.is_dataclass(result):
         return _finite(dataclasses.astuple(result))
     if isinstance(result, (tuple, list)):
         return all(map(_finite, result))
-    return result is None or math.isfinite(result)
+    return result is None or isinstance(result, str) or math.isfinite(result)
 
 
 def _function(draw, g, zero=()):
@@ -65,9 +73,15 @@ def _calls(draw, g):
     field = gc.VectorField(g, {p: draw(VALUE) for x, y in g.edges() for p in ((x, y), (y, x))})
     t = draw(VALUE)
     x, y = draw(st.sampled_from(g.vertices)), draw(st.sampled_from(g.vertices))
+    coords = {v: (draw(VALUE), draw(VALUE), draw(VALUE)) for v in g.vertices}
+    tangent = [draw(VALUE) for _ in range(3)]
 
     def kernel():
         return gc.HeatKernel(gc.eigensystem(spec))
+
+    def sphere_map():
+        # inside the call: a point SpherePoint refuses is a ValidationError
+        return gc.SphereMap(g, {v: gc.SpherePoint(*c) for v, c in coords.items()})
 
     return [
         ("apply_operator", lambda: gc.apply_operator(spec, f)),
@@ -80,6 +94,12 @@ def _calls(draw, g):
         ("cheeger_functional", lambda: gc.cheeger_functional(g, f)),
         ("HeatKernel.value", lambda: kernel().value(t, x, y)),
         ("HeatKernel.apply", lambda: kernel().apply(t, f)),
+        ("sphere_log", lambda: gc.sphere_log(sphere_map().point(x), sphere_map().point(y))),
+        ("sphere_exp", lambda: gc.sphere_exp(sphere_map().point(x), tangent)),
+        ("first_variation", lambda: gc.first_variation(sphere_map(), x, region)),
+        ("energy_density", lambda: gc.energy_density(sphere_map(), x, region)),
+        ("map_energy", lambda: gc.map_energy(sphere_map(), region)),
+        ("ambient_tension_report", lambda: gc.ambient_tension_report(sphere_map(), x, region)),
     ]
 
 
@@ -101,3 +121,5 @@ def test_checker_finds_a_value_that_is_not_finite():
     assert _finite((1.0, gc.VertexFunction(p3, {"a": 1.0}), None))
     assert not _finite((1.0, (2.0, math.nan)))
     assert not _finite(math.inf)
+    assert _finite((gc.SpherePoint(1.0, 0.0, 0.0), np.zeros(3), "b"))
+    assert not _finite(np.array([0.0, math.nan]))
