@@ -415,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--interior", required=True)
     sp.add_argument("--boundary", required=True, help="boundary sphere map CSV")
-    sp.add_argument("--tau", type=_finite_float, default=0.5)
+    sp.add_argument(
+        "--tau", type=_finite_float, default=0.5, help="first step; later steps are Barzilai-Borwein"
+    )
     sp.add_argument("--tol", type=_finite_float, default=1e-8)
     sp.add_argument("--max-steps", type=int, default=20000, dest="max_steps")
     sp.set_defaults(func=cmd_harmonic)

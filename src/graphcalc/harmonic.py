@@ -228,21 +228,36 @@ def _pair_energy(theta: np.ndarray) -> float:
     return 0.5 * float(np.sum(theta * theta))
 
 
-def harmonic_heat_flow(
-    u0: SphereMap,
-    w: SubgraphWindow,
-    tau: float = 0.5,
-    tol: float = 1e-10,
-    max_steps: int = 10000,
+def _fixed_step(tau: float, s: np.ndarray, y: np.ndarray) -> float:
+    """The flow's step rule: tau as given, halved only by rejections."""
+    return tau
+
+
+def _bb_step(tau: float, s: np.ndarray, y: np.ndarray) -> float:
+    """Barzilai-Borwein's first step <s, s> / <s, y> for the change s in the
+    interior points and y in the first variation, clipped to [1e-3, 1e3];
+    tau stays where <s, y> is not positive and finite.  The dots are summed
+    as _pair_energy sums, so no BLAS reduction enters."""
+    sy = float(np.sum(_row_dots(s, y)))
+    if not 0.0 < sy < math.inf:
+        return tau
+    return min(max(float(np.sum(_row_dots(s, s))) / sy, 1e-3), 1e3)
+
+
+def _descend(
+    u0: SphereMap, w: SubgraphWindow, tau: float, tol: float, max_steps: int, rule
 ) -> FlowResult:
-    """Descend the window energy by u <- exp_u(-tau * first_variation).
+    """Projected gradient descent on the window energy, u <- exp_u(-tau * first_variation).
 
     All interior vertices move simultaneously; boundary values stay frozen.
-    A step that raises the energy is rejected and tau halves.  tau below
-    1e-14 means the flow cannot make progress and the result says so.
+    After each accepted step, rule(tau, s, y) picks the next tau from the
+    change s in the interior points and y in the first variation.  A step
+    that raises the energy is rejected and tau halves; tau below 1e-14
+    means the descent cannot make progress and the result says so.
 
     Each step evaluates first_variation, sphere_exp and map_energy on the
-    closure as an array, interior rows first, with no BLAS reduction.
+    closure as an array, interior rows first, with no BLAS reduction.  The
+    first variation is taken again only after an accepted step.
     """
     if not (0 < tau < math.inf and 0 < tol < math.inf) or max_steps < 1:
         raise ValidationError("tau, tol and max_steps must be positive")
@@ -262,21 +277,25 @@ def harmonic_heat_flow(
     history: list[tuple[int, float, float, float]] = []
     status = "step_cap"
     residual = math.inf
+    fresh, last = True, None  # last: interior points and first variation before the last accepted step
     for step in range(1, max_steps + 1):
-        far = theta > math.pi - ANTIPODAL_MARGIN
-        if far.any():
-            i = int(far.argmax())  # the first such pair
-            raise _antipodal_edge(closure[src[i]], closure[dst[i]])
-        # log maps along the pairs leaving the interior, as in sphere_log
-        p, t = pts[src[:inner]], theta[:inner]
-        v = pts[dst[:inner]] - dots[:inner, None] * p
-        vn = np.sqrt(_row_dots(v, v))
-        ratio = np.divide(t, vn, out=np.zeros_like(t), where=(t >= 1e-15) & (vn > 0.0))
-        fv = -lay.sums(ratio[:, None] * v) / deg
-        residual = float(np.sqrt(_row_dots(fv, fv)).max(initial=0.0))
-        if residual <= tol:
-            status = "converged"
-            break
+        if fresh:
+            far = theta > math.pi - ANTIPODAL_MARGIN
+            if far.any():
+                i = int(far.argmax())  # the first such pair
+                raise _antipodal_edge(closure[src[i]], closure[dst[i]])
+            # log maps along the pairs leaving the interior, as in sphere_log
+            p, t = pts[src[:inner]], theta[:inner]
+            v = pts[dst[:inner]] - dots[:inner, None] * p
+            vn = np.sqrt(_row_dots(v, v))
+            ratio = np.divide(t, vn, out=np.zeros_like(t), where=(t >= 1e-15) & (vn > 0.0))
+            fv = -lay.sums(ratio[:, None] * v) / deg
+            residual = float(np.sqrt(_row_dots(fv, fv)).max(initial=0.0))
+            if residual <= tol:
+                status = "converged"
+                break
+            if last is not None:
+                tau = rule(tau, pts[:k] - last[0], fv - last[1])
         # sphere_exp of every interior row, then SpherePoint's normalization;
         # a step past the float range makes a nan trial, which is rejected
         with np.errstate(over="ignore", invalid="ignore"):
@@ -288,7 +307,9 @@ def harmonic_heat_flow(
         trial = np.concatenate([np.where(move, ahead, base), pts[k:]])
         trial_dots, trial_theta = _pair_geometry(trial, *pairs)
         e_trial = _pair_energy(trial_theta)
-        if e_trial <= energy + 1e-15 * max(1.0, energy):
+        fresh = e_trial <= energy + 1e-15 * max(1.0, energy)
+        if fresh:
+            last = (base, fv)
             pts, dots, theta = trial, trial_dots, trial_theta
             energy = e_trial
             accepted += 1
@@ -311,6 +332,18 @@ def harmonic_heat_flow(
         tau_final=tau,
         history=tuple(history[-50:]),
     )
+
+
+def harmonic_heat_flow(
+    u0: SphereMap,
+    w: SubgraphWindow,
+    tau: float = 0.5,
+    tol: float = 1e-10,
+    max_steps: int = 10000,
+) -> FlowResult:
+    """The paper's flow: descend the window energy by u <- exp_u(-tau * first_variation)
+    at a fixed tau, which only a rejected step halves (see _descend)."""
+    return _descend(u0, w, tau, tol, max_steps, _fixed_step)
 
 
 def _normalized_rows(sums: np.ndarray) -> np.ndarray:
@@ -358,17 +391,20 @@ def dirichlet_minimize(
     tol: float = 1e-8,
     max_steps: int = 20000,
 ) -> MinimizeResult:
-    """Harmonic extension of boundary data by seeded gradient flow.
+    """Harmonic extension of boundary data by seeded gradient descent.
 
     The interior seed is the normalized mean of the boundary points refined
     by SEED_SWEEPS normalized neighbor-averaging sweeps; zero sums
     fall back to a fixed point so seeding is total and deterministic.
+    The descent's first step takes tau; later steps are Barzilai-Borwein
+    (see _bb_step) under the flow's monotone-energy acceptance, so every
+    accepted step still lowers the energy.
     """
     if not boundary_map.defined_on(w.boundary):
         raise ValidationError("boundary data must cover the window boundary")
     u = _seed_map(boundary_map, w)
     seed_energy = map_energy(u, w)
-    flow = harmonic_heat_flow(u, w, tau=tau, tol=tol, max_steps=max_steps)
+    flow = _descend(u, w, tau, tol, max_steps, _bb_step)
     ok = flow.final_energy <= seed_energy + 1e-12 * max(1.0, seed_energy)
     return MinimizeResult(flow=flow, seed_energy=seed_energy, certificate_ok=ok)
 
@@ -433,7 +469,7 @@ def random_rotation(rng: Lcg64) -> np.ndarray:
     """Deterministic proper rotation from the package RNG: the columns of a
     matrix of normals orthonormalized in order (the Q of a QR with a positive
     R diagonal), the first one flipped when the triple product is negative."""
-    q = np.array([[rng.normal() for _ in range(3)] for _ in range(3)]).T.copy()
+    q = np.array(rng.normals(9)).reshape(3, 3).T.copy()
     orthonormalize(q[None])
     if (np.cross(q[0], q[1]) * q[2]).sum() < 0.0:
         q[0] = -q[0]

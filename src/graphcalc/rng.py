@@ -12,6 +12,8 @@ Doubles are produced from the top 53 bits of the state, uniform in [0, 1).
 
 import math
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -54,3 +56,28 @@ class Lcg64:
             u1 = self.uniform()
             u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def normals(self, k: int) -> list[float]:
+        """k draws of normal(), bit for bit, leaving the same state.
+
+        The 2k states come as one uint64 array, filled by jumps that double
+        (s[i + m] = A_m s[i] + C_m mod 2^64, with A_m and C_m the map of m
+        steps); Box-Muller stays on math.  A first uniform of zero (the only
+        uniform at most 1e-300, which normal() redraws) sends the whole batch
+        through normal()."""
+        if k < 1:
+            return []
+        states = np.empty(2 * k, dtype=np.uint64)
+        states[0] = (LCG_MULT * self.state + LCG_INC) & MASK64
+        a, c, m = LCG_MULT, LCG_INC, 1
+        while m < 2 * k:
+            n = min(m, 2 * k - m)
+            states[m : m + n] = states[:n] * np.uint64(a) + np.uint64(c)  # wraps mod 2^64
+            a, c, m = (a * a) & MASK64, (a * c + c) & MASK64, 2 * m
+        u = (states >> np.uint64(11)).astype(float) / float(1 << 53)
+        first, second = u[0::2].tolist(), u[1::2].tolist()
+        if 0.0 in first:
+            return [self.normal() for _ in range(k)]
+        self.state = int(states[-1])
+        two_pi = 2.0 * math.pi  # normal() multiplies 2.0 * pi first, too
+        return [math.sqrt(-2.0 * math.log(u1)) * math.cos(two_pi * u2) for u1, u2 in zip(first, second)]

@@ -328,7 +328,7 @@ def courant_fischer_check(
     lay = spec.region.layout
     worst = math.inf
     for _ in range(subspaces):
-        Q = np.array([[rng.normal() for _ in range(j)] for _ in range(k)]).T.copy()
+        Q = np.array(rng.normals(k * j)).reshape(k, j).T.copy()
         if orthonormalize(Q[None]).min() < 1e-8:
             continue
         Y = Q.T / np.sqrt(lay.deg[:k])[:, None]  # Q is in symmetric_matrix's coordinates

@@ -27,7 +27,10 @@
   the boundary that build_window stores;
 - linalg.orthonormalize is the one orthonormalization: linalg defines no
   qr or project, and the canonical bases, the Courant-Fischer subspaces
-  and random_rotation all call it.
+  and random_rotation all call it;
+- harmonic._descend is the one descent loop: no other loop evaluates a
+  window energy, and harmonic_heat_flow (fixed steps) and
+  dirichlet_minimize (Barzilai-Borwein steps) both call it.
 """
 
 import ast
@@ -415,3 +418,37 @@ def test_one_orthonormalization():
     assert "orthonormalize" in defined and not {"qr", "project"} & set(defined)
     found = sorted(name for path in MODULES for name in callers(path.read_text(), "orthonormalize"))
     assert found == ["_canonical_bases", "courant_fischer_check", "random_rotation"]
+
+
+def descent_loops(source: str) -> list[str]:
+    """Names of the functions with a loop that evaluates a window energy
+    (_pair_energy or map_energy), each once, sorted."""
+    return sorted({
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        for loop in ast.walk(fn)
+        if isinstance(loop, (ast.For, ast.While))
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and _called_name(node) in ("_pair_energy", "map_energy")
+    })
+
+
+def test_descent_loop_checker_finds_each_copy():
+    source = (
+        "def _descend(pts):\n"
+        "    for step in range(9):\n"
+        "        e = _pair_energy(pts)\n"
+        "def minimize(u, w):\n"
+        "    while harmonic.map_energy(u, w) > 1:\n"
+        "        u = _descend(u)\n"
+        "def energy(u):\n"
+        "    return _pair_energy(u)\n"
+    )
+    assert descent_loops(source) == ["_descend", "minimize"]
+    assert callers(source, "_descend") == ["minimize"]
+
+
+def test_one_descent_loop():
+    assert [name for path in MODULES for name in descent_loops(path.read_text())] == ["_descend"]
+    assert callers((SRC / "harmonic.py").read_text(), "_descend") == ["dirichlet_minimize", "harmonic_heat_flow"]

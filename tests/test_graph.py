@@ -286,6 +286,28 @@ def test_randint_refuses_an_empty_range():
             gc.Lcg64(1).randint(n)
 
 
+def test_normals_equal_repeated_normal_bit_for_bit():
+    def previous(state, steps):
+        inverse = pow(gc.rng.LCG_MULT, -1, 1 << 64)
+        for _ in range(steps):
+            state = (state - gc.rng.LCG_INC) * inverse & gc.rng.MASK64
+        return state
+
+    # the last two seeds reach a state below 2^11, so a first uniform of
+    # zero: normal() redraws at the first and at the fourth normal
+    seeds = [0, 1, 7, 2024, (1 << 64) - 1, previous(5, 1), previous(5, 7)]
+    for seed in seeds:
+        for k in (0, 1, 2, 3, 9, 108, 1000):
+            one, batch = gc.Lcg64(seed), gc.Lcg64(seed)
+            want = [one.normal().hex() for _ in range(k)]
+            assert [x.hex() for x in batch.normals(k)] == want, (seed, k)
+            assert batch.state == one.state, (seed, k)
+    # the redraw is taken: four normals from previous(5, 7) use ten states
+    batch, five = gc.Lcg64(previous(5, 7)), gc.Lcg64(5)
+    batch.normals(4)
+    assert batch.state == [five.next_u64() for _ in range(3)][-1]
+
+
 def test_monge_unreachable_pair():
     g = gc.Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     with pytest.raises(gc.ValidationError):

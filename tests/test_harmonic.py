@@ -494,6 +494,51 @@ def test_flow_first_step_property(case):
     _assert_first_step_matches_pointwise(u0, w, tau)
 
 
+def _assert_accepted_energies_fall(flow):
+    energies = [flow.initial_energy] + [h[2] for h in flow.history]
+    for a, b in zip(energies, energies[1:]):
+        assert b <= a + 1e-15 * max(1.0, a)  # the acceptance rule's slack
+
+
+def twisted_circle(k):
+    """The k x k grid window with a twisted circle on its boundary."""
+    w = gc.build_window(grid_graph(k), grid_interior(k))
+    points = {}
+    for v in w.boundary:
+        i, j = (int(t) for t in v[1:].split("c"))
+        th = math.atan2(i - (k - 1) / 2, j - (k - 1) / 2)
+        points[v] = gc.SpherePoint(math.cos(th), math.sin(th), 0.3 + 0.5 * math.sin(2 * th))
+    return gc.SphereMap(w.graph, points), w
+
+
+def test_minimizer_steps_on_the_twisted_circle():
+    # the fixed-tau flow from the same seed takes 178 accepted steps here
+    boundary_map, w = twisted_circle(10)
+    flow = gc.dirichlet_minimize(boundary_map, w, tol=1e-6).flow
+    assert flow.status == "converged" and flow.residual <= 1e-6
+    assert flow.steps_accepted + flow.steps_rejected <= 60
+    assert len(flow.history) == flow.steps_accepted
+    _assert_accepted_energies_fall(flow)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(windowed_maps())
+def test_minimizer_reaches_the_fixed_step_minimum_property(case):
+    # Barzilai-Borwein steps end where the fixed-tau flow from the same seed
+    # ends, wherever that flow converges
+    boundary_map, w, tau = case
+    seed = gc.harmonic._seed_map(boundary_map, w)
+    try:
+        fixed = gc.harmonic_heat_flow(seed, w, tau=tau, tol=1e-8, max_steps=20000)
+    except gc.AntipodalPointsError:
+        return
+    assume(fixed.status == "converged")
+    flow = gc.dirichlet_minimize(boundary_map, w, tau=tau, tol=1e-8).flow
+    assert flow.status == "converged" and flow.residual <= 1e-8
+    assert abs(flow.final_energy - fixed.final_energy) <= 1e-10 * max(1.0, fixed.final_energy)
+    _assert_accepted_energies_fall(flow)
+
+
 def _assert_seed_matches_pointwise(boundary_map, w):
     got = gc.harmonic._seed_map(boundary_map, w)
     want = pointwise_seed_map(boundary_map, w)
