@@ -12,6 +12,7 @@ print a one-object JSON diagnostic to standard output.
 """
 
 import argparse
+import codecs
 import functools
 import hashlib
 import json
@@ -33,6 +34,7 @@ from .graph import Graph, build_window, monge_cost, volume
 from .harmonic import dirichlet_minimize
 from .io import (
     FIELD_MODES,
+    FLOAT,
     _parse_float,
     format_float,
     parse_graph,
@@ -48,37 +50,59 @@ from .spectral import BOUNDARY_CONDITIONS, OperatorSpec, eigensystem
 SCALE_ENV = "GRAPHCALC_SCALE"
 
 
-def _render_scalar(obj) -> str:
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return json.dumps(str(obj))
-        return format_float(obj)
-    return json.dumps(obj)
+def _finite_floats(values) -> bool:
+    """Whether every value is a finite builtin float: not a numpy scalar or a bool."""
+    return all([type(v) is float for v in values]) and all(map(math.isfinite, values))
 
 
-def render_json(obj, level: Optional[int] = 0) -> str:
-    """Deterministic JSON: insertion order, floats at .17g; one line when level is None."""
+def _render(obj, level: Optional[int], templates: dict) -> str:
+    """render_json of obj; templates maps (keys, level) to the %-template of
+    a dict of finite floats with those str keys, for one document."""
     deeper = None if level is None else level + 1
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         brackets = "{}"
-        items = [f"{_render_scalar(str(k))}: {render_json(v, deeper)}" for k, v in obj.items()]
+        if _finite_floats(obj.values()):
+            keys = tuple(obj)
+            template = templates.get((keys, level))
+            if template is None and all([type(k) is str for k in keys]):
+                fields = [json.dumps(k).replace("%", "%%") + ": " + FLOAT for k in keys]
+                template = templates[keys, level] = _join(brackets, level, fields)
+            if template is not None:
+                return template % tuple(obj.values())
+        items = [f"{json.dumps(str(k))}: {_render(v, deeper, templates)}" for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         brackets = "[]"
-        items = [render_json(v, deeper) for v in obj]
+        if _finite_floats(obj):
+            return _join(brackets, level, [FLOAT] * len(obj)) % tuple(obj)
+        items = [_render(v, deeper, templates) for v in obj]
+    elif isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    elif isinstance(obj, int):
+        return str(obj)
+    elif isinstance(obj, float):
+        return format_float(obj) if math.isfinite(obj) else json.dumps(str(obj))
     else:
-        return _render_scalar(obj)
+        return json.dumps(obj)
+    return _join(brackets, level, items)
+
+
+def _join(brackets: str, level: Optional[int], items: list[str]) -> str:
+    """A nonempty container of rendered items, on one line when level is None."""
     if level is None:
         return brackets[0] + ", ".join(items) + brackets[1]
     pad = "  " * level
     return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def render_json(obj, level: Optional[int] = 0) -> str:
+    """Deterministic JSON: insertion order, floats as format_float writes them;
+    one line when level is None.  Flat containers of finite floats fill
+    %-templates, with the same bytes."""
+    return _render(obj, level, {})
 
 
 def render_json_line(obj) -> str:
@@ -438,11 +462,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write text's UTF-8 bytes to out or to standard output, whatever the
+    locale; non-ASCII text is refused on a standard output that is not UTF-8."""
     if out is None:
+        encoding = getattr(sys.stdout, "encoding", None)  # None: a text stream
+        if encoding and not text.isascii() and codecs.lookup(encoding).name != "utf-8":
+            raise ValidationError(
+                f"standard output encodes {encoding!r}, which cannot carry the "
+                "document's UTF-8 bytes; write it with --out"
+            )
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        Path(out).write_bytes(text.encode("utf-8"))
     except OSError as e:
         raise ValidationError(f"cannot write output file {out!r}: {e}") from e
 

@@ -78,7 +78,7 @@ class NonpositiveSpectrumError(NumericalError):
         self.index = index
         self.value = value
         super().__init__(
-            f"eigenvalue {index} is {value:.17g} <= 0; operator is not invertible "
+            f"eigenvalue {index} is {float(value)!r} <= 0; operator is not invertible "
             "on the positive cone"
         )
 

@@ -19,9 +19,13 @@ from .harmonic import SphereMap, SpherePoint
 
 FIELD_MODES = ("exact", "antisymmetrize", "symmetrize")
 
+# The one float format, 17 significant digits: every finite float reads back
+# exactly.  format_float, the JSON templates and the CSV writers all use it.
+FLOAT = "%.17g"
+
 
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return FLOAT % float(x)
 
 
 def parse_graph(text: str) -> Graph:
@@ -157,14 +161,15 @@ def parse_sphere_map(text: str, g: Graph) -> SphereMap:
 
 def render_vertex_function_csv(f: VertexFunction) -> str:
     """vertex,value rows in f's domain order (file order)."""
-    return "vertex,value\n" + "".join([f"{x},{v:.17g}\n" for x, v in f.values.items()])
+    row = "%s," + FLOAT + "\n"
+    return "vertex,value\n" + "".join([row % item for item in f.values.items()])
 
 
 def render_trajectory_csv(times, states) -> str:
     """time,vertex,value rows, time-major, vertices in file order.
 
     Each state fills a %-template of its domain's rows, built once per
-    domain; %.17g formats a float as format_float does.
+    domain.
     """
     parts = ["time,vertex,value\n"]
     templates: dict[tuple[str, ...], str] = {}
@@ -172,7 +177,7 @@ def render_trajectory_csv(times, states) -> str:
         domain = tuple(u.values)  # in file order
         template = templates.get(domain)
         if template is None:
-            template = "".join(["%s," + x.replace("%", "%%") + ",%.17g\n" for x in domain])
+            template = "".join([f"%s,{x.replace('%', '%%')},{FLOAT}\n" for x in domain])
             templates[domain] = template
         args = [format_float(t)] * (2 * len(domain))
         args[1::2] = u.values.values()
@@ -182,5 +187,5 @@ def render_trajectory_csv(times, states) -> str:
 
 def render_sphere_map_csv(u: SphereMap) -> str:
     """vertex,x,y,z rows in u's domain order (file order)."""
-    rows = ["{},{:.17g},{:.17g},{:.17g}\n".format(x, *p.xyz) for x, p in u.points.items()]
-    return "vertex,x,y,z\n" + "".join(rows)
+    row = f"%s,{FLOAT},{FLOAT},{FLOAT}\n"
+    return "vertex,x,y,z\n" + "".join([row % (x, *p.xyz) for x, p in u.points.items()])

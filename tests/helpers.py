@@ -6,11 +6,12 @@ enumeration instead of heaps or bitmask chunking, numpy's LAPACK eigensolver
 instead of the package's QL solver, and the pointwise calculus API in place
 of the array kernels built on it.  The bulk paths keep their one-at-a-time
 forms here as bit-for-bit references: QL rotations applied as they are
-made, the heat expansion one time at a time, and the trajectory CSV one
-row at a time.
+made, the heat expansion one time at a time, the trajectory CSV one row at
+a time, and JSON documents one value at a time.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Optional
@@ -695,3 +696,33 @@ def per_row_render_trajectory_csv(times, states) -> str:
         head = gc.format_float(t)
         parts += [f"{head},{x},{v:.17g}\n" for x, v in u.values.items()]
     return "".join(parts)
+
+
+def per_value_render_json(obj, level: Optional[int] = 0) -> str:
+    """cli.render_json with one recursive call per value and every key
+    encoded where it is met."""
+    deeper = None if level is None else level + 1
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        brackets = "{}"
+        items = [f"{json.dumps(str(k))}: {per_value_render_json(v, deeper)}" for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        brackets = "[]"
+        items = [per_value_render_json(v, deeper) for v in obj]
+    elif isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    elif isinstance(obj, int):
+        return str(obj)
+    elif isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            return json.dumps(str(obj))
+        return format(float(obj), ".17g")
+    else:
+        return json.dumps(obj)
+    if level is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "  " * level
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"

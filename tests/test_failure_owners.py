@@ -30,7 +30,9 @@
   and random_rotation all call it;
 - harmonic._descend is the one descent loop: no other loop evaluates a
   window energy, and harmonic_heat_flow (fixed steps) and
-  dirichlet_minimize (Barzilai-Borwein steps) both call it.
+  dirichlet_minimize (Barzilai-Borwein steps) both call it;
+- io.FLOAT owns the float format: the .17g spec appears in one string of
+  src/, so format_float, the JSON templates and the CSV writers share it.
 """
 
 import ast
@@ -452,3 +454,29 @@ def test_descent_loop_checker_finds_each_copy():
 def test_one_descent_loop():
     assert [name for path in MODULES for name in descent_loops(path.read_text())] == ["_descend"]
     assert callers((SRC / "harmonic.py").read_text(), "_descend") == ["dirichlet_minimize", "harmonic_heat_flow"]
+
+
+def float_format_specs(source: str) -> list[int]:
+    """Lines of every string, f-string format spec included, that holds .17g."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value
+    )
+
+
+def test_float_format_checker_finds_each_copy():
+    source = (
+        'FLOAT = "%.17g"\n'
+        'a = f"{x},{v:.17g}"\n'
+        'b = format(x, ".17g")\n'
+        'c = "{:.17g},{:.16g}".format(x, y)\n'
+        'd = f"{x:.16g}" + FLOAT % x\n'
+    )
+    assert float_format_specs(source) == [1, 2, 3, 4]
+
+
+def test_one_float_format():
+    found = [path.name for path in MODULES for _ in float_format_specs(path.read_text())]
+    assert found == ["io.py"]
+    assert gc.io.FLOAT == "%.17g"

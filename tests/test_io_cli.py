@@ -18,7 +18,7 @@ import graphcalc as gc
 import graphcalc.cli as cli
 
 from conftest import make_c4, make_k2, make_octahedron, make_p3, make_p5
-from helpers import grid_calls, per_row_render_trajectory_csv
+from helpers import grid_calls, per_row_render_trajectory_csv, per_value_render_json
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -267,6 +267,64 @@ def test_render_json_layouts_are_pinned():
         '"x": 0.10000000000000001, "specials": ["nan", "inf", "-inf"], '
         '"nested": {"say \\"hi\\"": [1, [2.5, {}], {"k": -0}]}, "tuple": [1, 2]}'
     )
+    # flat float containers, which fill templates
+    flat = {"a": 0.5, "b": -0.0, "c": 1e308}
+    assert cli.render_json(flat) == '{\n  "a": 0.5,\n  "b": -0,\n  "c": 1e+308\n}'
+    assert cli.render_json(flat, 2) == '{\n      "a": 0.5,\n      "b": -0,\n      "c": 1e+308\n    }'
+    assert cli.render_json_line(flat) == '{"a": 0.5, "b": -0, "c": 1e+308}'
+    row = [0.25, 5e-324, -1.5]
+    assert cli.render_json(row) == '[\n  0.25,\n  4.9406564584124654e-324,\n  -1.5\n]'
+    assert cli.render_json(row, 2) == (
+        '[\n      0.25,\n      4.9406564584124654e-324,\n      -1.5\n    ]'
+    )
+    assert cli.render_json_line(row) == '[0.25, 4.9406564584124654e-324, -1.5]'
+    keys = {"100%": 0.1, "a\\b": 2.0, "%s": 3.0}
+    assert cli.render_json(keys) == '{\n  "100%": 0.10000000000000001,\n  "a\\\\b": 2,\n  "%s": 3\n}'
+    assert cli.render_json_line(keys) == '{"100%": 0.10000000000000001, "a\\\\b": 2, "%s": 3}'
+    shared = {"x": [{"a": 0.5}, {"a": 1.0}], "y": {"a": 0.5}}
+    assert cli.render_json_line(shared) == '{"x": [{"a": 0.5}, {"a": 1}], "y": {"a": 0.5}}'
+    # 1 == True, so keys that are not str get no template
+    assert cli.render_json_line({"a": {1: 0.5}, "b": {True: 0.5}}) == '{"a": {"1": 0.5}, "b": {"True": 0.5}}'
+
+
+# keys that need escaping in JSON or in a %-template, non-ASCII and digits
+_KEYS = st.text(st.sampled_from('ab%\\"\u00e9\u03bb7'), max_size=3) | st.integers(0, 20).map(str)
+_SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf])
+_FLOATS = _SPECIAL | st.floats()
+_FINITE = st.sampled_from([-0.0, 5e-324, 1e308]) | st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _FLOATS | _FLOATS.map(np.float64)
+)
+
+
+def _same_keys(keys):
+    """Dicts over one key list, float-only or not, so one template serves
+    several of them and a mixed dict of the same keys meets it."""
+    floats = st.fixed_dictionaries({k: _FINITE for k in keys})
+    mixed = st.fixed_dictionaries({k: _SCALARS for k in keys})
+    return st.lists(floats | mixed, min_size=2, max_size=4)
+
+
+_DOCS = st.recursive(
+    _SCALARS | st.lists(_KEYS, min_size=1, max_size=4, unique=True).flatmap(_same_keys)
+    | st.lists(_FINITE, max_size=4) | st.lists(_FINITE, max_size=4).map(tuple),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_DOCS)
+def test_render_json_equals_the_per_value_renderer(doc):
+    for level in (0, 3, None):
+        assert cli.render_json(doc, level) == per_value_render_json(doc, level)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_FLOATS | _FLOATS.map(np.float64))
+def test_float_field_formats_as_format_float(x):
+    assert "%.17g" % x == gc.format_float(x) == format(float(x), ".17g")
 
 
 def test_format_float_round_trips():
@@ -828,6 +886,39 @@ def test_cli_isolated_vertex_spectrum_and_heat_are_json_errors(tmp_path):
         assert_one_json_validation_error(proc.returncode, proc.stdout)
         assert json.loads(proc.stdout)["error"]["message"] == "vertex 'c' is isolated"
         assert proc.stderr == b"", argv[0]
+
+
+def test_cli_writes_utf8_whatever_the_locale(tmp_path):
+    # a non-ASCII vertex id reaches the CSV body raw
+    gpath = write_graph_file(tmp_path, gc.Graph(["a", "\u00e9", "c"], [("a", "\u00e9"), ("\u00e9", "c")]))
+    fn = tmp_path / "fa.csv"
+    fn.write_text("a,0.5\n")
+    out = tmp_path / "out.csv"
+    argv = [sys.executable, "-m", "graphcalc.cli", "dmf", gpath, str(fn),
+            "--interior", "a", "--t-final", "1", "--steps", "2"]
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("LANG", "PYTHONIOENCODING", "PYTHONUTF8", cli.SCALE_ENV) and not k.startswith("LC_")}
+
+    def run(env, *extra):
+        proc = subprocess.run(argv + list(extra), capture_output=True, env={**base, **env})
+        assert proc.stderr == b""
+        return proc.returncode, proc.stdout
+
+    rc, want = run({"PYTHONIOENCODING": "utf-8"})
+    assert rc == 0 and ",\u00e9,".encode() in want
+    assert run({"PYTHONIOENCODING": "utf-8"}, "--out", str(out)) == (0, b"")
+    want_file = out.read_bytes()
+    for env, names in (
+        ({"LC_ALL": "C", "PYTHONUTF8": "0"}, ("ascii",)),
+        ({"PYTHONIOENCODING": "latin-1"}, ("latin-1", "iso8859-1")),
+    ):
+        out.unlink()
+        assert run(env, "--out", str(out)) == (0, b""), env
+        assert out.read_bytes() == want_file, env
+        rc, stdout = run(env)
+        assert_one_json_validation_error(rc, stdout)
+        message = json.loads(stdout)["error"]["message"]
+        assert "UTF-8" in message and any(repr(name) in message for name in names), message
 
 
 @pytest.mark.parametrize("potential", ["linear:x,1", "sin:zz", "nan", "linear:1,inf"])
