@@ -7,13 +7,15 @@ One pass over the 2^(n-1) complement pairs serves both h and g
 (`cheeger_constants`).  Subsets and neighbourhoods are bitmasks counted with
 `np.bitwise_count`, which needs numpy 2.0 or later.  The masks split into a
 low part, the first L = log2(_CHUNK) + 1 vertices, and a high part.  Tables
-over the low parts that contain vertex 0 (volume, edges inside, and the
-union of neighbourhoods inside and outside) are built by doubling: the
-entries with vertex k are those without it plus k.  Each pattern of the high
-vertices is one chunk of _CHUNK masks, and turns the tables into the chunk's
-cuts and boundaries with a few whole-array operations.  Each running minimum
-keeps one witness, the lexicographically smallest tied subset, found by
-stripping every tied mask's lowest vertex until one mask is left.
+over the low parts that contain vertex 0 (volume, edges inside, the union of
+neighbourhoods inside and outside, and the mask bit-reversed) are built by
+doubling: the entries with vertex k are those without it plus k.  Each
+pattern of the high vertices is one chunk of _CHUNK masks, few enough (2^14)
+that its arrays stay in a core's L2 cache, and turns the tables into the
+chunk's cuts and boundaries with a few whole-array operations.  Each running
+minimum keeps one witness, the lexicographically smallest tied subset: one
+arg-extremum of the bit-reversed masks picks it where the tied masks share a
+high vertex (`_enumerate_cuts`), and `_lex_smallest` elsewhere.
 Poincare constants come from the spectral module: the closed-window energy
 sum over ordered adjacent pairs equals twice the scale-1 quadratic form of
 the negative laplacian, so the sharp constant against the degree-weighted
@@ -34,7 +36,7 @@ from .linalg import eigvalsh
 from .spectral import OperatorSpec, symmetric_matrix
 
 ENUMERATION_VERTEX_CAP = 24
-_CHUNK = 1 << 18  # masks per chunk, a power of two
+_CHUNK = 1 << 14  # masks per chunk, a power of two
 
 
 @dataclass(frozen=True)
@@ -72,33 +74,39 @@ def cut_report(g: Graph, subset) -> CutReport:
 
 
 def _enumerate_cuts(g: Graph):
-    """Yield (masks, h, g_of_S, g_of_comp) per chunk of subset bitmasks.
+    """Yield (h, g_of_S, g_of_comp, inside, outside) per chunk of subset bitmasks.
 
     Masks always contain vertex 0, one representative per complement pair,
     in increasing order; both orientations' vertex-boundary counts are
     produced so the g constant sees every subset.  A chunk is one pattern of
-    the vertices from L on, over every low part of the tables.  Each chunk's
-    arrays are written over the last one's.
+    the vertices from L on, over every low part of the tables; inside(idx)
+    and outside(idx) are the lexicographically smallest of its subsets idx
+    and of their complements.  Each chunk's arrays are written over the last.
     """
     n = len(g)
     deg = [g.degree(v) for v in g.vertices]
     nbr = [sum(1 << g.index[w] for w in g.neighbors(v)) for v in g.vertices]
     total = sum(deg)
+    full = (1 << n) - 1
     low_n = min(n, _CHUNK.bit_length())
     size = 1 << (low_n - 1)
-    # per low part S: its mask, its volume, the edges inside it, and the OR
-    # of the neighbourhoods of its vertices and of the low vertices outside
-    # it; entry j + s adds vertex k to entry j < s = 2^(k-1).  Volumes and
-    # edge counts fit int16: at the cap they are at most 24 * 23 = 552
+    # per low part S: its mask, its mask with vertex i at bit L - 1 - i, its
+    # volume, the edges inside it, and the OR of the neighbourhoods of its
+    # vertices and of the low vertices outside it; entry j + s adds vertex k
+    # to entry j < s = 2^(k-1).  Volumes and edge counts fit int16: at the
+    # cap they are at most 24 * 23 = 552
     low = np.empty(size, np.uint32)
+    rev = np.empty(size, np.uint32)
     vol = np.empty(size, np.int16)
     inner = np.empty(size, np.int16)
     reach_in = np.empty(size, np.uint32)
     reach_out = np.empty(size, np.uint32)
-    low[0], vol[0], inner[0], reach_in[0], reach_out[0] = 1, deg[0], 0, nbr[0], 0
+    low[0], rev[0], vol[0], inner[0] = 1, 1 << (low_n - 1), deg[0], 0
+    reach_in[0], reach_out[0] = nbr[0], 0
     for k in range(1, low_n):
         s = 1 << (k - 1)
         np.bitwise_or(low[:s], 1 << k, out=low[s : 2 * s])
+        np.bitwise_or(rev[:s], 1 << (low_n - 1 - k), out=rev[s : 2 * s])
         np.add(vol[:s], deg[k], out=vol[s : 2 * s])
         np.add(inner[:s], np.bitwise_count(low[:s] & nbr[k]), out=inner[s : 2 * s])
         np.bitwise_or(reach_in[:s], nbr[k], out=reach_in[s : 2 * s])
@@ -111,9 +119,10 @@ def _enumerate_cuts(g: Graph):
     ratios = np.empty((3, size))
     for pattern in range(patterns):
         high = pattern << low_n
+        last = pattern == patterns - 1
         ins = [v for v in range(low_n, n) if high >> v & 1]
         outs = [v for v in range(low_n, n) if not high >> v & 1]
-        t = slice(size - (pattern == patterns - 1))  # the full set ends the last chunk
+        t = slice(size - last)  # the full set ends the last chunk
         masks = np.bitwise_or(low[t], high, out=masks_out[t])
         vol_s = vol[t] + sum(deg[v] for v in ins)
         cut = inner[t] + sum((nbr[v] & high).bit_count() for v in ins) // 2
@@ -130,7 +139,20 @@ def _enumerate_cuts(g: Graph):
         np.divide(cut, m, out=h)
         np.divide(bdry_out, m, out=g_s)
         np.divide(bdry_in, m, out=g_c)
-        yield masks, h, g_s, g_c
+        # a chunk's subsets share its high vertices.  If there are any, of two
+        # subsets the one holding the lowest vertex where they differ is the
+        # smaller and has the larger rev.  Outside the last chunk the
+        # complements share high vertices too, and the smallest rev wins.
+        # Without shared high vertices a prefix can win: see _lex_smallest
+        def inside(idx):
+            return int(masks[idx[rev[idx].argmax()]]) if high else _lex_smallest(masks[idx])
+
+        def outside(idx):
+            if last:
+                return _lex_smallest(full ^ masks[idx])
+            return full ^ int(masks[idx[rev[idx].argmin()]])
+
+        yield h, g_s, g_c, inside, outside
 
 
 def _mask_vertices(mask: int, g: Graph) -> tuple[str, ...]:
@@ -150,14 +172,13 @@ def _check_enumerable(g: Graph) -> None:
 
 def _lex_smallest(masks: np.ndarray) -> int:
     """The mask whose vertex indices, ascending, form the lexicographically
-    smallest tuple.  Each round strips every mask's lowest vertex and keeps
-    the masks whose stripped vertex is smallest; a mask with none left is a
-    prefix of the others, strips 0 and so wins."""
-    rest = masks
-    while masks.size > 1 and rest.any():
-        bit = rest & -rest
-        keep = bit == bit.min()
-        masks, rest = masks[keep], (rest ^ bit)[keep]
+    smallest tuple.  The masks agree below the lowest vertex v at which any
+    two differ.  A mask with no vertex from v on is a prefix of the others
+    and wins; otherwise the masks holding v do, and agree up to v."""
+    while masks.size > 1 and (differ := int(np.bitwise_or.reduce(masks ^ masks[0]))):
+        v = differ & -differ
+        ended = masks < v
+        masks = masks[ended if ended.any() else masks & v != 0]
     return int(masks[0])
 
 
@@ -170,15 +191,17 @@ class _RunningMin:
         self.mask: Optional[int] = None
 
     def update(self, *pairs) -> None:
-        """Take one chunk as (ratios, masks) pairs of equal length."""
-        lo = min(float(ratios.min()) for ratios, _ in pairs)
+        """Take one chunk as (ratios, pick) pairs, pick as `_enumerate_cuts`
+        gives inside and outside."""
+        lows = [ratios.min() for ratios, _ in pairs]
+        lo = float(min(lows))
         if self.best is None or lo < self.best:
             self.best, self.mask = lo, None
         if lo == self.best:
-            tied = [masks[ratios == lo] for ratios, masks in pairs]
+            tied = [pick(np.flatnonzero(r == lo)) for (r, pick), m in zip(pairs, lows) if m == lo]
             if self.mask is not None:
-                tied.append(np.array([self.mask], np.uint32))
-            self.mask = _lex_smallest(np.concatenate(tied))
+                tied.append(self.mask)
+            self.mask = _lex_smallest(np.array(tied, np.uint32))
 
     def witness(self, g: Graph) -> CutReport:
         assert self.mask is not None
@@ -194,11 +217,10 @@ def cheeger_constants(g: Graph) -> tuple[float, CutReport, float, CutReport]:
     orientations of every complement pair compete.
     """
     _check_enumerable(g)
-    full = (1 << len(g)) - 1
     h_min, g_min = _RunningMin(), _RunningMin()
-    for masks, h, gs, gc in _enumerate_cuts(g):
-        h_min.update((h, masks))
-        g_min.update((gs, masks), (gc, full ^ masks))
+    for h, gs, gc, inside, outside in _enumerate_cuts(g):
+        h_min.update((h, inside))
+        g_min.update((gs, inside), (gc, outside))
     return h_min.best, h_min.witness(g), g_min.best, g_min.witness(g)
 
 

@@ -37,6 +37,8 @@ class Lcg64:
         """Integer in [0, n), by rejection to avoid modulo bias."""
         if n <= 0:
             raise ValueError("randint needs n >= 1")
+        if n > MASK64 + 1:  # no 64-bit draw could be accepted
+            raise ValueError("randint needs n <= 2**64")
         limit = (MASK64 + 1) - (MASK64 + 1) % n
         while True:
             u = self.next_u64()

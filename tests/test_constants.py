@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,10 +105,10 @@ def test_cheeger_chunk_invariance(monkeypatch):
     for n in range(12, 17):
         g = random_connected_graph(rng, n, n)
         got = []
-        for chunk in (8, 64, real):
+        for chunk in (8, 64, 1 << 18, real):
             monkeypatch.setattr(constants, "_CHUNK", chunk)
             got.append(gc.cheeger_constants(g))
-        assert got[0] == got[1] == got[2], n
+        assert got[0] == got[1] == got[2] == got[3], n
 
 
 def test_cheeger_frozen_values_at_enumeration_cap():
@@ -167,6 +168,42 @@ def test_lex_smallest_matches_reference():
     for case in cases:
         masks = np.array(case, np.uint32)
         assert constants._lex_smallest(masks) == lex_smallest_reference(case, 24), case
+
+
+def test_tie_picks_match_reference(monkeypatch):
+    # chunk p holds the masks 1 | j << 1 | p << L in order; inside and
+    # outside settle ties by one arg-extremum wherever the tied subsets, or
+    # their complements, share a nonempty high part, and by _lex_smallest
+    # in the first chunk and for the last chunk's complements
+    rng = np.random.default_rng(71)
+    for n, chunk in ((9, 8), (12, 64), (16, 1 << 10), (6, 64)):
+        monkeypatch.setattr(constants, "_CHUNK", chunk)
+        low_n = min(n, chunk.bit_length())
+        full = (1 << n) - 1
+        for pattern, (h, _, _, inside, outside) in enumerate(
+            constants._enumerate_cuts(complete_graph(n))
+        ):
+            masks = [1 | j << 1 | pattern << low_n for j in range(h.size)]
+            for _ in range(12):
+                k = int(rng.integers(1, min(h.size, 40) + 1)) if rng.random() < 0.8 else h.size
+                idx = np.sort(rng.choice(h.size, k, replace=False))
+                tied = [masks[i] for i in idx]
+                assert inside(idx) == lex_smallest_reference(tied, n), (n, chunk, pattern)
+                want = lex_smallest_reference([full ^ m for m in tied], n)
+                assert outside(idx) == want, (n, chunk, pattern)
+
+
+def test_cheeger_enumeration_memory_stays_cache_sized():
+    # a chunk's tables and temporaries take about 1.2 MB at the cap; with
+    # chunks of 2^18 masks the peak was 16.5 MB
+    grid = grid_graph(4, 6)
+    tracemalloc.start()
+    try:
+        gc.cheeger_constants(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -308,6 +308,16 @@ def test_normals_equal_repeated_normal_bit_for_bit():
     assert batch.state == [five.next_u64() for _ in range(3)][-1]
 
 
+def test_randint_refuses_a_range_past_64_bits():
+    # above 2^64 no draw is below the rejection limit, so the loop never ends
+    for n in (2**64 + 1, 2**65, 3 * 2**70):
+        with pytest.raises(ValueError, match="^randint needs n <= 2\\*\\*64$"):
+            gc.Lcg64(1).randint(n)
+    # 2^64 is the widest range: every draw is accepted as it is
+    one, wide = gc.Lcg64(1), gc.Lcg64(1)
+    assert wide.randint(2**64) == one.next_u64()
+
+
 def test_monge_unreachable_pair():
     g = gc.Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     with pytest.raises(gc.ValidationError):
