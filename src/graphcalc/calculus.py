@@ -408,21 +408,16 @@ def canonical_window(g: Graph) -> SubgraphWindow:
     return build_window(g, list(g.bfs(g.vertices[0]))[: (len(g) + 1) // 2])
 
 
-def _uniforms(rng: Lcg64, k: int) -> np.ndarray:
-    """k draws in [-1, 1], as random_function and random_antisymmetric_field
-    make them."""
-    return np.array([rng.uniform(-1.0, 1.0) for _ in range(k)])
-
-
 def run_identity_suite(
     g: Graph, seed: int, trials: int, cfg: CalculusConfig = DEFAULT_CONFIG
 ) -> dict:
     """Randomized residual checks for every first-order identity.
 
-    Deterministic given the seed.  Each trial draws, from one Lcg64 stream,
-    the instances random_function (f, then h) and random_antisymmetric_field
-    (W) would draw, and evaluates both sides of every identity as arrays over
-    the graph's layout pairs, each side from a different operator.  The
+    Deterministic given the seed.  Each trial draws, as one Lcg64.uniforms
+    batch, the instances random_function (f, then h) and
+    random_antisymmetric_field (W) would draw, and evaluates both sides of
+    every identity as arrays over the graph's layout pairs, each side from a
+    different operator.  The
     pointwise functions above are the reference the tests hold it to.  Values
     are drawn in [-1, 1] so residuals sit at accumulation roundoff, far below
     the 1e-12 gate; the maximum-principle minima are the floats the pointwise
@@ -471,7 +466,8 @@ def run_identity_suite(
     min_gradient_entry = math.inf
 
     for _ in range(trials):
-        f, h, drawn = _uniforms(rng, n), _uniforms(rng, n), _uniforms(rng, len(g.edges()))
+        draws = rng.uniforms(2 * n + len(edge_of), -1.0, 1.0)
+        f, h, drawn = draws[:n], draws[n : 2 * n], draws[2 * n :]
         w = np.where(forward, drawn[edge], -drawn[edge])
         df, dh = f[dst] - f[src], h[dst] - h[src]
 

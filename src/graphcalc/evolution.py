@@ -477,7 +477,9 @@ def dmf_run(
     cfg: CalculusConfig = DEFAULT_CONFIG,
 ) -> DMFRun:
     """N implicit steps from phi with lambda_n frozen at the left endpoint;
-    the time grid is checked before the operator is assembled."""
+    the time grid is checked before the operator is assembled, and each
+    potential value before its step system is factored: one that is not
+    finite is a ValidationError naming its vertex and time."""
     times = _uniform_times("dmf", t_final, n_steps, len(w.closure))
     spec = OperatorSpec(w, "dirichlet", None, cfg)
     operator = symmetric_matrix(spec)
@@ -488,7 +490,12 @@ def dmf_run(
     for n, t in enumerate(times[:-1]):
         if n == 0 or callable(potential):  # a static potential keeps one factor
             lam = potential(t) if callable(potential) else potential
-            system = _StepSystem(operator, mu_first, times[1], _potential_rows(lam, w.interior))
+            lam_rows = _potential_rows(lam, w.interior)
+            if not np.isfinite(lam_rows).all():
+                i = int(np.argmin(np.isfinite(lam_rows)))
+                x, value = w.interior[i], float(lam_rows[i])
+                raise ValidationError(f"potential at {x!r} is {value!r} at time {t!r}; it must be finite")
+            system = _StepSystem(operator, mu_first, times[1], lam_rows)
         v, rep = _dmf_step(v, spec, system)
         reports.append(rep)
         states.append(rep.u_next)

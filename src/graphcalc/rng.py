@@ -59,27 +59,42 @@ class Lcg64:
             u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
+    def _units(self, k: int) -> tuple[np.ndarray, int]:
+        """The next k >= 1 draws of uniform() as one array, with the state
+        after them; self.state is left as it is.
+
+        The k states come as one uint64 array, filled by jumps that double
+        (s[i + m] = A_m s[i] + C_m mod 2^64, with A_m and C_m the map of m
+        steps), so k states take about log2(k) array operations."""
+        states = np.empty(k, dtype=np.uint64)
+        states[0] = (LCG_MULT * self.state + LCG_INC) & MASK64
+        a, c, m = LCG_MULT, LCG_INC, 1
+        while m < k:
+            n = min(m, k - m)
+            states[m : m + n] = states[:n] * np.uint64(a) + np.uint64(c)  # wraps mod 2^64
+            a, c, m = (a * a) & MASK64, (a * c + c) & MASK64, 2 * m
+        return (states >> np.uint64(11)).astype(float) / float(1 << 53), int(states[-1])
+
+    def uniforms(self, k: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """k draws of uniform(lo, hi) as one array, bit for bit, leaving the
+        same state."""
+        if k < 1:
+            return np.empty(0)
+        u, self.state = self._units(k)
+        return lo + (hi - lo) * u
+
     def normals(self, k: int) -> list[float]:
         """k draws of normal(), bit for bit, leaving the same state.
 
-        The 2k states come as one uint64 array, filled by jumps that double
-        (s[i + m] = A_m s[i] + C_m mod 2^64, with A_m and C_m the map of m
-        steps); Box-Muller stays on math.  A first uniform of zero (the only
-        uniform at most 1e-300, which normal() redraws) sends the whole batch
-        through normal()."""
+        The 2k uniforms come from _units; Box-Muller stays on math.  A first
+        uniform of zero (the only uniform at most 1e-300, which normal()
+        redraws) sends the whole batch through normal()."""
         if k < 1:
             return []
-        states = np.empty(2 * k, dtype=np.uint64)
-        states[0] = (LCG_MULT * self.state + LCG_INC) & MASK64
-        a, c, m = LCG_MULT, LCG_INC, 1
-        while m < 2 * k:
-            n = min(m, 2 * k - m)
-            states[m : m + n] = states[:n] * np.uint64(a) + np.uint64(c)  # wraps mod 2^64
-            a, c, m = (a * a) & MASK64, (a * c + c) & MASK64, 2 * m
-        u = (states >> np.uint64(11)).astype(float) / float(1 << 53)
+        u, last = self._units(2 * k)
         first, second = u[0::2].tolist(), u[1::2].tolist()
         if 0.0 in first:
             return [self.normal() for _ in range(k)]
-        self.state = int(states[-1])
+        self.state = last
         two_pi = 2.0 * math.pi  # normal() multiplies 2.0 * pi first, too
         return [math.sqrt(-2.0 * math.log(u1)) * math.cos(two_pi * u2) for u1, u2 in zip(first, second)]

@@ -29,7 +29,9 @@ from .linalg import eigh, eigvalsh, orthonormalize
 from .rng import Lcg64
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "none")
-EXPAND_CHUNK = 1 << 20  # elements of one (times, closure, modes) product in _expand
+# elements of one (times, closure, modes) product in _expand, and of one
+# (interior, subspaces, j, j) Gram product in courant_fischer_check
+EXPAND_CHUNK = 1 << 20
 EXP_LIMIT = math.log(np.finfo(float).max)  # math.exp is finite up to here, overflows past it
 
 StaticPotential = Union[None, float, VertexFunction]
@@ -308,34 +310,38 @@ def courant_fischer_check(
 
     # the first column is phi_j; each sample is sum_i (c_i / |c|) phi_i,
     # added in index order from zero
-    weights = []
-    for _ in range(samples):
-        coeffs = [rng.uniform(-1.0, 1.0) for _ in range(j)]
-        norm = math.sqrt(sum(c * c for c in coeffs))
-        if norm < 1e-9:
-            coeffs[0] = 1.0
-            norm = 1.0
-        weights.append([c / norm for c in coeffs])
+    weights = rng.uniforms(samples * j, -1.0, 1.0).reshape(samples, j)
+    norms = np.array([math.sqrt(sum(c * c for c in row)) for row in weights.tolist()], dtype=float)
+    tiny = norms < 1e-9
+    weights[tiny, 0], norms[tiny] = 1.0, 1.0
+    weights /= norms[:, None]
     basis = es.vectors[:k, :j]
-    stack = np.zeros((k, 1 + len(weights)))
+    stack = np.zeros((k, 1 + samples))
     stack[:, 0] = basis[:, j - 1]
-    for i, c in enumerate(np.array(weights).reshape(len(weights), j).T):
+    for i, c in enumerate(weights.T):
         stack[:, 1:] += basis[:, i : i + 1] * c
     span_max = max(_quotients(spec, stack).tolist())
 
     # any j-dimensional subspace: the top eigenvalue of L's Gram block
-    # (y_a, L y_b)_w on an orthonormal basis y is the exact subspace maximum
+    # (y_a, L y_b)_w on an orthonormal basis y is the exact subspace maximum.
+    # Subspaces go as stacks whose (k, m, j, j) Gram product stays within
+    # EXPAND_CHUNK elements; a rank-deficient subspace is dropped.
     lay = spec.region.layout
     worst = math.inf
-    for _ in range(subspaces):
-        Q = np.array(rng.normals(k * j)).reshape(k, j).T.copy()
-        if orthonormalize(Q[None]).min() < 1e-8:
-            continue
-        Y = Q.T / np.sqrt(lay.deg[:k])[:, None]  # Q is in symmetric_matrix's coordinates
+    group = max(1, EXPAND_CHUNK // (k * j * j))
+    for start in range(0, subspaces, group):
+        m = min(group, subspaces - start)
+        Q = np.array(rng.normals(m * k * j)).reshape(m, k, j).transpose(0, 2, 1).copy()
+        Q = Q[~(orthonormalize(Q).min(axis=1) < 1e-8)]
+        m = len(Q)
+        # Q is in symmetric_matrix's coordinates; Y holds one row per interior vertex
+        Y = Q.transpose(2, 0, 1) / np.sqrt(lay.deg[:k])[:, None, None]
         with np.errstate(over="ignore", invalid="ignore"):  # eigvalsh refuses a non-finite block
-            LY = _apply_rows(spec, _extend_to_closure(spec, Y))
-            gram = lay.integral((Y[:, :, None] * LY[:, None]).reshape(k, j * j)).reshape(j, j)
-            worst = min(worst, float(eigvalsh(0.5 * (gram + gram.T))[-1]) - lam_j)
+            LY = _apply_rows(spec, _extend_to_closure(spec, Y.reshape(k, m * j))).reshape(k, m, j)
+            products = (Y[:, :, :, None] * LY[:, :, None]).reshape(k, m * j * j)
+            gram = lay.integral(products).reshape(m, j, j)
+            for block in 0.5 * (gram + gram.transpose(0, 2, 1)):
+                worst = min(worst, float(eigvalsh(block)[-1]) - lam_j)
     return CourantFischerReport(
         j=j,
         lambda_j=lam_j,
@@ -359,16 +365,17 @@ def barta_bound(
     Lower bound for the first eigenvalue of L with Dirichlet condition on
     the window (or on the whole graph for a plain graph region).  u must be
     strictly positive on the interior and defined on closed neighborhoods;
-    boundary values enter the stencil as given.
+    boundary values enter the stencil as given.  A ratio outside the float
+    range is a NumericalError naming its vertex, never a bound.
     """
-    best = math.inf
+    ratios = []
     for x, q in zip(region.interior, _potential_rows(potential, region.interior).tolist()):
         ux = u.value(x)
         if ux <= 0.0:
             raise ValidationError(f"test function must be positive on interior, u({x}) = {ux}")
-        lu = -laplacian(u, x, cfg) + q * ux
-        best = min(best, lu / ux)
-    return best
+        ratios.append((-laplacian(u, x, cfg) + q * ux) / ux)
+    require_finite(np.array(ratios), "barta bound", region.interior)
+    return min(ratios, default=math.inf)
 
 
 def _row_products(es: EigenSystem, what: str, x: str, y: str) -> np.ndarray:

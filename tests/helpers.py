@@ -7,7 +7,8 @@ instead of the package's QL solver, and the pointwise calculus API in place
 of the array kernels built on it.  The bulk paths keep their one-at-a-time
 forms here as bit-for-bit references: QL rotations applied as they are
 made, the heat expansion one time at a time, the trajectory CSV one row at
-a time, and JSON documents one value at a time.
+a time, JSON documents one value at a time, and the identity suite's and
+Courant-Fischer's random draws one at a time.
 """
 
 import itertools
@@ -553,6 +554,63 @@ def pointwise_courant_fischer(
         small = Qmat.T @ M @ Qmat
         small = 0.5 * (small + small.T)
         worst = min(worst, float(np.linalg.eigvalsh(small)[-1]) - lam_j)
+    return gc.CourantFischerReport(
+        j=j,
+        lambda_j=lam_j,
+        span_max=span_max,
+        span_gap=span_max - lam_j,
+        subspace_worst_excess=worst,
+        samples=samples,
+        subspaces=subspaces,
+        seed=seed,
+    )
+
+
+class PerDrawLcg64(gc.Lcg64):
+    """Lcg64 whose uniforms() makes one uniform() call per value, as
+    run_identity_suite drew before it drew in batches."""
+
+    def uniforms(self, k: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        return np.array([self.uniform(lo, hi) for _ in range(k)], dtype=float)
+
+
+def looped_courant_fischer(
+    es: gc.EigenSystem, j: int, seed: int = 1, samples: int = 200, subspaces: int = 50
+) -> gc.CourantFischerReport:
+    """courant_fischer_check with one uniform() call per coefficient and
+    one pass per subspace: orthonormalize, the operator, the Gram block and
+    its eigenvalues for each subspace alone, skipping a rank-deficient one."""
+    spec = es.spec
+    k = len(spec.interior)
+    rng = gc.Lcg64(seed)
+    lam_j = es.values[j - 1]
+
+    weights = []
+    for _ in range(samples):
+        coeffs = [rng.uniform(-1.0, 1.0) for _ in range(j)]
+        norm = math.sqrt(sum(c * c for c in coeffs))
+        if norm < 1e-9:
+            coeffs[0] = 1.0
+            norm = 1.0
+        weights.append([c / norm for c in coeffs])
+    basis = es.vectors[:k, :j]
+    stack = np.zeros((k, 1 + len(weights)))
+    stack[:, 0] = basis[:, j - 1]
+    for i, c in enumerate(np.array(weights).reshape(len(weights), j).T):
+        stack[:, 1:] += basis[:, i : i + 1] * c
+    span_max = max(gc.spectral._quotients(spec, stack).tolist())
+
+    lay = spec.region.layout
+    worst = math.inf
+    for _ in range(subspaces):
+        Q = np.array(rng.normals(k * j)).reshape(k, j).T.copy()
+        if linalg.orthonormalize(Q[None]).min() < 1e-8:
+            continue
+        Y = Q.T / np.sqrt(lay.deg[:k])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            LY = gc.spectral._apply_rows(spec, gc.spectral._extend_to_closure(spec, Y))
+            gram = lay.integral((Y[:, :, None] * LY[:, None]).reshape(k, j * j)).reshape(j, j)
+            worst = min(worst, float(linalg.eigvalsh(0.5 * (gram + gram.T))[-1]) - lam_j)
     return gc.CourantFischerReport(
         j=j,
         lambda_j=lam_j,

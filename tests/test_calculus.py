@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import graphcalc as gc
 
 from conftest import FIXTURES
-from helpers import connected_graphs, pointwise_identity_suite
+from helpers import PerDrawLcg64, connected_graphs, grid_graph, pointwise_identity_suite
 
 SCALE23 = gc.CalculusConfig(laplacian_scale=2.0 / 3.0)
 
@@ -310,6 +310,20 @@ def test_identity_suite_zero_trials(k4):
     assert all(
         v["max_abs_residual"] == 0.0 for v in report.values() if isinstance(v, dict) and "trials" in v
     )
+
+
+def test_identity_suite_batch_equals_per_draw_bit_for_bit(monkeypatch):
+    # one uniforms() batch of 2n + |E| per trial against the uniform() calls
+    # the suite made one at a time: the same report, repr for repr
+    graphs = [make() for make in FIXTURES.values()] + [grid_graph(k) for k in (3, 4, 6)]
+    for g in graphs:
+        for seed in (1, 2, 17):
+            for trials in (0, 1, 4):
+                got = repr(gc.run_identity_suite(g, seed, trials, SCALE23))
+                monkeypatch.setattr(gc.calculus, "Lcg64", PerDrawLcg64)
+                want = repr(gc.run_identity_suite(g, seed, trials, SCALE23))
+                monkeypatch.undo()
+                assert got == want, (g.vertices[:3], seed, trials)
 
 
 def test_weighted_norm_sq_overflow_is_numerical_error(p3):

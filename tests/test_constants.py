@@ -89,7 +89,7 @@ def test_cheeger_matches_brute_force_larger(monkeypatch, grid4, octahedron):
             _assert_matches_brute_force(g, want)
 
 
-@pytest.mark.parametrize("chunk", [constants._CHUNK, 8])
+@pytest.mark.parametrize("chunk", [constants._CHUNK, 8], ids=["default", "8"])
 def test_cheeger_many_ties_match_brute_force(monkeypatch, chunk):
     # every subset of a given size ties on a complete graph, and every arc
     # of a given length on a cycle, so the witness rule decides the result

@@ -584,6 +584,31 @@ def test_dmf_run_validation(p3):
         gc.dmf_run(phi, 0.0, 1.0, 0, w)
 
 
+def test_dmf_run_refuses_a_potential_that_is_not_finite(p3, monkeypatch):
+    # a nan potential used to reach the factor and fail as an
+    # IndefiniteStepError ("pivot 1 is nan")
+    w = gc.build_window(p3, ["b"])
+    phi = gc.VertexFunction(p3, {"b": 1.0})
+    factored = []
+    monkeypatch.setattr(gc.evolution, "cholesky", lambda m: factored.append(m) or gc.linalg.cholesky(m))
+    for value in (math.nan, math.inf, -math.inf):
+        for potential in (value, lambda t, value=value: value):
+            want = f"^potential at 'b' is {value!r} at time 0.0; it must be finite$"
+            with pytest.raises(gc.ValidationError, match=want):
+                gc.dmf_run(phi, potential, 1.0, 4, w)
+            with pytest.raises(gc.ValidationError, match=want):
+                gc.dmf_step(phi, 0.25, potential, w)
+    assert factored == []
+
+    def later(t):
+        return math.nan if t > 0.5 else 0.0
+
+    want = "^potential at 'b' is nan at time 0.75; it must be finite$"
+    with pytest.raises(gc.ValidationError, match=want):
+        gc.dmf_run(phi, later, 1.0, 4, w)
+    assert len(factored) == 3
+
+
 def test_dmf_run_rejects_a_step_that_underflows(p3):
     # 5e-324 / 2 rounds to a zero step, which the step system used to divide
     # by (ZeroDivisionError at 1 / h)

@@ -32,7 +32,13 @@
   window energy, and harmonic_heat_flow (fixed steps) and
   dirichlet_minimize (Barzilai-Borwein steps) both call it;
 - io.FLOAT owns the float format: the .17g spec appears in one string of
-  src/, so format_float, the JSON templates and the CSV writers share it.
+  src/, so format_float, the JSON templates and the CSV writers share it;
+- Lcg64._units owns the LCG jumps: apart from next_u64's single step, no
+  code reads the LCG constants or works in uint64, so uniforms and normals
+  share one state fill;
+- batched draws replace draw loops: outside rng.py, only the reference
+  draws random_function and random_antisymmetric_field call .uniform or
+  .normal inside a loop or comprehension.
 """
 
 import ast
@@ -480,3 +486,68 @@ def test_one_float_format():
     found = [path.name for path in MODULES for _ in float_format_specs(path.read_text())]
     assert found == ["io.py"]
     assert gc.io.FLOAT == "%.17g"
+
+
+def lcg_arithmetic(source: str) -> list[str]:
+    """Names of the functions that read LCG_MULT or LCG_INC or build a
+    uint64, each once, sorted."""
+    return sorted({
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if {"LCG_MULT", "LCG_INC", "uint64"} & {getattr(node, "id", None), getattr(node, "attr", None)}
+    })
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def looped_draws(source: str) -> list[str]:
+    """Names of the functions that call .uniform or .normal inside a loop or
+    a comprehension, each once, sorted."""
+    return sorted({
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        for loop in ast.walk(fn)
+        if isinstance(loop, LOOPS)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("uniform", "normal")
+    })
+
+
+def test_draw_checkers_find_each_copy():
+    source = (
+        "class Lcg64:\n"
+        "    def next_u64(self):\n"
+        "        return LCG_MULT * self.state + rng.LCG_INC\n"
+        "    def _units(self, k):\n"
+        "        return np.empty(k, dtype=np.uint64)\n"
+        "def jump(s):\n"
+        "    return (s * LCG_MULT) % 7\n"
+        "def draws(rng, n):\n"
+        "    xs = [rng.uniform(-1.0, 1.0) for _ in range(n)]\n"
+        "    while len(xs) < 9:\n"
+        "        xs.append(rng.normal())\n"
+        "    return xs, rng.uniform(), rng.uniforms(n)\n"
+        "def field(g, rng):\n"
+        "    return {e: rng.uniform() for e in g.edges()}\n"
+        "def one(rng):\n"
+        "    return rng.normal()\n"
+    )
+    assert lcg_arithmetic(source) == ["_units", "jump", "next_u64"]
+    assert looped_draws(source) == ["draws", "field"]
+
+
+def test_one_lcg_state_fill():
+    found = {path.name: lcg_arithmetic(path.read_text()) for path in MODULES}
+    assert found.pop("rng.py") == ["_units", "next_u64"]
+    assert [name for names in found.values() for name in names] == []
+
+
+def test_no_draw_loops_outside_the_reference_draws():
+    outside = [path for path in MODULES if path.name != "rng.py"]
+    found = sorted(name for path in outside for name in looped_draws(path.read_text()))
+    assert found == ["random_antisymmetric_field", "random_function"]

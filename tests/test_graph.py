@@ -308,6 +308,21 @@ def test_normals_equal_repeated_normal_bit_for_bit():
     assert batch.state == [five.next_u64() for _ in range(3)][-1]
 
 
+def test_uniforms_equal_repeated_uniform_bit_for_bit():
+    for seed in (0, 1, 7, 2024, (1 << 64) - 1):
+        for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (2.5, 7.0)):
+            for k in (0, 1, 2, 3, 50, 1001):
+                one, batch = gc.Lcg64(seed), gc.Lcg64(seed)
+                want = [one.uniform(lo, hi).hex() for _ in range(k)]
+                got = batch.uniforms(k, lo, hi)
+                assert got.dtype == np.float64 and got.shape == (k,)
+                assert [x.hex() for x in got.tolist()] == want, (seed, lo, hi, k)
+                assert batch.state == one.state, (seed, lo, hi, k)
+    one, batch = gc.Lcg64(3), gc.Lcg64(3)
+    assert batch.uniforms(4).tolist() == [one.uniform() for _ in range(4)]
+    assert batch.state == one.state
+
+
 def test_randint_refuses_a_range_past_64_bits():
     # above 2^64 no draw is below the rejection limit, so the loop never ends
     for n in (2**64 + 1, 2**65, 3 * 2**70):

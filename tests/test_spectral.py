@@ -15,6 +15,7 @@ from helpers import (
     eig_oracle,
     grid_graph,
     grid_interior,
+    looped_courant_fischer,
     pointwise_apply_operator,
     pointwise_courant_fischer,
     pointwise_rayleigh_quotient,
@@ -275,6 +276,21 @@ def test_barta_positivity_validation(p5):
         gc.barta_bound(w, None, u)
 
 
+def test_barta_refuses_a_ratio_past_the_float_range():
+    # u = 1e308 inside and -1e308 on the boundary: each laplacian is -inf,
+    # so every ratio is inf or nan; min(best, nan) skipped the nan and the
+    # bound came out +inf
+    g = grid_graph(4)
+    w = gc.build_window(g, grid_interior(4))
+    u = gc.VertexFunction(g, {x: 1e308 if x in w.interior else -1e308 for x in g.vertices})
+    want = "^barta bound overflowed: value at 'r1c1' is not finite$"
+    for q in (0.0, -1.0, -1e308):
+        with pytest.raises(gc.NumericalError, match=want):
+            gc.barta_bound(w, q, u)
+    unit = gc.VertexFunction(g, {x: 1.0 if x in w.interior else -1.0 for x in g.vertices})
+    assert [gc.barta_bound(w, q, unit) for q in (0.0, -1.0, -1e308)] == [1.0, 0.0, -1e308]
+
+
 def test_heat_kernel_frozen_p3(p3):
     w = gc.build_window(p3, ["b"])
     es = gc.eigensystem(gc.OperatorSpec(w, "dirichlet"))
@@ -511,6 +527,70 @@ def test_courant_fischer_matches_pointwise_reference():
         es = gc.eigensystem(spec)
         for j in sorted({1, min(3, len(es)), len(es)}):
             _assert_courant_fischer_matches_reference(es, j, seed=7, samples=12, subspaces=4)
+
+
+def _assert_courant_fischer_matches_loop(es, j, **kw):
+    got, want = gc.courant_fischer_check(es, j, **kw), looped_courant_fischer(es, j, **kw)
+    assert repr(got) == repr(want), (es.spec.bc, j, kw)
+    return got
+
+
+def test_courant_fischer_matches_looped_reference_bit_for_bit():
+    # the fixtures and the grid windows under every bc and potential, with
+    # j = 1, 3 and k (the interior size), several seeds, and no samples or
+    # no subspaces
+    for spec in _reference_specs():
+        es = gc.eigensystem(spec)
+        for j in sorted({1, min(3, len(es)), len(es)}):
+            for seed in (1, 2, 5):
+                _assert_courant_fischer_matches_loop(es, j, seed=seed, samples=9, subspaces=5)
+            rep = _assert_courant_fischer_matches_loop(es, j, seed=3, samples=0, subspaces=0)
+            assert rep.subspace_worst_excess == math.inf
+
+
+def test_courant_fischer_subspace_groups_match_looped_reference(monkeypatch):
+    # EXPAND_CHUNK bounds each group's (k, m, j, j) Gram product: at 1 each
+    # subspace is a group of its own, 2 k j^2 and one more make groups of
+    # two, and 7 k j^2 - 1 groups of six, so 13 subspaces end in a short group
+    for g, interior in ((grid_graph(4), grid_interior(4)), (grid_graph(5), grid_interior(5))):
+        w = gc.build_window(g, interior)
+        for bc in ("dirichlet", "neumann"):
+            es = gc.eigensystem(gc.OperatorSpec(w, bc, 0.4))
+            k = len(es)
+            for j in (1, 2, k):
+                for chunk in (1, 2 * k * j * j, 2 * k * j * j + 1, 7 * k * j * j - 1):
+                    monkeypatch.setattr(spectral, "EXPAND_CHUNK", chunk)
+                    for n in (1, 2, 3, 13):
+                        _assert_courant_fischer_matches_loop(es, j, seed=n, samples=4, subspaces=n)
+
+
+def test_courant_fischer_drops_rank_deficient_subspaces_as_the_loop_skips_them(monkeypatch):
+    # normals rounded to whole numbers make many subspaces rank-deficient;
+    # in groups of one subspace, a dropped one leaves its group empty
+    normals = gc.Lcg64.normals
+    monkeypatch.setattr(gc.Lcg64, "normals", lambda self, k: [float(round(x)) for x in normals(self, k)])
+    ranks = []
+
+    def orthonormalize(B):
+        norms = gc.linalg.orthonormalize(B)
+        ranks.extend((norms >= 1e-8).sum(axis=1).tolist())
+        return norms
+
+    monkeypatch.setattr(spectral, "orthonormalize", orthonormalize)
+    dropped, total = {1: 0, 1 << 20: 0}, 0
+    for make in FIXTURES.values():
+        w = gc.canonical_window(make())
+        for bc in ("dirichlet", "neumann"):
+            es = gc.eigensystem(gc.OperatorSpec(w, bc))
+            for j in sorted({1, len(es)}):
+                for chunk in (1, 1 << 20):
+                    monkeypatch.setattr(spectral, "EXPAND_CHUNK", chunk)
+                    ranks.clear()
+                    _assert_courant_fischer_matches_loop(es, j, seed=j, samples=2, subspaces=12)
+                    assert len(ranks) == 12
+                    dropped[chunk] += sum(r < j for r in ranks)
+                total += 12
+    assert 0 < dropped[1] == dropped[1 << 20] < total
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
