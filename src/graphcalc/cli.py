@@ -25,13 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, constants, evolution, harmonic, minimax, spectral
 from .calculus import CalculusConfig, run_identity_suite
-from .constants import cheeger_constants, cheeger_functional
 from .errors import GraphCalcError, NumericalError, ValidationError
-from .evolution import _uniform_times, dmf_run, spectral_heat_solve, transport_solve
-from .graph import Graph, build_window, monge_cost, volume
-from .harmonic import dirichlet_minimize
+from .graph import BOUNDARY_CONDITIONS, Graph, build_window, monge_cost, volume
 from .io import (
     FIELD_MODES,
     FLOAT,
@@ -44,8 +41,6 @@ from .io import (
     render_sphere_map_csv,
     render_trajectory_csv,
 )
-from .minimax import bottleneck_level, classify_vertex, find_minimax, NEIGHBORHOOD_CAP
-from .spectral import BOUNDARY_CONDITIONS, OperatorSpec, eigensystem
 
 SCALE_ENV = "GRAPHCALC_SCALE"
 
@@ -223,14 +218,16 @@ def _window(args, g: Graph):
     return build_window(g, _split_names(args.interior, "interior"))
 
 
-def _spec_from_args(args, g: Graph, cfg: CalculusConfig, inputs: Inputs) -> OperatorSpec:
+def _spec_from_args(
+    args, g: Graph, cfg: CalculusConfig, inputs: Inputs
+) -> "spectral.OperatorSpec":
     q = _static_potential(args.potential, g, inputs)
-    return OperatorSpec(_window(args, g), args.bc, q, cfg)
+    return spectral.OperatorSpec(_window(args, g), args.bc, q, cfg)
 
 
 def cmd_spectrum(args, g, inputs, cfg):
     spec = _spec_from_args(args, g, cfg, inputs)
-    es = eigensystem(spec)
+    es = spectral.eigensystem(spec)
     inner = spec.interior
     # weighted Gram matrix Phi^T D Phi, one row at a time, upper triangle
     vecs = es.vectors[: len(inner)]
@@ -255,30 +252,30 @@ def cmd_spectrum(args, g, inputs, cfg):
 
 
 def cmd_cheeger(args, g, inputs, cfg):
-    h, hrep, gv, grep = cheeger_constants(g)
+    h, hrep, gv, grep = constants.cheeger_constants(g)
     payload = {"h": h, "h_witness": asdict(hrep), "g": gv, "g_witness": asdict(grep)}
     if args.function:
         f = parse_vertex_function(inputs.read("function", args.function), g)
-        payload["functional_ratio"] = cheeger_functional(g, f)
+        payload["functional_ratio"] = constants.cheeger_functional(g, f)
     return payload
 
 
 def cmd_minimax(args, g, inputs, cfg):
     f = parse_vertex_function(inputs.read("function", args.function), g)
-    level, path = bottleneck_level(g, f, args.src, args.dst)
-    result = find_minimax(g, f, args.src, args.dst)
+    level, path = minimax.bottleneck_level(g, f, args.src, args.dst)
+    result = minimax.find_minimax(g, f, args.src, args.dst)
     payload = {**asdict(result), "bottleneck": {"level": level, "path": path}}
     which = args.classify or result.vertex
-    if g.degree(which) <= NEIGHBORHOOD_CAP:
-        payload["classification"] = asdict(classify_vertex(g, f, which))
+    if g.degree(which) <= minimax.NEIGHBORHOOD_CAP:
+        payload["classification"] = asdict(minimax.classify_vertex(g, f, which))
     return payload
 
 
 def cmd_heat(args, g, inputs, cfg):
     f = parse_vertex_function(inputs.read("function", args.function), g)
     spec = _spec_from_args(args, g, cfg, inputs)
-    times = _uniform_times("heat", args.t_final, args.steps, len(spec.closure))
-    traj = spectral_heat_solve(spec, f, times)
+    times = evolution._uniform_times("heat", args.t_final, args.steps, len(spec.closure))
+    traj = evolution.spectral_heat_solve(spec, f, times)
     return render_trajectory_csv(traj.times, traj.states), {}
 
 
@@ -294,7 +291,7 @@ def cmd_transport(args, g, inputs, cfg):
         field = lambda t: base.scaled(factor(t))
     else:
         raise ValidationError(f"unknown profile {args.profile!r}")
-    traj = transport_solve(g, field, f, args.t_final, args.dt)
+    traj = evolution.transport_solve(g, field, f, args.t_final, args.dt)
     return render_trajectory_csv(traj.times, traj.states), {}
 
 
@@ -302,7 +299,7 @@ def cmd_dmf(args, g, inputs, cfg):
     f = parse_vertex_function(inputs.read("function", args.function), g)
     w = _window(args, g)
     pot = _time_potential(args.potential, g, inputs)
-    run = dmf_run(f, pot, args.t_final, args.steps, w, cfg)
+    run = evolution.dmf_run(f, pot, args.t_final, args.steps, w, cfg)
     audit = {
         "dissipation": run.dissipation,
         "audit_margin": run.audit_margin,
@@ -317,7 +314,7 @@ def cmd_dmf(args, g, inputs, cfg):
 def cmd_harmonic(args, g, inputs, cfg):
     w = _window(args, g)
     bmap = parse_sphere_map(inputs.read("boundary", args.boundary), g)
-    res = dirichlet_minimize(bmap, w, tau=args.tau, tol=args.tol, max_steps=args.max_steps)
+    res = harmonic.dirichlet_minimize(bmap, w, tau=args.tau, tol=args.tol, max_steps=args.max_steps)
     if res.flow.status != "converged":
         raise NumericalError(
             f"flow did not converge: status {res.flow.status!r} after "

@@ -34,6 +34,9 @@ from .errors import (
 )
 
 MONGE_EXHAUSTIVE_BOUND = 10
+# spectral.OperatorSpec's boundary conditions, here so that the CLI's parser
+# can offer them without running spectral
+BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "none")
 
 
 class Graph:

@@ -12,10 +12,10 @@ import math
 from pathlib import Path
 from typing import Union
 
+from . import harmonic
 from .calculus import VectorField
 from .errors import GraphParseError, UnknownVertexError, ValidationError
 from .graph import Graph, VertexFunction
-from .harmonic import SphereMap, SpherePoint
 
 FIELD_MODES = ("exact", "antisymmetrize", "symmetrize")
 
@@ -150,13 +150,13 @@ def parse_vector_field(text: str, g: Graph, mode: str = "exact") -> VectorField:
     return VectorField(g, entries)
 
 
-def parse_sphere_map(text: str, g: Graph) -> SphereMap:
+def parse_sphere_map(text: str, g: Graph) -> "harmonic.SphereMap":
     """CSV with rows vertex,x,y,z; header optional.  Rows are normalized."""
     pts = {
-        v: SpherePoint(*[_parse_float(c, f"row {k}") for c in cells])
+        v: harmonic.SpherePoint(*[_parse_float(c, f"row {k}") for c in cells])
         for k, (v, *cells) in _records(text, g, "vertex,x,y,z", 1, "map")
     }
-    return SphereMap(g, pts)
+    return harmonic.SphereMap(g, pts)
 
 
 def render_vertex_function_csv(f: VertexFunction) -> str:
@@ -185,7 +185,7 @@ def render_trajectory_csv(times, states) -> str:
     return "".join(parts)
 
 
-def render_sphere_map_csv(u: SphereMap) -> str:
+def render_sphere_map_csv(u: "harmonic.SphereMap") -> str:
     """vertex,x,y,z rows in u's domain order (file order)."""
     row = f"%s,{FLOAT},{FLOAT},{FLOAT}\n"
     return "vertex,x,y,z\n" + "".join([row % (x, *p.xyz) for x, p in u.points.items()])

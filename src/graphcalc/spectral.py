@@ -24,11 +24,12 @@ import numpy as np
 
 from .calculus import DEFAULT_CONFIG, CalculusConfig, laplacian
 from .errors import DomainError, NonpositiveSpectrumError, ValidationError, require_finite
-from .graph import Graph, Region, VertexFunction, column_sums, gather, scatter, scatter_rows
+from .graph import (
+    BOUNDARY_CONDITIONS, Graph, Region, VertexFunction, column_sums, gather, scatter, scatter_rows
+)
 from .linalg import eigh, eigvalsh, orthonormalize
 from .rng import Lcg64
 
-BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "none")
 # elements of one (times, closure, modes) product in _expand, and of one
 # (interior, subspaces, j, j) Gram product in courant_fischer_check
 EXPAND_CHUNK = 1 << 20
@@ -259,10 +260,16 @@ def _heat(es: EigenSystem, f: VertexFunction, times) -> list[VertexFunction]:
 
 def _quotients(spec: OperatorSpec, rows: np.ndarray) -> np.ndarray:
     """The Rayleigh quotient (f, Lf)_w / (f, f)_w of each column of an
-    interior stack; a quotient outside the float range is a NumericalError."""
+    interior stack; a quotient outside the float range is a NumericalError.
+    A nonzero column whose weighted norm underflows to 0 is first scaled by
+    the power of two that brings its largest entry into [1/2, 1)."""
     lay = spec.region.layout
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         den = lay.integral(rows * rows)
+        tiny = (den == 0.0) & (rows != 0.0).any(axis=0)
+        if tiny.any():
+            rows = np.where(tiny, np.ldexp(rows, -np.frexp(abs(rows).max(axis=0))[1]), rows)
+            den = lay.integral(rows * rows)
         if np.any(den <= 0.0):
             raise ValidationError("rayleigh quotient of the zero function")
         q = lay.integral(rows * _apply_rows(spec, _extend_to_closure(spec, rows))) / den

@@ -6,7 +6,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-import graphcalc.cli  # loads every graphcalc module, as LayerTracer.install does
+import graphcalc.cli  # registers every module; each loads on first use
 from graphcalc.graph import VertexFunction
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"

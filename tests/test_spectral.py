@@ -202,6 +202,28 @@ def test_rayleigh_quotient(c4):
         gc.rayleigh_quotient(zero, spec)
 
 
+@pytest.mark.parametrize("s", [1e-170, 5e-324])
+def test_rayleigh_quotient_of_a_tiny_function_is_its_scaled_quotient(p5, s):
+    # the squares underflow, so the weighted norm reads 0 and the quotient
+    # used to call the function "the zero function"; the quotient scales the
+    # column by the power of two that brings its largest entry into [1/2, 1)
+    spec = gc.OperatorSpec(gc.build_window(p5, ["b", "c", "d"]), "dirichlet")
+
+    def tent(t):
+        return gc.VertexFunction(p5, dict(zip("abcde", (0.0, t, 2 * t, t, 0.0))))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = gc.rayleigh_quotient(tent(s), spec)
+    scaled = math.ldexp(s, -math.frexp(2 * s)[1])
+    assert q == gc.rayleigh_quotient(tent(scaled), spec)
+    assert q == pytest.approx(1 / 3, rel=1e-15)
+    # in a stack, the other columns keep their bits
+    rows = np.array([[s, 1.0, 3.0], [2 * s, 2.0, -1.0], [s, 1.0, 0.5]])
+    singles = [spectral._quotients(spec, rows[:, j : j + 1])[0] for j in (1, 2)]
+    assert spectral._quotients(spec, rows).tolist() == [q, *singles]
+
+
 def test_rayleigh_bounded_by_spectrum():
     rng = gc.Lcg64(19)
     for name, make in FIXTURES.items():
