@@ -11,12 +11,16 @@ Importing the package runs none of its modules.  Each submodule is
 registered in sys.modules and runs on first use: an attribute of it, or a
 name of the package that it owns (`graphcalc.eigensystem` runs `spectral`).
 `import graphcalc.spectral` runs it at once, and an error inside a module
-surfaces where it is first used.  `graphcalc.cli` is not registered: the
-import system loads it as usual, also as `python -m graphcalc.cli`.
+surfaces where it is first used.  Submodules run under one lock, so
+threads that first use one at once wait for its whole run.  `graphcalc.cli`
+is not registered: the import system loads it as usual, also as
+`python -m graphcalc.cli`.
 """
 
+import _thread
 import importlib.util as _util
 import sys as _sys
+from types import ModuleType as _Module
 
 __version__ = "0.1.0"
 
@@ -63,12 +67,39 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.s
 __all__ = [*_EXPORTS, *_OWNER]
 
 
+_LOCK = _thread.RLock()  # held while a submodule runs; its own thread re-enters
+
+
+class _Lazy(_Module):
+    """A registered submodule that has not run: the first attribute read runs
+    it under _LOCK as a _Running module, then makes it a plain module."""
+
+    def __getattribute__(self, attr):
+        with _LOCK:
+            if type(self) is _Lazy:
+                self.__class__ = _Running
+                try:
+                    self.__spec__.loader.exec_module(self)
+                except BaseException:
+                    self.__class__ = _Lazy  # the next use runs it again
+                    raise
+                self.__class__ = _Module
+        return _Module.__getattribute__(self, attr)
+
+
+class _Running(_Module):
+    """A submodule while its code runs: every read takes _LOCK first."""
+
+    def __getattribute__(self, attr):
+        with _LOCK:
+            return _Module.__getattribute__(self, attr)
+
+
 def _lazy(name: str):
     """The submodule `name`, registered in sys.modules to run on first use."""
     spec = _util.find_spec(f"{__name__}.{name}")
-    spec.loader = _util.LazyLoader(spec.loader)
     module = _sys.modules[spec.name] = _util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module.__class__ = _Lazy
     return module
 
 

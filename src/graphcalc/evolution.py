@@ -7,7 +7,7 @@ recompute every quantity from scratch instead of trusting solver internals.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -207,39 +207,13 @@ def heat_identities_report(traj: Trajectory, spec: OperatorSpec) -> HeatIdentiti
 FieldProvider = Union[VectorField, Callable[[float], VectorField]]
 
 
-class _PairRates:
-    """Rates w(x, y) / d_x on the graph's layout pairs; rhs sums over pairs
-    with the layout's sums, not BLAS."""
-
-    def __init__(self, g: Graph):
-        lay = self.layout = g.layout
-        self.src, self.dst = lay.src, lay.dst
-        self.src_deg = lay.deg[lay.src]
-        names = g.vertices
-        self.keys = [(names[i], names[j]) for i, j in zip(self.src.tolist(), self.dst.tolist())]
-        self._last: Optional[tuple[VectorField, np.ndarray]] = None
-
-    def values(self, w: VectorField) -> np.ndarray:
-        """w on the pairs.  A scaled field c * v is c times v's values, and
-        the last plain field is gathered once, so a callable field that
-        scales one base field reads the base's entries once per run."""
-        if w.scaling is not None:
-            c, base = w.scaling
-            return c * self.values(base)
-        if self._last is None or self._last[0] is not w:
-            try:
-                vals = np.fromiter(map(w.entries.__getitem__, self.keys), float, len(self.keys))
-            except KeyError as e:
-                w.value(*e.args[0])  # raises: the pair is off the field
-                raise
-            self._last = (w, vals)
-        return self._last[1]
-
-    def rates(self, w: VectorField) -> np.ndarray:
-        return self.values(w) / self.src_deg
-
-    def rhs(self, rates: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        return self.layout.sums(rates * (vec[self.dst] - vec[self.src]))
+def _transport_rhs(g: Graph):
+    """(rates, drift) of transport on g's layout pairs: rates(w) = w(x, y) / d_x,
+    and drift(r, vec)(x) adds r (vec[y] - vec[x]) over the pairs (x, y) with the
+    layout's sums, not BLAS; the layout is read once here, not at every stage."""
+    lay = g.layout
+    src, dst, sums, src_deg = lay.src, lay.dst, lay.sums, lay.deg[lay.src]
+    return (lambda w: w.pair_values() / src_deg), (lambda r, vec: sums(r * (vec[dst] - vec[src])))
 
 
 def transport_solve(
@@ -261,8 +235,8 @@ def transport_solve(
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValidationError("t_final must be an integer multiple of dt")
     _check_kept_values("transport", n_steps + 1, len(g))
-    pairs = _PairRates(g)
-    rates_at = lambda t: pairs.rates(field(t) if callable(field) else field)
+    rates, drift = _transport_rhs(g)
+    rates_at = lambda t: rates(field(t) if callable(field) else field)
 
     vec = gather(f0, g.vertices)
     times = (0.0, *(k * dt for k in range(1, n_steps + 1)))
@@ -270,10 +244,10 @@ def transport_solve(
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         for t in times[:-1]:
             r1, r2, r4 = rates_at(t), rates_at(t + dt / 2), rates_at(t + dt)
-            k1 = pairs.rhs(r1, vec)
-            k2 = pairs.rhs(r2, vec + dt / 2 * k1)
-            k3 = pairs.rhs(r2, vec + dt / 2 * k2)
-            k4 = pairs.rhs(r4, vec + dt * k3)
+            k1 = drift(r1, vec)
+            k2 = drift(r2, vec + dt / 2 * k1)
+            k3 = drift(r2, vec + dt / 2 * k2)
+            k4 = drift(r4, vec + dt * k3)
             vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             vecs.append(vec)
     states = require_finite(np.array(vecs), "transport", g.vertices, times)
@@ -289,10 +263,10 @@ def transport_mass_rate(g: Graph, w: VectorField, f: VertexFunction) -> tuple[fl
     each w(xy) by d_x before the vertex's sum and the second divides the
     sum, so they can differ in the last bits.
     """
-    pairs = _PairRates(g)
+    rates, drift = _transport_rhs(g)
     vec = gather(f, g.vertices)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        lhs = pairs.layout.integral(pairs.rhs(pairs.rates(w), vec))
+        lhs = g.layout.integral(drift(rates(w), vec))
     rhs = sum(g.degree(x) * directional_derivative(w, f, x) for x in g.vertices)
     return require_finite((lhs, rhs), "transport mass rate", "a rate")
 

@@ -269,6 +269,12 @@ class RegionLayout:
         if not deg.all():
             raise ValidationError(f"vertex {list(self.rows)[int(deg.argmin())]!r} is isolated")
 
+    @cached_property
+    def pair_names(self) -> tuple[tuple[str, str], ...]:
+        """The ordered pairs as (x, y) vertex names, in pair order."""
+        names = list(self.rows)
+        return tuple(zip(map(names.__getitem__, self.src.tolist()), map(names.__getitem__, self.dst.tolist())))
+
 
 def column_sums(stack: np.ndarray) -> Union[float, np.ndarray]:
     """The sum down each column of a stack, adding the rows in order from

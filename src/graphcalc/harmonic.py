@@ -169,10 +169,9 @@ def energy_density(u: SphereMap, x: str, region: Optional[Region] = None) -> flo
 
 def map_energy(u: SphereMap, region: Region) -> float:
     """Half the sum of squared distances over ordered closure pairs."""
-    closure, lay = region.closure, region.layout
     acc = 0.0
-    for i, j in zip(lay.src.tolist(), lay.dst.tolist()):
-        acc += sphere_distance(u.point(closure[i]), u.point(closure[j])) ** 2
+    for x, y in region.layout.pair_names:
+        acc += sphere_distance(u.point(x), u.point(y)) ** 2
     return 0.5 * acc
 
 

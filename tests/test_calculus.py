@@ -47,6 +47,19 @@ def test_vector_field_validation(c4):
     assert w.value("v0", "v1") == 2.0
     with pytest.raises(gc.DomainError):
         w.value("v1", "v2")
+    with pytest.raises(gc.DomainError, match=r"^field not defined on ordered pair \(v0, v3\)$"):
+        w.pair_values()
+
+
+def test_pair_values_gathers_once_and_scales_the_base(c4):
+    w = gc.random_antisymmetric_field(c4, gc.Lcg64(5))
+    lay = c4.layout
+    got = w.pair_values()
+    assert got.tolist() == [w.value(c4.vertices[i], c4.vertices[j]) for i, j in zip(lay.src, lay.dst)]
+    assert w.pair_values() is got and not got.flags.writeable
+    half = w.scaled(0.5).scaled(-3.0)
+    assert half.pair_values().tobytes() == (-3.0 * (0.5 * got)).tobytes()
+    assert "entries" not in vars(half)  # the scaled field built no entries
 
 
 def test_divergence_and_products(c4):
@@ -279,7 +292,7 @@ def assert_suite_matches_pointwise(g, seed, trials, cfg=gc.DEFAULT_CONFIG):
         assert got[key] == want[key]
     for name, value in got.items():
         if isinstance(value, dict) and "max_abs_residual" in value:
-            assert value["trials"] == want[name]["trials"] == max(0, trials)
+            assert value["trials"] == want[name]["trials"] == trials
             assert value["max_abs_residual"] <= 1e-12, name
             assert want[name]["max_abs_residual"] <= 1e-12, name
     return got
@@ -300,16 +313,13 @@ def test_identity_suite_matches_pointwise_reference_property(g):
 
 
 def test_identity_suite_zero_trials(k4):
-    report = assert_suite_matches_pointwise(k4, 5, 0)
-    assert report["maximum_principle"] == {
-        "local_minima_checked": 0,
-        "min_laplacian": None,
-        "min_hessian_entry": None,
-        "min_gradient_entry": None,
-    }
-    assert all(
-        v["max_abs_residual"] == 0.0 for v in report.values() if isinstance(v, dict) and "trials" in v
-    )
+    # zero or negative trials used to report every residual as 0 and each
+    # minimum as None, a certificate that checked nothing; the count is
+    # refused before the graph is looked at
+    isolated = gc.Graph(["a", "b", "z"], [("a", "b")])
+    for g, trials in ((k4, 0), (k4, -5), (isolated, 0)):
+        with pytest.raises(gc.ValidationError, match=f"^trials must be at least 1, got {trials}$"):
+            gc.run_identity_suite(g, 5, trials)
 
 
 def test_identity_suite_batch_equals_per_draw_bit_for_bit(monkeypatch):
@@ -318,7 +328,7 @@ def test_identity_suite_batch_equals_per_draw_bit_for_bit(monkeypatch):
     graphs = [make() for make in FIXTURES.values()] + [grid_graph(k) for k in (3, 4, 6)]
     for g in graphs:
         for seed in (1, 2, 17):
-            for trials in (0, 1, 4):
+            for trials in (1, 4):
                 got = repr(gc.run_identity_suite(g, seed, trials, SCALE23))
                 monkeypatch.setattr(gc.calculus, "Lcg64", PerDrawLcg64)
                 want = repr(gc.run_identity_suite(g, seed, trials, SCALE23))
@@ -372,6 +382,13 @@ def test_green_symmetric_report_overflow_is_numerical_error(p5):
         gc.green_symmetric_report(f, f, gc.build_window(p5, ["b", "c", "d"]))
 
 
+def test_green_vectorfield_report_overflow_is_numerical_error(p5):
+    # used to return lhs=nan and residual=nan
+    w = gc.VectorField(p5, {p: 1e308 for x, y in p5.edges() for p in ((x, y), (y, x))})
+    with pytest.raises(gc.NumericalError, match="^green identity overflowed: a term is not finite$"):
+        gc.green_vectorfield_report(w, alternating(p5), gc.build_window(p5, ["b", "c", "d"]))
+
+
 def test_closure_energy_overflow_is_numerical_error(p5):
     # used to warn "overflow encountered in subtract" and return inf
     with warnings.catch_warnings():
@@ -386,4 +403,3 @@ def test_identity_suite_isolated_vertex_message():
     for suite in (gc.run_identity_suite, pointwise_identity_suite):
         with pytest.raises(gc.ValidationError, match="^vertex 'z' is isolated$"):
             suite(g, 3, 1)
-    assert_suite_matches_pointwise(g, 3, 0)

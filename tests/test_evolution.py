@@ -18,6 +18,8 @@ from helpers import (
     grid_interior,
     pointwise_dmf_certificate,
     pointwise_heat_identities_report,
+    reference_mass_rate,
+    reference_transport_states,
     random_connected_graph,
     rowwise_heat,
 )
@@ -375,6 +377,24 @@ def test_transport_fixed_field_is_the_constant_callable():
         assert bits[0] == bits[1]
 
 
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_transport_equals_the_pair_rates_reference_bit_for_bit(seed):
+    # VectorField.pair_values replaced evolution's _PairRates; the states and
+    # both mass-rate sides keep its bits for a fixed, a scaled and a fresh field
+    rng = gc.Lcg64(seed)
+    for g in [make() for make in FIXTURES.values()] + [grid_graph(5)]:
+        base = gc.random_antisymmetric_field(g, rng)
+        f0 = gc.random_function(g, rng)
+        fresh = lambda t: gc.VectorField(g, {k: v * math.cos(t) for k, v in base.entries.items()})
+        for field in (base, lambda t: base.scaled(math.sin(t)), fresh):
+            traj = gc.transport_solve(g, field, f0, 0.5, 0.05)
+            got = np.array([[s.value(x) for x in g.vertices] for s in traj.states])
+            assert got.tobytes() == reference_transport_states(g, field, f0, 10, 0.05).tobytes()
+        for w in (base, base.scaled(math.sin(0.7)), fresh(0.7)):
+            got, want = gc.transport_mass_rate(g, w, f0), reference_mass_rate(g, w, f0)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def test_transport_isolated_vertex_stays_constant():
     g = gc.Graph(["a", "b", "c", "z"], [("a", "b"), ("b", "c")])
     w = gc.random_antisymmetric_field(g, gc.Lcg64(107))
@@ -427,6 +447,14 @@ def test_transport_validation(k2):
         gc.transport_solve(k2, w, f0, -1.0, 0.1)
     with pytest.raises(gc.ValidationError):
         gc.transport_solve(k2, w, f0, 1.0, 0.0)
+
+
+def test_dmf_solve_residual_above_tolerance_is_numerical_error(p5, monkeypatch):
+    solve = gc.evolution.cholesky_solve
+    monkeypatch.setattr(gc.evolution, "cholesky_solve", lambda factor, b: solve(factor, b) * (1 + 1e-9))
+    u0 = gc.VertexFunction(p5, {"b": 1.0, "c": 2.0, "d": 1.0})
+    with pytest.raises(gc.NumericalError, match=r"^linear solve residual \S+ above 1e-12$"):
+        gc.dmf_run(u0, 0.0, 1.0, 4, gc.build_window(p5, ["b", "c", "d"]))
 
 
 def test_dmf_step_frozen_p3(p3):

@@ -38,7 +38,9 @@
   share one state fill;
 - batched draws replace draw loops: outside rng.py, only the reference
   draws random_function and random_antisymmetric_field call .uniform or
-  .normal inside a loop or comprehension.
+  .normal inside a loop or comprehension;
+- VectorField.pair_values owns a field's values on the layout pairs: no
+  module but calculus.py reads .scaling, and no _PairRates is defined.
 """
 
 import ast
@@ -551,3 +553,36 @@ def test_no_draw_loops_outside_the_reference_draws():
     outside = [path for path in MODULES if path.name != "rng.py"]
     found = sorted(name for path in outside for name in looped_draws(path.read_text()))
     assert found == ["random_antisymmetric_field", "random_function"]
+
+
+def scaling_reads(source: str) -> list[int]:
+    """Lines that read an attribute named scaling."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "scaling" and isinstance(node.ctx, ast.Load)
+    )
+
+
+def defined_classes(source: str) -> list[str]:
+    """Names of every class a source defines, sorted."""
+    return sorted(node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef))
+
+
+def test_pair_value_checkers_find_each_copy():
+    source = (
+        "class _PairRates:\n"
+        "    def values(self, w):\n"
+        "        if w.scaling is not None:\n"
+        "            c, base = w.scaling\n"
+        "        out.scaling = (c, w)\n"
+    )
+    assert scaling_reads(source) == [3, 4]
+    assert defined_classes(source) == ["_PairRates"]
+
+
+def test_only_vector_field_reads_its_scaling():
+    found = {path.name: scaling_reads(path.read_text()) for path in MODULES}
+    assert found.pop("calculus.py") != []
+    assert [line for lines in found.values() for line in lines] == []
+    assert not any("_PairRates" in defined_classes(path.read_text()) for path in MODULES)

@@ -942,6 +942,23 @@ def test_cli_transport_bad_profile_is_json_error(tmp_path, capsys):
     assert_one_json_validation_error(*run_cli(capsys, argv))
 
 
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        # zero trials used to print every residual as 0 and exit 0
+        ("identities", ["--trials", "0"], "trials must be at least 1, got 0"),
+        ("identities", ["--trials", "-5"], "trials must be at least 1, got -5"),
+        ("spectrum", ["--interior", " , "], "empty interior list"),
+        ("dmf", ["--potential", "linear:1"], "linear potential needs 'linear:a,b'"),
+        ("transport", ["--profile", "linear:1,2,3"], "linear profile needs 'linear:a,b'"),
+    ],
+)
+def test_cli_refused_option_values_are_json_errors(tmp_path, capsys, command, options, message):
+    rc, out = run_cli(capsys, one_call_per_command(tmp_path)[command] + options)
+    assert_one_json_validation_error(rc, out)
+    assert json.loads(out)["error"]["message"] == message
+
+
 def test_cli_transport_exact_field_missing_pair_is_json_error(tmp_path, capsys):
     path = write_graph_file(tmp_path, make_k2())
     fn = tmp_path / "f.csv"

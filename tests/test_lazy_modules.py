@@ -1,9 +1,14 @@
 """The package registers its submodules and runs each on first use; its
 public namespace is the export table in `graphcalc/__init__.py`."""
 
+import importlib.abc
+import importlib.util
 import json
 import subprocess
 import sys
+import types
+
+import pytest
 
 import graphcalc as gc
 
@@ -58,3 +63,55 @@ def test_cli_runs_only_the_modules_its_subcommand_needs(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["vertices"] == 4
+
+
+# eight threads, two of them on one module, first read their names at once
+RACE = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+import graphcalc as gc
+names = [("evolution", "dmf_run"), ("evolution", "transport_solve"), ("spectral", "eigensystem"),
+         ("linalg", "eigh"), ("constants", "cheeger_constants"), ("minimax", "find_minimax"),
+         ("harmonic", "dirichlet_minimize"), ("harmonic", "SphereMap")]
+barrier = threading.Barrier(len(names))
+failed = []
+def read(module, name):
+    barrier.wait()
+    try:
+        getattr(getattr(gc, module), name)
+    except Exception as exc:
+        failed.append(repr(exc))
+threads = [threading.Thread(target=read, args=pair) for pair in names]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(30)
+print(failed, sum(t.is_alive() for t in threads))
+"""
+
+
+def test_threads_that_first_use_a_module_at_once_wait_for_its_run():
+    proc = subprocess.run([sys.executable, "-c", RACE], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0\n"
+
+
+def test_a_module_whose_run_fails_runs_again_on_next_use():
+    class Flaky(importlib.abc.Loader):
+        runs = 0
+
+        def create_module(self, spec):
+            return None
+
+        def exec_module(self, module):
+            self.runs += 1
+            if self.runs == 1:
+                raise RuntimeError("first run fails")
+            module.answer = 42
+
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader("probe", Flaky()))
+    module.__class__ = gc._Lazy
+    with pytest.raises(RuntimeError, match="first run fails"):
+        module.answer
+    assert type(module) is gc._Lazy
+    assert module.answer == 42 and type(module) is types.ModuleType

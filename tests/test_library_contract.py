@@ -6,8 +6,10 @@ Graphs have at most 9 vertices, and every value, potential, time, sphere
 point coordinate and tangent entry is drawn from the float range's edges
 (+-1e308, +-1e200, 1e160, +-5e-324, 0) and a few ordinary values.  The
 pointwise functions (laplacian, gradient_norm_sq, dirichlet_energy, integrate,
-hessian) stay outside the contract, and so does dmf_convergence_study, whose
-fitted_order is inf by design when fewer than two of its errors are positive.
+hessian, scalar_product, divergence_theorem_residual and
+maximum_principle_check) return plain Python floats and stay outside the
+contract, and so does dmf_convergence_study, whose fitted_order is inf by
+design when fewer than two of its errors are positive.
 """
 
 import dataclasses
@@ -90,6 +92,8 @@ def _calls(draw, g):
         ("weighted_norm_sq", lambda: gc.weighted_norm_sq(f, g.vertices)),
         ("closure_energy", lambda: gc.closure_energy(f, region)),
         ("green_symmetric_report", lambda: gc.green_symmetric_report(f, h, window)),
+        ("green_vectorfield_report", lambda: gc.green_vectorfield_report(field, f, window)),
+        ("barta_bound", lambda: gc.barta_bound(region, spec.potential, f)),
         ("transport_mass_rate", lambda: gc.transport_mass_rate(g, field, f)),
         ("cheeger_functional", lambda: gc.cheeger_functional(g, f)),
         ("HeatKernel.value", lambda: kernel().value(t, x, y)),
