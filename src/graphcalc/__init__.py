@@ -14,7 +14,9 @@ name of the package that it owns (`graphcalc.eigensystem` runs `spectral`).
 surfaces where it is first used.  Submodules run under one lock, so
 threads that first use one at once wait for its whole run.  `graphcalc.cli`
 is not registered: the import system loads it as usual, also as
-`python -m graphcalc.cli`.
+`python -m graphcalc.cli`.  The private `_numpy` is registered the same way:
+`errors`, `rng`, `graph`, `calculus` and `cli` read numpy through it, so
+numpy loads when one of them first computes with an array.
 """
 
 import _thread
@@ -103,8 +105,9 @@ def _lazy(name: str):
     return module
 
 
-# bound on the package too, so that `from . import spectral` does not run it
-globals().update({name: _lazy(name) for name in _EXPORTS})
+# bound on the package too, so that `from . import spectral` does not run it;
+# `_numpy` exports nothing
+globals().update({name: _lazy(name) for name in (*_EXPORTS, "_numpy")})
 
 
 def __getattr__(name: str):

@@ -15,14 +15,15 @@ normalization some flows prefer, and CalculusConfig snaps a value within
 1e-12 of either to it.  Everything downstream records the scale it ran with.
 """
 
+from __future__ import annotations
+
 import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import DomainError, ValidationError, require_finite
 from .graph import Graph, Region, SubgraphWindow, VertexFunction, build_window, gather
 from .rng import Lcg64

@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 validation problems, 2 numerical failures.  Errors
 print a one-object JSON diagnostic to standard output.
 """
 
+from __future__ import annotations
+
 import argparse
 import codecs
 import functools
@@ -23,9 +25,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from . import __version__, constants, evolution, harmonic, minimax, spectral
+from . import __version__, _numpy as np, constants, evolution, harmonic, minimax, spectral
 from .calculus import CalculusConfig, run_identity_suite
 from .errors import GraphCalcError, NumericalError, ValidationError
 from .graph import BOUNDARY_CONDITIONS, Graph, build_window, monge_cost, volume

@@ -5,7 +5,9 @@ numerical errors (well-posed input, computation cannot deliver); the CLI
 maps them to exit codes 1 and 2.
 """
 
-import numpy as np
+from __future__ import annotations
+
+from . import _numpy as np
 
 
 class GraphCalcError(Exception):

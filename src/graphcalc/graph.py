@@ -13,14 +13,15 @@ caches one layout of array rows for its closure; gather and scatter move a
 vertex function to and from those arrays.
 """
 
+from __future__ import annotations
+
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import (
     DanglingEndpointError,
     DisconnectedInteriorError,
@@ -359,9 +360,6 @@ class VertexFunction:
     def restrict(self, region: Iterable[str]) -> "VertexFunction":
         keep = set(region)
         return VertexFunction(self.graph, {x: v for x, v in self.values.items() if x in keep})
-
-    def defined_on(self, region: Iterable[str]) -> bool:
-        return all(x in self.values for x in region)
 
 
 def gather(f: VertexFunction, xs: Sequence[str]) -> np.ndarray:

@@ -10,9 +10,12 @@ multiplier/increment:
 Doubles are produced from the top 53 bits of the state, uniform in [0, 1).
 """
 
+from __future__ import annotations
+
 import math
 
-import numpy as np
+from . import _numpy as np
+from .errors import ValidationError
 
 MASK64 = (1 << 64) - 1
 LCG_MULT = 6364136223846793005
@@ -24,6 +27,8 @@ class Lcg64:
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
+        if self.state != seed:  # reduced mod 2^64, two seeds would share a stream
+            raise ValidationError(f"seed must be in [0, 2**64), got {seed!r}")
 
     def next_u64(self) -> int:
         self.state = (LCG_MULT * self.state + LCG_INC) & MASK64

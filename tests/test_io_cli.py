@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -957,6 +958,18 @@ def test_cli_refused_option_values_are_json_errors(tmp_path, capsys, command, op
     rc, out = run_cli(capsys, one_call_per_command(tmp_path)[command] + options)
     assert_one_json_validation_error(rc, out)
     assert json.loads(out)["error"]["message"] == message
+
+
+def test_seeds_outside_64_bits_are_refused(tmp_path, capsys):
+    # reduced mod 2^64, --seed -1 used to print the residuals of 2^64 - 1
+    for seed in (-1, 2**64, 2**64 + 1):
+        message = f"seed must be in [0, 2**64), got {seed}"
+        with pytest.raises(gc.ValidationError, match=re.escape(message)):
+            gc.Lcg64(seed)
+        rc, out = run_cli(capsys, one_call_per_command(tmp_path)["identities"] + [f"--seed={seed}"])
+        assert_one_json_validation_error(rc, out)
+        assert json.loads(out)["error"]["message"] == message
+    assert gc.Lcg64(0).state == 0 and gc.Lcg64(2**64 - 1).state == 2**64 - 1
 
 
 def test_cli_transport_exact_field_missing_pair_is_json_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The package registers its submodules and runs each on first use; its
 public namespace is the export table in `graphcalc/__init__.py`."""
 
+import ast
 import importlib.abc
 import importlib.util
 import json
@@ -12,7 +13,7 @@ import pytest
 
 import graphcalc as gc
 
-from conftest import make_c4
+from conftest import make_c4, make_octahedron, make_p3, make_p5
 
 SOLVERS = ("spectral", "linalg", "evolution", "constants", "minimax", "harmonic")
 
@@ -88,6 +89,76 @@ for t in threads:
     t.join(30)
 print(failed, sum(t.is_alive() for t in threads))
 """
+
+
+# the subcommands and refusals that compute no array, then one that does
+NO_ARRAYS = """
+import contextlib, io, json, sys
+import graphcalc.cli
+calls = json.loads(sys.argv[1])
+report = [sorted(n for n in sys.modules if n.split(".")[0] == "numpy")]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = graphcalc.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([argv[0], code, "numpy" in sys.modules])
+import numpy
+report.append([graphcalc.graph.np.bincount is numpy.bincount, hasattr(graphcalc.graph.np, "__path__")])
+print(json.dumps(report))
+"""
+
+
+def test_cli_loads_numpy_only_when_a_subcommand_computes_with_arrays(tmp_path):
+    files = {"c4": make_c4(), "octahedron": make_octahedron(), "p3": make_p3(), "p5": make_p5()}
+    for name, g in files.items():
+        (tmp_path / f"{name}.json").write_text(gc.write_graph(g))
+    path = {name: str(tmp_path / f"{name}.json") for name in files}
+    for name, text in [("saddle", "p1,0\nm1,0\np2,1\nm2,1\np3,1\nm3,1\n"),
+                       ("fnan", "b,nan\nc,0.5\nd,0.25\n"), ("fb", "b,0.75\n")]:
+        (tmp_path / f"{name}.csv").write_text(text)
+        path[name] = str(tmp_path / f"{name}.csv")
+    out = str(tmp_path / "out.json")
+    calls = [
+        ["graph", path["c4"], "--out", out],
+        ["monge", path["c4"], "--sources", "v0,v1", "--targets", "v2,v3", "--out", out],
+        ["minimax", path["octahedron"], path["saddle"], "--src", "p1", "--dst", "m1", "--out", out],
+        ["--version"],
+        ["heat", path["p5"], path["fnan"], "--bc", "dirichlet", "--interior", "b,c,d", "--t-final", "1"],
+        ["dmf", path["p3"], path["fb"], "--interior", "b", "--t-final", "1", "--potential", "nan"],
+        ["graph", path["c4"], "--out", str(tmp_path / "missing" / "graph.json")],
+        ["spectrum", path["c4"], "--out", out],
+    ]
+    proc = subprocess.run([sys.executable, "-c", NO_ARRAYS, json.dumps(calls)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, *runs, same = json.loads(proc.stdout)
+    assert loaded == []
+    assert runs == [
+        ["graph", 0, False],
+        ["monge", 0, False],
+        ["minimax", 0, False],
+        ["--version", 0, False],
+        ["heat", 1, False],
+        ["dmf", 1, False],
+        ["graph", 1, False],
+        ["spectrum", 0, True],
+    ]
+    # names read through graphcalc._numpy are numpy's own objects, but not
+    # numpy's __path__, which would make it a second numpy package
+    assert same == [True, False]
+
+
+NUMPY_FREE = ("errors", "rng", "graph", "calculus", "io", "cli")
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_front_end_modules_read_numpy_only_through_the_private_module(name):
+    path = importlib.util.find_spec(f"graphcalc.{name}").origin
+    tree = ast.parse(open(path).read())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not {m for m in imported if m and m.split(".")[0] == "numpy"}, path
 
 
 def test_threads_that_first_use_a_module_at_once_wait_for_its_run():

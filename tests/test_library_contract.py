@@ -29,7 +29,10 @@ VALUE = st.sampled_from(VALUES)
 
 def _finite(result) -> bool:
     """Every number in a result: floats, arrays, tuples, vertex functions,
-    sphere points and report dataclasses (whose vertex names are skipped)."""
+    sphere points and report dataclasses (whose graphs and vertex names are
+    skipped)."""
+    if isinstance(result, gc.Graph):
+        return True
     if isinstance(result, gc.VertexFunction):
         return all(map(math.isfinite, result.values.values()))
     if isinstance(result, gc.SpherePoint):
@@ -78,8 +81,17 @@ def _calls(draw, g):
     coords = {v: (draw(VALUE), draw(VALUE), draw(VALUE)) for v in g.vertices}
     tangent = [draw(VALUE) for _ in range(3)]
 
+    j = draw(st.integers(1, 3))
+    grid = (0.0, 0.005, 0.01)  # a uniform step the heat identities accept
+    tau = abs(t)  # a flow's final time, with dt = tau / k for transport
+    dt = tau / draw(st.integers(1, 4))
+    phi = _function(draw, g, window.boundary)  # dmf's data vanishes there
+
     def kernel():
         return gc.HeatKernel(gc.eigensystem(spec))
+
+    def green():
+        return gc.GreenFunction(gc.eigensystem(spec))
 
     def sphere_map():
         # inside the call: a point SpherePoint refuses is a ValidationError
@@ -98,6 +110,17 @@ def _calls(draw, g):
         ("cheeger_functional", lambda: gc.cheeger_functional(g, f)),
         ("HeatKernel.value", lambda: kernel().value(t, x, y)),
         ("HeatKernel.apply", lambda: kernel().apply(t, f)),
+        ("eigensystem", lambda: gc.eigensystem(spec)),
+        ("courant_fischer_check", lambda: gc.courant_fischer_check(gc.eigensystem(spec), j, 1, 20, 5)),
+        ("GreenFunction.value", lambda: green().value(x, y)),
+        ("GreenFunction.apply", lambda: green().apply(f)),
+        ("spectral_heat_solve", lambda: gc.spectral_heat_solve(spec, f, (0.0, tau))),
+        ("heat_identities_report", lambda: gc.heat_identities_report(gc.spectral_heat_solve(spec, f, grid), spec)),
+        ("poincare_dirichlet_constant", lambda: gc.poincare_dirichlet_constant(window)),
+        ("dmf_run", lambda: gc.dmf_run(phi, spec.potential, tau, 2, window)),
+        ("transport_solve", lambda: gc.transport_solve(g, field, f, tau, dt)),
+        ("weighted_median", lambda: gc.weighted_median(g, f)),
+        ("bottleneck_level", lambda: gc.bottleneck_level(g, f, x, y)),
         ("sphere_log", lambda: gc.sphere_log(sphere_map().point(x), sphere_map().point(y))),
         ("sphere_exp", lambda: gc.sphere_exp(sphere_map().point(x), tangent)),
         ("first_variation", lambda: gc.first_variation(sphere_map(), x, region)),
