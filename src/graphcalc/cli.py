@@ -1,9 +1,10 @@
 """Command-line interface.
 
 One-shot subcommands, each reading files named on the command line and
-returning a payload dict (a JSON document) or a CSV body with its extra
-comment lines.  `main` alone writes the document to --out or standard output,
-led by a run manifest (argv, input digests, scale, version): the first JSON
+returning a payload dict (a JSON document) or the chunks of a CSV body with
+its extra comment lines.  `main` alone writes the document, in batches, to
+--out (opened once the subcommand has returned) or standard output, led by a
+run manifest (argv, input digests, scale, version): the first JSON
 key, or the first '# manifest: ...' line.  There are no timestamps, so
 identical invocations produce identical bytes.
 
@@ -15,15 +16,17 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
+from typing import BinaryIO, Optional
 
 from . import __version__, _numpy as np, constants, evolution, harmonic, minimax, spectral
 from .calculus import CalculusConfig, run_identity_suite
@@ -39,10 +42,11 @@ from .io import (
     parse_vector_field,
     parse_vertex_function,
     render_sphere_map_csv,
-    render_trajectory_csv,
+    trajectory_csv_chunks,
 )
 
 SCALE_ENV = "GRAPHCALC_SCALE"
+BATCH = 1 << 16  # most characters in one write; one chunk, a state's rows, is never split
 
 
 def _finite_floats(values) -> bool:
@@ -276,7 +280,7 @@ def cmd_heat(args, g, inputs, cfg):
     spec = _spec_from_args(args, g, cfg, inputs)
     times = evolution._uniform_times("heat", args.t_final, args.steps, len(spec.closure))
     traj = evolution.spectral_heat_solve(spec, f, times)
-    return render_trajectory_csv(traj.times, traj.states), {}
+    return trajectory_csv_chunks(traj.times, traj.states), {}
 
 
 def cmd_transport(args, g, inputs, cfg):
@@ -292,7 +296,7 @@ def cmd_transport(args, g, inputs, cfg):
     else:
         raise ValidationError(f"unknown profile {args.profile!r}")
     traj = evolution.transport_solve(g, field, f, args.t_final, args.dt)
-    return render_trajectory_csv(traj.times, traj.states), {}
+    return trajectory_csv_chunks(traj.times, traj.states), {}
 
 
 def cmd_dmf(args, g, inputs, cfg):
@@ -308,7 +312,7 @@ def cmd_dmf(args, g, inputs, cfg):
         "max_el_residual": max(r.el_residual for r in run.reports),
         "certificates_ok": all(r.certificate_ok for r in run.reports),
     }
-    return render_trajectory_csv(run.times, run.states), {"audit": audit}
+    return trajectory_csv_chunks(run.times, run.states), {"audit": audit}
 
 
 def cmd_harmonic(args, g, inputs, cfg):
@@ -329,7 +333,7 @@ def cmd_harmonic(args, g, inputs, cfg):
         "steps_rejected": res.flow.steps_rejected,
         "certificate_ok": res.certificate_ok,
     }
-    return render_sphere_map_csv(res.flow.map), {"result": summary}
+    return [render_sphere_map_csv(res.flow.map)], {"result": summary}
 
 
 def cmd_identities(args, g, inputs, cfg):
@@ -458,21 +462,45 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    """Write text's UTF-8 bytes to out or to standard output, whatever the
-    locale; non-ASCII text is refused on a standard output that is not UTF-8."""
-    if out is None:
-        encoding = getattr(sys.stdout, "encoding", None)  # None: a text stream
-        if encoding and not text.isascii() and codecs.lookup(encoding).name != "utf-8":
-            raise ValidationError(
-                f"standard output encodes {encoding!r}, which cannot carry the "
-                "document's UTF-8 bytes; write it with --out"
-            )
+def _utf8_stdout() -> bool:
+    encoding = getattr(sys.stdout, "encoding", None)  # None: a text stream
+    return not encoding or codecs.lookup(encoding).name == "utf-8"
+
+
+def _emit(text: str, out: Optional[BinaryIO]) -> None:
+    """Write text's UTF-8 bytes to out, an open binary file, or to standard
+    output, whatever the locale; non-ASCII text is refused on a standard
+    output that is not UTF-8."""
+    if out is not None:
+        out.write(text.encode("utf-8"))
+    elif text.isascii() or _utf8_stdout():
         sys.stdout.write(text)
-        return
+    else:
+        raise ValidationError(
+            f"standard output encodes {sys.stdout.encoding!r}, which cannot carry the "
+            "document's UTF-8 bytes; write it with --out"
+        )
+
+
+def _write(chunks, out: Optional[str]) -> None:
+    """The chunks through _emit, joined into batches of at most BATCH
+    characters (a longer chunk alone), to the file out, opened only now, or
+    to standard output.  A standard output that is not UTF-8 gets one batch,
+    so that a refusal comes before the first byte."""
+    limit = BATCH if out is not None or _utf8_stdout() else math.inf
     try:
-        Path(out).write_bytes(text.encode("utf-8"))
+        with (open(out, "wb") if out is not None else contextlib.nullcontext()) as fh:
+            batch, size = [], 0
+            for chunk in chunks:
+                if size + len(chunk) > limit and batch:
+                    _emit("".join(batch), fh)
+                    batch, size = [], 0
+                batch.append(chunk)
+                size += len(chunk)
+            _emit("".join(batch), fh)
     except OSError as e:
+        if out is None:
+            raise
         raise ValidationError(f"cannot write output file {out!r}: {e}") from e
 
 
@@ -489,12 +517,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         result = args.func(args, g, inputs, cfg)
         manifest = build_manifest(argv, cfg.laplacian_scale, inputs, getattr(args, "seed", None))
         if isinstance(result, dict):
-            _emit(render_json({"manifest": manifest, **result}) + "\n", args.out)
+            chunks = [render_json({"manifest": manifest, **result}) + "\n"]
         else:
             body, notes = result
             notes = {"manifest": manifest, **notes}
             head = "".join(f"# {k}: {render_json_line(v)}\n" for k, v in notes.items())
-            _emit(head + body, args.out)
+            chunks = itertools.chain([head], body)
+        _write(chunks, args.out)
         return 0
     except SystemExit as e:  # argparse --version/--help paths
         return e.code if isinstance(e.code, int) else 0

@@ -330,8 +330,11 @@ class VertexFunction:
 
     Stores its graph so that difference operators can see adjacency.  The
     domain is exactly the key set; evaluating off-domain raises DomainError
-    via value().
+    via value().  A function from scatter_rows keeps its row of the shared
+    array and the shared key tuple, and builds values on first read.
     """
+
+    _row = None  # values in domain order, for a function from scatter_rows
 
     def __init__(self, graph: Graph, values: Mapping[str, float]):
         self.graph = graph
@@ -344,9 +347,13 @@ class VertexFunction:
             x = next(x for x, v in self.values.items() if not math.isfinite(v))
             raise ValidationError(f"value at {x!r} is not finite: {self.values[x]}")
 
+    @cached_property
+    def values(self) -> dict[str, float]:
+        return dict(zip(self._keys, self._row.tolist()))
+
     @property
     def domain(self) -> tuple[str, ...]:
-        return tuple(self.values)
+        return tuple(self.values) if self._row is None else self._keys
 
     def __contains__(self, x: str) -> bool:
         return x in self.values
@@ -364,7 +371,10 @@ class VertexFunction:
 
 def gather(f: VertexFunction, xs: Sequence[str]) -> np.ndarray:
     """f's values at xs as a float array; value()'s error at the first x off
-    f's domain."""
+    f's domain.  At f's own domain order a function from scatter_rows copies
+    its row."""
+    if f._row is not None and (xs is f._keys or xs == f._keys):
+        return f._row.copy()
     try:
         return np.fromiter(map(f.values.__getitem__, xs), float, len(xs))
     except KeyError as e:
@@ -380,15 +390,17 @@ def scatter(g: Graph, xs: Sequence[str], vals: np.ndarray) -> VertexFunction:
 
 
 def scatter_rows(g: Graph, xs: Sequence[str], rows: np.ndarray) -> list[VertexFunction]:
-    """scatter of each row of a 2-D array, from one reordering of its
-    columns into file order and one tolist."""
+    """scatter of each row of a 2-D array.  The functions share one array,
+    rows itself when xs is in file order (it must not be written after) and
+    otherwise a copy with the columns reordered; none builds a dict before
+    its values are read."""
     pos = dict(zip(xs, range(len(xs))))
-    keys = [v for v in g.vertices if v in pos]
+    keys = tuple(v for v in g.vertices if v in pos)
+    table = rows if keys == tuple(xs) else rows[:, [pos[v] for v in keys]]
     out = []
-    for vals in rows[:, [pos[v] for v in keys]].tolist():
+    for row in table:
         f = object.__new__(VertexFunction)
-        f.graph = g
-        f.values = dict(zip(keys, vals))
+        f.graph, f._row, f._keys = g, row, keys
         out.append(f)
     return out
 

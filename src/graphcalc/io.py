@@ -15,7 +15,7 @@ from typing import Union
 from . import harmonic
 from .calculus import VectorField
 from .errors import GraphParseError, UnknownVertexError, ValidationError
-from .graph import Graph, VertexFunction
+from .graph import Graph, VertexFunction, gather
 
 FIELD_MODES = ("exact", "antisymmetrize", "symmetrize")
 
@@ -166,23 +166,26 @@ def render_vertex_function_csv(f: VertexFunction) -> str:
 
 
 def render_trajectory_csv(times, states) -> str:
-    """time,vertex,value rows, time-major, vertices in file order.
+    """time,vertex,value rows, time-major, vertices in file order."""
+    return "".join(trajectory_csv_chunks(times, states))
 
-    Each state fills a %-template of its domain's rows, built once per
-    domain.
-    """
-    parts = ["time,vertex,value\n"]
+
+def trajectory_csv_chunks(times, states):
+    """render_trajectory_csv as chunks: the header row, then one chunk per
+    state, which fills a %-template of its domain's rows, built once per
+    domain.  A state is read through gather, so a solver's function builds
+    no values dict."""
+    yield "time,vertex,value\n"
     templates: dict[tuple[str, ...], str] = {}
     for t, u in zip(times, states):
-        domain = tuple(u.values)  # in file order
+        domain = u.domain  # in file order
         template = templates.get(domain)
         if template is None:
             template = "".join([f"%s,{x.replace('%', '%%')},{FLOAT}\n" for x in domain])
             templates[domain] = template
         args = [format_float(t)] * (2 * len(domain))
-        args[1::2] = u.values.values()
-        parts.append(template % tuple(args))
-    return "".join(parts)
+        args[1::2] = gather(u, domain).tolist()
+        yield template % tuple(args)
 
 
 def render_sphere_map_csv(u: "harmonic.SphereMap") -> str:

@@ -13,6 +13,7 @@ Doubles are produced from the top 53 bits of the state, uniform in [0, 1).
 from __future__ import annotations
 
 import math
+import operator
 
 from . import _numpy as np
 from .errors import ValidationError
@@ -26,7 +27,10 @@ class Lcg64:
     """Seeded 64-bit LCG with convenience draws used across the package."""
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        try:
+            self.state = operator.index(seed) & MASK64
+        except TypeError:
+            raise ValidationError(f"seed must be an integer, got {seed!r}") from None
         if self.state != seed:  # reduced mod 2^64, two seeds would share a stream
             raise ValidationError(f"seed must be in [0, 2**64), got {seed!r}")
 

@@ -32,7 +32,7 @@ from .rng import Lcg64
 
 # elements of one (times, closure, modes) product in _expand, and of one
 # (interior, subspaces, j, j) Gram product in courant_fischer_check
-EXPAND_CHUNK = 1 << 20
+EXPAND_CHUNK = 1 << 16  # 512 KiB of float64
 EXP_LIMIT = math.log(np.finfo(float).max)  # math.exp is finite up to here, overflows past it
 
 StaticPotential = Union[None, float, VertexFunction]
@@ -246,11 +246,16 @@ def _expand(es: EigenSystem, f: VertexFunction, factors: np.ndarray) -> list[Ver
 
 def _decay_rows(values: Sequence[float], times) -> np.ndarray:
     """The factor rows exp(-lambda t), one per time, from libm: numpy's exp
-    kernel, picked by CPU, can differ in the last bit.  Overflow gives inf."""
+    kernel, picked by CPU, can differ in the last bit.  Overflow gives inf.
+    The exponents are replaced in place, EXPAND_CHUNK at a time."""
     with np.errstate(over="ignore", invalid="ignore"):
         args = -np.array(values) * np.array(times, dtype=float)[:, None]
-    flat = np.where(args > EXP_LIMIT, math.inf, args).ravel().tolist()
-    return np.fromiter(map(math.exp, flat), float, args.size).reshape(args.shape)
+    flat = args.reshape(-1)
+    flat[flat > EXP_LIMIT] = math.inf
+    for a in range(0, flat.size, EXPAND_CHUNK):
+        part = flat[a : a + EXPAND_CHUNK].tolist()
+        flat[a : a + len(part)] = np.fromiter(map(math.exp, part), float, len(part))
+    return args
 
 
 def _heat(es: EigenSystem, f: VertexFunction, times) -> list[VertexFunction]:
