@@ -7,17 +7,20 @@ the CLI puts its '# manifest: ...' comment lines above them.
 """
 
 import csv
+import functools
+import itertools
 import json
 import math
 from pathlib import Path
 from typing import Union
 
-from . import harmonic
+from . import _numpy as np, harmonic
 from .calculus import VectorField
 from .errors import GraphParseError, UnknownVertexError, ValidationError
 from .graph import Graph, VertexFunction, gather
 
 FIELD_MODES = ("exact", "antisymmetrize", "symmetrize")
+BLOCK = 4096  # values per _float_parts call when rendering a trajectory
 
 # The one float format, 17 significant digits: every finite float reads back
 # exactly.  format_float, the JSON templates and the CSV writers all use it.
@@ -26,6 +29,77 @@ FLOAT = "%.17g"
 
 def format_float(x: float) -> str:
     return FLOAT % float(x)
+
+
+def _covered(a):
+    """Where _float_parts renders a value of magnitude a."""
+    return (a < 10.0) & ((a >= 1e-4) | (a == 0.0))
+
+
+@functools.cache
+def _tables():
+    """_float_parts' tables: the decade bounds; by X + 5 for decade X, the
+    two halves of 10**(16 - X) and the divisor that leaves N's integer
+    digit; the powers of ten; and the heads by (sign, integer digit, slot),
+    where a slot k <= 16 puts the point and k - 1 zeros after the digit and
+    a larger slot no point.  10**s is an exact double for s <= 22, and the
+    halves of its Veltkamp split make Dekker's product exact."""
+    scales = [10.0**s for s in range(21, 14, -1)]
+    highs = [c - (c - s) for s, c in ((s, s * 134217729.0) for s in scales)]
+    heads = [
+        sign + (f"{digit}.{'0' * (slot - 1)}" if 0 < slot <= 16 else "")
+        for sign in ("", "-")
+        for digit in "0123456789"
+        for slot in range(23)
+    ]
+    return (
+        np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0]),
+        np.array(highs),
+        np.array([s - h for s, h in zip(scales, highs)]),
+        np.array([10**18] * 5 + [10**16, 10**18]),  # only decade 0 has an integer digit
+        np.array([10**d for d in range(19)]),
+        np.array(heads, dtype=object),
+    )
+
+
+def _float_parts(values):
+    """The array form of FLOAT: heads, int tails and a covered mask, with
+    heads[i] + str(tails[i]) == FLOAT % values[i] for every covered value,
+    that is zeros and every value with 1e-4 <= |x| < 10.  The other entries
+    are placeholders.
+
+    The 17 significant digits of an x in decade X are the integer
+    N = |x| 10**(16 - X) rounded half to even.  That product's double p is
+    an even integer >= 2**53 and Dekker's exact product (Numer. Math. 18,
+    1971) gives its error e, so N = p + rint(e).  The tail is the digits
+    after the point without trailing zeros, or the integer digit when none
+    is left; the head is the sign, the integer digit, the point and the
+    zeros after it.
+    """
+    decades, highs, lows, lead, powers, heads = _tables()
+    x = np.asarray(values, dtype=float).ravel()
+    covered = _covered(np.abs(x))
+    a = np.fmin(np.abs(x), 10.0)  # no product below overflows
+    k = np.searchsorted(decades, a, side="right")  # X + 5 when covered
+    hi, lo = highs[k], lows[k]
+    p = a * (hi + lo)
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    e = ((a_hi * hi - p) + a_hi * lo + a_lo * hi) + a_lo * lo
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    digit = n // lead[k]
+    rest = n - digit * 10**16
+    slot = 22 - k - np.searchsorted(powers, rest, side="right")
+    zeros = np.flatnonzero(rest % 10 == 0)  # trailing zeros to drop, at most 16
+    if zeros.size:
+        r = rest[zeros]
+        for d in (16, 8, 4, 2, 1):
+            q, m = np.divmod(r, 10**d)
+            r = np.where(m == 0, q, r)
+        rest[zeros] = r
+    head = (np.signbit(x) * 10 + digit) * 23 + slot
+    return heads[head].tolist(), np.where(rest == 0, digit, rest).tolist(), covered
 
 
 def parse_graph(text: str) -> Graph:
@@ -172,20 +246,50 @@ def render_trajectory_csv(times, states) -> str:
 
 def trajectory_csv_chunks(times, states):
     """render_trajectory_csv as chunks: the header row, then one chunk per
-    state, which fills a %-template of its domain's rows, built once per
-    domain.  A state is read through gather, so a solver's function builds
-    no values dict."""
+    state.  Consecutive states on one domain are read through gather, so a
+    solver's function builds no values dict, in blocks of up to BLOCK values.
+    A state with more than half its values covered by _float_parts fills
+    its domain's template of heads and tails, and its other values come
+    from one FLOAT call per block; any other state fills the FLOAT template.
+    Each domain's templates are built once."""
+    if len(times) != len(states):
+        raise ValidationError(f"trajectory has {len(times)} times for {len(states)} states")
     yield "time,vertex,value\n"
-    templates: dict[tuple[str, ...], str] = {}
-    for t, u in zip(times, states):
-        domain = u.domain  # in file order
-        template = templates.get(domain)
-        if template is None:
-            template = "".join([f"%s,{x.replace('%', '%%')},{FLOAT}\n" for x in domain])
-            templates[domain] = template
-        args = [format_float(t)] * (2 * len(domain))
-        args[1::2] = gather(u, domain).tolist()
-        yield template % tuple(args)
+    templates: dict[tuple[str, ...], tuple[str, str]] = {}
+    for domain, run in itertools.groupby(zip(times, states), key=lambda pair: pair[1].domain):
+        n = len(domain)
+        if domain not in templates:
+            names = [x.replace("%", "%%") for x in domain]
+            templates[domain] = (
+                "".join([f"%s,{x},{FLOAT}\n" for x in names]),
+                "".join([f"%s,{x},%s%s\n" for x in names]),
+            )
+        plain, parted = templates[domain]
+        while block := list(itertools.islice(run, max(1, BLOCK // max(n, 1)))):
+            values = np.array([gather(u, domain) for _, u in block])
+            parts = 2 * _covered(np.abs(values)).sum(axis=1) > n
+            if parts.any():
+                chosen = values[parts]
+                heads, tails, covered = _float_parts(chosen)
+                misses = np.flatnonzero(~covered).tolist()
+                if misses:
+                    rest = chosen.ravel()[misses].tolist()
+                    texts = ("\n".join([FLOAT] * len(rest)) % tuple(rest)).split("\n")
+                    for i, text in zip(misses, texts):
+                        heads[i], tails[i] = text, ""
+            j = 0
+            for (t, _), row, part in zip(block, values, parts.tolist()):
+                time = format_float(t)
+                if part:
+                    args = [time] * (3 * n)
+                    args[1::3] = heads[j : j + n]
+                    args[2::3] = tails[j : j + n]
+                    j += n
+                    yield parted % tuple(args)
+                else:
+                    args = [time] * (2 * n)
+                    args[1::2] = row.tolist()
+                    yield plain % tuple(args)
 
 
 def render_sphere_map_csv(u: "harmonic.SphereMap") -> str:

@@ -35,6 +35,7 @@ so its bits do not depend on the BLAS thread count.
 """
 
 import math
+from array import array
 
 import numpy as np
 
@@ -95,8 +96,9 @@ def _ql(d: list, e: list, rotations) -> None:
     """Implicit QL with Wilkinson shifts on the tridiagonal (d, e), in place.
 
     e[i] couples d[i] and d[i+1]; e[n-1] is 0.  On return d holds the
-    eigenvalues.  When rotations is a list, each Givens rotation extends it
-    by i, c, s in the order made; _rotate applies them.
+    eigenvalues.  When rotations is given, an array("d") or a list, each
+    Givens rotation extends it by i, c, s in the order made; _rotate applies
+    them.
     """
     n = len(d)
     for l in range(n):
@@ -136,7 +138,7 @@ def _ql(d: list, e: list, rotations) -> None:
                 d[i + 1] = g + p
                 g = c * r - b
                 if rotations is not None:
-                    rotations += (i, c, s)
+                    rotations.extend((i, c, s))
                 i -= 1
             else:
                 d[l] -= p
@@ -144,7 +146,7 @@ def _ql(d: list, e: list, rotations) -> None:
                 e[m] = 0.0
 
 
-def _rotate(n: int, rotations: list) -> np.ndarray:
+def _rotate(n: int, rotations) -> np.ndarray:
     """The identity of order n with each rotation that _ql recorded, flat as
     i, c, s, applied to its rows i and i+1: lo = c lo - s hi and
     hi = c hi + s lo.
@@ -155,16 +157,16 @@ def _rotate(n: int, rotations: list) -> np.ndarray:
     applies a whole wave: its rows (lo rows, then hi rows) times P = [c; c]
     plus its swapped rows (hi, then lo) times Q = [-s; s].
     """
+    table = np.asarray(rotations, dtype=float).reshape(-1, 3)
+    lo = table[:, 0].astype(np.intp)
+    c, s = table[:, 1], table[:, 2]
     last = [0] * n
     waves = []
-    for i in rotations[::3]:
+    for i in lo.tolist():
         w, u = last[i], last[i + 1]
         w = 1 + (w if w > u else u)  # a max() call would double the loop's time
         last[i] = last[i + 1] = w
         waves.append(w)
-    table = np.array(rotations).reshape(-1, 3)
-    lo = table[:, 0].astype(np.intp)
-    c, s = table[:, 1], table[:, 2]
     waves = np.array(waves, dtype=np.intp)
     key = np.concatenate([2 * waves, 2 * waves + 1])
     order = np.argsort(key, kind="stable")
@@ -198,7 +200,7 @@ def eigh_unsorted(matrix, vectors: bool = True):
     if not vectors:
         _ql(d, e, None)
         return np.array(d), None
-    rotations = []
+    rotations = array("d")  # three doubles a rotation, not three Python objects
     _ql(d, e, rotations)
     vt = _rotate(len(d), rotations)
     for k, beta, v in reversed(reflectors):

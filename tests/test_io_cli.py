@@ -200,6 +200,81 @@ def test_render_trajectory_csv_bytes_are_pinned():
     )
 
 
+@pytest.mark.parametrize("n_times, n_states", [(3, 1), (1, 2)])
+def test_render_trajectory_csv_refuses_a_time_count_unlike_the_state_count(p3, n_times, n_states):
+    f = gc.VertexFunction(p3, {"a": 0.0, "b": 1.0, "c": 0.0})
+    times, states = [0.0, 1.0, 2.0][:n_times], [f] * n_states
+    message = f"trajectory has {n_times} times for {n_states} states"
+    with pytest.raises(gc.ValidationError, match=message):
+        gc.render_trajectory_csv(times, states)
+    with pytest.raises(gc.ValidationError, match=message):
+        next(gc.io.trajectory_csv_chunks(times, states))  # before the header row
+
+
+def _float_parts_batches():
+    """Seeded batches for _float_parts: raw bit patterns, each covered
+    decade, the neighbours of each power of ten, the float range's edges,
+    and exact ties at 18 significant digits, whose 17th digit rounds to
+    even."""
+    rng = np.random.default_rng(36)
+    yield rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    signs = rng.choice([-1.0, 1.0], 4_000)
+    for X in range(-4, 1):
+        yield signs * rng.uniform(10.0**X, 10.0 ** (X + 1), 4_000)
+    edges = []
+    for k in range(-5, 3):
+        below = above = 10.0**k
+        for _ in range(8):
+            edges += [below, above]
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+    yield np.array(edges + [-x for x in edges])
+    tiny, big = 5e-324, np.finfo(float).max
+    yield np.array([0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, -1e-310, big, -big])
+    for X in range(-4, 1):
+        # odd M / 2**j in decade X has 18 significant digits, the last a 5
+        j = 17 - X
+        lo, hi = math.ceil(10.0**X * 2**j), math.ceil(10.0 ** (X + 1) * 2**j)
+        odd = rng.integers(lo // 2, hi // 2, 2_000) * 2 + 1
+        yield signs[:2_000] * odd / 2.0**j
+
+
+def test_float_parts_match_the_float_format():
+    for values in _float_parts_batches():
+        heads, tails, covered = gc.io._float_parts(values)
+        a = np.abs(values)
+        assert covered.tolist() == ((a == 0.0) | ((a >= 1e-4) & (a < 10.0))).tolist()
+        got = [h + str(t) for h, t, c in zip(heads, tails, covered.tolist()) if c]
+        assert got == [gc.io.FLOAT % x for x in values[covered].tolist()]
+    heads, tails, _ = gc.io._float_parts(np.array([0.100002288818359375]))
+    assert heads[0] + str(tails[0]) == "0.10000228881835938"
+
+
+def test_render_trajectory_csv_fills_both_templates(monkeypatch):
+    # covered states fill the template of heads and tails, a state with a
+    # few values outside [1e-4, 10) fills it too, and a state with none
+    # inside fills the plain template; the kernel sees only the first two
+    g = gc.Graph(["a", "b", "c", "d", "e"], [])
+    kinds = [
+        {"a": 0.5, "b": -1.25e-4, "c": 0.0, "d": 9.999999999999998, "e": -0.1},
+        {"a": 1e-5, "b": 0.3, "c": 12.5, "d": -2.0, "e": 1 / 3},
+        {"a": 5e-5, "b": -1e-300, "c": 1e-6, "d": 5e-324, "e": -9.99e-5},
+    ]
+    states = [gc.VertexFunction(g, values) for values in kinds]
+    states += [gc.VertexFunction(g, {"e": 1.5, "c": 2.5})] + states
+    times = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
+    seen = []
+    kernel = gc.io._float_parts
+
+    def spy(values):
+        seen.append(np.ravel(values).tolist())
+        return kernel(values)
+
+    monkeypatch.setattr(gc.io, "_float_parts", spy)
+    assert gc.render_trajectory_csv(times, states) == per_row_render_trajectory_csv(times, states)
+    rows = [[s.values[x] for x in s.domain] for s in states]
+    assert seen == [rows[0] + rows[1], rows[3], rows[4] + rows[5]]
+
+
 def test_render_vertex_function_csv_bytes_are_pinned():
     # rows in file order whatever the insertion order, with -0.0, subnormals
     # and .17g values exactly as before

@@ -86,6 +86,8 @@ def _calls(draw, g):
     tau = abs(t)  # a flow's final time, with dt = tau / k for transport
     dt = tau / draw(st.integers(1, 4))
     phi = _function(draw, g, window.boundary)  # dmf's data vanishes there
+    times = [draw(VALUE) for _ in range(draw(st.integers(0, 3)))]
+    states = [f, h][: draw(st.integers(0, 2))]
 
     def kernel():
         return gc.HeatKernel(gc.eigensystem(spec))
@@ -127,6 +129,7 @@ def _calls(draw, g):
         ("energy_density", lambda: gc.energy_density(sphere_map(), x, region)),
         ("map_energy", lambda: gc.map_energy(sphere_map(), region)),
         ("ambient_tension_report", lambda: gc.ambient_tension_report(sphere_map(), x, region)),
+        ("render_trajectory_csv", lambda: gc.render_trajectory_csv(times, states)),
     ]
 
 
